@@ -1,0 +1,105 @@
+#!/usr/bin/env python3
+"""Run every nclab command on every config against two source trees
+and report where their outputs differ.
+
+Usage:
+    python scripts/compare_outputs.py SRC_A SRC_B
+
+SRC_A and SRC_B are nclab checkouts (each holding src/nclab).  Every
+CLI command runs on every configs/*.cfg of the checkout that holds
+this script, once per tree, as a fresh `python -m nclab.cli COMMAND
+--config CFG --out DIR --quiet`.  Runs go one at a time, with BLAS and
+OpenMP pinned to one thread and the address space capped at
+ADDRESS_SPACE bytes, so an oversize run fails instead of exhausting
+the machine.  Outputs go to a temporary directory (under $TMPDIR).
+
+One line per run gives both exit codes; a failed run adds the last
+line of its stderr.  Every output file that is missing on one side or
+not byte-identical is listed.  Exits 0 when every run has the same
+exit code and byte-identical outputs on both trees, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import resource
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from nclab.cli import _COMMANDS  # noqa: E402
+
+ADDRESS_SPACE = 4 * 2**30
+TIMEOUT_S = 900
+THREAD_PIN = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+
+
+def run(tree: Path, command: str, config: Path, out: Path) -> tuple[str, str]:
+    """Exit code (or 'timeout') and the last stderr line of one run."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), **THREAD_PIN)
+    args = [sys.executable, "-m", "nclab.cli", command, "--config", str(config),
+            "--out", str(out), "--quiet"]
+    try:
+        proc = subprocess.run(args, env=env, capture_output=True, text=True,
+                              timeout=TIMEOUT_S, preexec_fn=_cap_address_space)
+    except subprocess.TimeoutExpired:
+        return "timeout", ""
+    lines = proc.stderr.strip().splitlines()
+    return str(proc.returncode), lines[-1] if lines else ""
+
+
+def differing_files(a: Path, b: Path) -> list[str]:
+    names = sorted({p.name for p in a.iterdir()} | {p.name for p in b.iterdir()})
+    return [
+        name for name in names
+        if not ((a / name).is_file() and (b / name).is_file()
+                and (a / name).read_bytes() == (b / name).read_bytes())
+    ]
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("src_a", type=Path)
+    ap.add_argument("src_b", type=Path)
+    args = ap.parse_args()
+    trees = (args.src_a.resolve(), args.src_b.resolve())
+    for tree in trees:
+        if not (tree / "src" / "nclab").is_dir():
+            ap.error(f"{tree} holds no src/nclab")
+
+    mismatches = 0
+    with tempfile.TemporaryDirectory(prefix="nclab-compare-") as tmp:
+        for config in sorted((ROOT / "configs").glob("*.cfg")):
+            for command in _COMMANDS:
+                outs = [Path(tmp) / side / config.stem / command for side in "ab"]
+                for out in outs:
+                    out.mkdir(parents=True)
+                (code_a, err_a), (code_b, err_b) = (
+                    run(tree, command, config, out) for tree, out in zip(trees, outs)
+                )
+                diff = differing_files(*outs)
+                same = code_a == code_b and not diff
+                mismatches += not same
+                line = f"{'same' if same else 'DIFF'}  {config.name} {command}: exit {code_a}/{code_b}"
+                if diff:
+                    line += f", files differ: {', '.join(diff)}"
+                print(line, flush=True)
+                for side, code, err in (("a", code_a, err_a), ("b", code_b, err_b)):
+                    if code != "0":
+                        print(f"      {side}: {err}", flush=True)
+    print(f"{mismatches} run(s) differ")
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -16,13 +16,19 @@ with the adjoint and the flip map it reproduces the discrete matrix
 exactly (up to quadrature roundoff), which verify_identity measures.
 
 Torus integrals use the Q-point tensor rectangle rule per axis, i.e.
-one FFT per row/column; this is exact for trigonometric polynomials of
-degree < Q/2 and spectrally accurate otherwise.  Rows (columns) are
-independent, so assembly parallelizes without changing results.
+one FFT over the grid per row (column); this is exact for trigonometric
+polynomials of degree < Q/2 and spectrally accurate otherwise.  Both
+quantizations assemble block-wise: a block of B consecutive box points
+evaluates the symbol once, on first arguments of shape (B, 1, n)
+against the grid of shape (1, Q^n, n), and runs one batched FFT over
+the grid axes.  B * Q^n stays within BLOCK_POINTS (B >= 1), so a
+block's temporaries stay near 40 * BLOCK_POINTS bytes.  Rows (columns)
+are independent, so the block size never changes a matrix entry.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -36,6 +42,12 @@ LATTICE_DELTA = "lattice_delta"
 FOURIER_MODE = "fourier_mode"
 
 BINARY_MAGIC = b"NCRM"
+
+# Symbol samples (lattice points times grid points) per assembly block,
+# chosen by measurement: larger blocks gained little time and raised
+# peak memory (about 40 bytes per sample: the real samples, their
+# complex copy and its transform).
+BLOCK_POINTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -82,7 +94,9 @@ class OperatorMatrix:
             raise UsageError(f"unknown basis tag {self.basis!r}")
 
 
-def _check_grid(box: TruncationBox, grid: QuadratureGrid) -> QuadratureGrid:
+def _check_sizes(box: TruncationBox, grid: QuadratureGrid) -> QuadratureGrid:
+    """Default-fill and validate the grid, and refuse a dense matrix
+    larger than physical memory before anything is allocated."""
     if grid is None:
         grid = QuadratureGrid(box.n, default_grid_size(box.M))
     if grid.n != box.n:
@@ -92,14 +106,38 @@ def _check_grid(box: TruncationBox, grid: QuadratureGrid) -> QuadratureGrid:
             f"grid size {grid.q} undersized: offsets up to {2 * box.M} per axis "
             f"need at least {4 * box.M + 2} points to stay distinct"
         )
+    S = box.size
+    need = 16 * S * S
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise UsageError(
+            f"a dense {S} x {S} complex matrix needs {need / 2**30:.1f} GiB, "
+            f"more than the {have / 2**30:.1f} GiB of physical memory"
+        )
     return grid
 
 
-def _sample(symbol_func, first, pts: np.ndarray) -> np.ndarray:
-    vals = np.asarray(symbol_func(np.asarray(first, dtype=float), pts))
-    if vals.shape != (len(pts),):
-        vals = np.broadcast_to(vals, (len(pts),))
-    return vals.astype(complex)
+def _coefficient_blocks(func, box: TruncationBox, grid: QuadratureGrid):
+    """Yield (rows, block) over consecutive runs of box points p_i:
+    block[b, j] is the Fourier coefficient of x -> func(p_i, x) at the
+    offset box_j - p_i (mod Q), for i = rows.start + b."""
+    Q, n = grid.q, box.n
+    shape = (Q,) * n
+    P = Q**n
+    box_pts = box.points()
+    firsts = box_pts.astype(float)[:, None, :]
+    x = grid.points()[None]
+    per_block = max(1, BLOCK_POINTS // P)
+    for start in range(0, box.size, per_block):
+        first = firsts[start : start + per_block]
+        B = len(first)
+        samples = np.broadcast_to(np.asarray(func(first, x)), (B, P)).astype(complex, copy=False)
+        coeff = np.fft.fftn(samples.reshape((B,) + shape), axes=tuple(range(1, n + 1))).reshape(B, P)
+        offsets = np.mod(box_pts[None, :, :] - box_pts[start : start + B, None, :], Q)
+        flat = np.ravel_multi_index(tuple(np.moveaxis(offsets, -1, 0)), shape)
+        block = np.take_along_axis(coeff, flat, axis=1) / P
+        del samples, coeff  # keep one block's temporaries alive at a time
+        yield slice(start, start + B), block
 
 
 def assemble_discrete(
@@ -110,18 +148,10 @@ def assemble_discrete(
     at offsets k - n'."""
     if sigma.side != DISCRETE:
         raise UsageError("assemble_discrete expects a discrete-side symbol")
-    grid = _check_grid(box, grid)
-    Q, n = grid.q, box.n
-    pts = grid.points()
-    box_pts = box.points()
-    S = box.size
-    out = np.empty((S, S), dtype=complex)
-    shape = (Q,) * n
-    for i, nprime in enumerate(box_pts):
-        samples = _sample(sigma.func, nprime, pts).reshape(shape)
-        coeff = np.fft.fftn(samples) / Q**n  # coeff[j] ~ hat(sigma)(j)
-        offsets = np.mod(box_pts - nprime, Q)
-        out[i, :] = coeff.ravel()[np.ravel_multi_index(tuple(offsets.T), shape)]
+    grid = _check_sizes(box, grid)
+    out = np.empty((box.size, box.size), dtype=complex)
+    for rows, block in _coefficient_blocks(sigma.func, box, grid):
+        out[rows, :] = block
     return OperatorMatrix(out, box, LATTICE_DELTA)
 
 
@@ -133,18 +163,10 @@ def assemble_toroidal(
     offsets eta - m."""
     if tau.side != TOROIDAL:
         raise UsageError("assemble_toroidal expects a toroidal-side symbol")
-    grid = _check_grid(box, grid)
-    Q, n = grid.q, box.n
-    pts = grid.points()
-    box_pts = box.points()
-    S = box.size
-    out = np.empty((S, S), dtype=complex)
-    shape = (Q,) * n
-    for j, m in enumerate(box_pts):
-        samples = _sample(tau.func, m, pts).reshape(shape)
-        coeff = np.fft.fftn(samples) / Q**n
-        offsets = np.mod(box_pts - m, Q)
-        out[:, j] = coeff.ravel()[np.ravel_multi_index(tuple(offsets.T), shape)]
+    grid = _check_sizes(box, grid)
+    out = np.empty((box.size, box.size), dtype=complex)
+    for cols, block in _coefficient_blocks(tau.func, box, grid):
+        out[:, cols] = block.T
     return OperatorMatrix(out, box, FOURIER_MODE)
 
 
@@ -187,7 +209,7 @@ def verify_identity(
     Fourier conjugation; report max |difference| over the full matrix
     and over the interior block (indices with |index| <= M - b, where
     b is the observed band width of the discrete matrix)."""
-    grid = _check_grid(box, grid)
+    grid = _check_sizes(box, grid)
     D = assemble_discrete(sigma, box, grid)
     B = conjugate_by_fourier(adjoint(assemble_toroidal(flip(sigma), box, grid)))
     dev = np.abs(D.entries - B.entries)

@@ -83,7 +83,13 @@ class Symbol:
     """Evaluable symbol with order/type metadata.
 
     func(first, second) must be pure, total on its domain, and accept
-    numpy arrays (broadcasting) for batched evaluation.
+    numpy arrays (broadcasting) for batched evaluation: the leading
+    axes of first and second broadcast against each other, the last
+    axis of each is the coordinate axis, and the result may be any
+    shape that broadcasts to the common leading shape (a scalar
+    included).  Assembly calls it with first of shape (B, 1, n) and
+    second of shape (1, Q^n, n), for blocks of at most
+    quantize.BLOCK_POINTS samples.
     """
 
     func: Callable
@@ -261,14 +267,19 @@ def partial_x(sigma: Symbol, beta, grid_size: int) -> Symbol:
 
     def deriv_func(first, x):
         first = np.asarray(first, dtype=float)
-        if first.ndim <= 1:
-            return synthesize(coefficients(first), x)
-        flat = first.reshape(-1, first.shape[-1])
-        xs = np.broadcast_to(np.asarray(x, dtype=float), flat.shape[:1] + (n,))
-        out = np.array(
-            [synthesize(coefficients(f), xi) for f, xi in zip(flat, xs)]
-        )
-        return out.reshape(first.shape[:-1])
+        x = np.asarray(x, dtype=float)
+        lead = np.broadcast_shapes(first.shape[:-1], x.shape[:-1])
+        firsts = np.broadcast_to(first, lead + (n,)).reshape(-1, n)
+        xs = np.broadcast_to(x, lead + (n,)).reshape(-1, n)
+        # one coefficient set per distinct first point
+        keys, inverse = np.unique(firsts, axis=0, return_inverse=True)
+        inverse = inverse.ravel()
+        order = np.argsort(inverse, kind="stable")
+        bounds = np.cumsum(np.bincount(inverse))[:-1]
+        out = np.empty(len(firsts), dtype=complex)
+        for key, idx in zip(keys, np.split(order, bounds)):
+            out[idx] = synthesize(coefficients(key), xs[idx])
+        return out.reshape(lead)
 
     new_order = sigma.order + sigma.delta * float(np.sum(beta))
     return Symbol(deriv_func, new_order, sigma.rho, sigma.delta, sigma.side, None)
@@ -457,27 +468,23 @@ def finite_modify(sigma: Symbol, patch: dict) -> Symbol:
 
     def patched(first, x):
         # the base symbol is never evaluated at patched points (it may
-        # be singular there); batched first with aligned batched x is
-        # subset consistently
-        first = np.asarray(first, dtype=float)
-        single = first.ndim <= 1
-        flat = first.reshape(1, -1) if single else first.reshape(-1, pts.shape[1])
-        hits = np.all(np.abs(flat[:, None, :] - pts[None, :, :]) < 1e-9, axis=-1)
-        any_hit = hits.any(axis=1)
-        if single:
-            if any_hit[0]:
-                return vals[int(np.argmax(hits[0]))]
+        # be singular there); first and x broadcast as for any symbol
+        first = np.atleast_1d(np.asarray(first, dtype=float))
+        hits = np.all(np.abs(first[..., None, :] - pts) < 1e-9, axis=-1)
+        hit = hits.any(axis=-1)
+        if not hit.any():
             return base(first, x)
-        if not any_hit.any():
-            return base(first, x)
-        out = np.empty(flat.shape[0], dtype=complex)
-        out[any_hit] = vals[np.argmax(hits[any_hit], axis=1)]
-        if (~any_hit).any():
-            xa = np.asarray(x, dtype=float)
-            sub_x = xa[~any_hit] if xa.ndim >= 2 and xa.shape[0] == flat.shape[0] else xa
-            sub = np.asarray(base(flat[~any_hit], sub_x), dtype=complex)
-            out[~any_hit] = np.broadcast_to(sub, (int((~any_hit).sum()),))
-        return out.reshape(first.shape[:-1])
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        lead = np.broadcast_shapes(first.shape[:-1], x.shape[:-1])
+        hit = np.broadcast_to(hit, lead)
+        out = np.empty(lead, dtype=complex)
+        out[hit] = np.broadcast_to(vals[np.argmax(hits, axis=-1)], lead)[hit]
+        miss = ~hit
+        if miss.any():
+            sub_first = np.broadcast_to(first, lead + first.shape[-1:])[miss]
+            sub_x = np.broadcast_to(x, lead + x.shape[-1:])[miss]
+            out[miss] = np.broadcast_to(base(sub_first, sub_x), (int(miss.sum()),))
+        return out
 
     return replace(sigma, func=patched)
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +30,21 @@ M = 24
 [quadrature]
 Q = 256
 """
+
+
+# 4001^2 lattice points: the dense matrix would take 4 PB
+OVERSIZE = """\
+[symbol]
+n = 2
+main = (1+0.5*cos(2*pi*x1))*(1+|xi|^2)^(-1)
+order = -2
+term_0 = -2 ; 1+0.5*cos(2*pi*x1)
+
+[lattice]
+M = 2000
+"""
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -153,3 +169,22 @@ def test_config_output_dir_used_when_out_not_given(tmp_path, monkeypatch):
 def test_no_command_prints_help(capsys):
     assert main([]) == 0
     assert "COMMAND" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["quantize", "verify-identity", "connes"])
+def test_oversize_matrix_exits_1_before_allocating(tmp_path, capsys, command):
+    cfg = write(tmp_path, OVERSIZE)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "r")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a dense 16008001 x 16008001 complex matrix needs")
+    assert err.endswith("of physical memory\n")
+    assert err.count("\n") == 1
+
+
+def test_identity_check_config_pinned_near_achieved_deviation(tmp_path):
+    # achieved: full deviation 1.5e-17
+    out = tmp_path / "r"
+    cfg = str(CONFIGS / "identity_check.cfg")
+    assert main(["verify-identity", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    data = json.loads((out / "identity.json").read_text())
+    assert data["full_deviation"] <= 1e-15

@@ -147,3 +147,10 @@ def test_report_fields():
         "positivity_warning", "diagonal_path", "conventions",
     ]
     assert payload["residue_paper_convention"] == pytest.approx(2.0 / (2 * np.pi))
+
+
+def test_x_dependent_accuracy_pinned_at_m256():
+    # achieved: relative deviation 1.91e-4, stability span 4.86e-4
+    rep = run_connes_check(cosine_bracket(), 1, 256)
+    assert rep.relative_deviation <= 4e-4
+    assert rep.stability_span <= 1e-3

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nclab import quantize
 from nclab.dsl import to_symbol
 from nclab.errors import UsageError
 from nclab.lattice import TruncationBox
@@ -19,7 +20,7 @@ from nclab.quantize import (
     write_matrix_binary,
     write_matrix_csv,
 )
-from nclab.symbols import TOROIDAL, Symbol, flip
+from nclab.symbols import TOROIDAL, Symbol, finite_modify, flip, regularize_at_origin
 
 
 def cosine_bracket(n=1):
@@ -175,6 +176,77 @@ def test_hermitian_asymmetry_decays_one_order_faster():
         assert abs(H[j + 1, j]) == pytest.approx(expect, abs=1e-12)
         if abs(m) >= 8:
             assert abs(H[j + 1, j]) <= 0.3 * float(abs(m)) ** -2
+
+
+# ---------------------------------------------------------------------------
+# block-wise assembly
+
+
+def column_loop(func, box, grid):
+    """Reference assembly, one symbol call and one FFT per lattice point:
+    column j holds the coefficients of x -> func(p_j, x) at offsets
+    box - p_j.  This is the matrix of a toroidal symbol and the
+    transposed matrix of a discrete one."""
+    Q, n = grid.q, box.n
+    shape = (Q,) * n
+    pts = grid.points()
+    box_pts = box.points()
+    out = np.empty((box.size, box.size), dtype=complex)
+    for j, p in enumerate(box_pts):
+        vals = np.broadcast_to(np.asarray(func(p.astype(float), pts)), (len(pts),))
+        coeff = np.fft.fftn(vals.astype(complex).reshape(shape)) / Q**n
+        offsets = np.mod(box_pts - p, Q)
+        out[:, j] = coeff.ravel()[np.ravel_multi_index(tuple(offsets.T), shape)]
+    return out
+
+
+def both_quantizations(sigma, box, grid):
+    return (
+        assemble_discrete(sigma, box, grid).entries,
+        assemble_toroidal(flip(sigma), box, grid).entries,
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_patched_symbols_assemble_like_the_column_loop(n):
+    base = to_symbol(
+        "(1+0.5*cos(2*pi*x1))/|xi|",
+        n=n,
+        order=-1,
+        classical_terms=[(-1, "1+0.5*cos(2*pi*x1)")],
+    )
+    origin, unit = (0,) * n, (1,) + (0,) * (n - 1)
+    box, grid = TruncationBox(n, 3), QuadratureGrid(n, 16)
+    for sigma in (finite_modify(base, {origin: 3.0, unit: -1j}), regularize_at_origin(base, n)):
+        D, T = both_quantizations(sigma, box, grid)
+        assert np.array_equal(D, column_loop(sigma.func, box, grid).T)
+        assert np.array_equal(T, column_loop(flip(sigma).func, box, grid))
+
+
+@pytest.mark.parametrize(
+    "n, M, q, expr",
+    [
+        (1, 6, 32, "(1+0.5*cos(2*pi*x1))*<xi>^(-1)"),
+        (2, 2, 16, "(1+0.5*cos(2*pi*x1))*(1+0.25*sin(2*pi*x2))*(1+|xi|^2)^(-1)"),
+    ],
+)
+def test_block_size_does_not_change_the_matrices(monkeypatch, n, M, q, expr):
+    box, grid = TruncationBox(n, M), QuadratureGrid(n, q)
+    symbols = (
+        to_symbol(expr, n=n, order=-n),
+        Symbol(lambda first, x: 1.5 - 0.5j, order=0),  # plain callable, scalar result
+    )
+    results = []
+    # one point per block, three lattice points per block, everything in one block
+    for points in (1, 3 * q**n, box.size * q**n):
+        monkeypatch.setattr(quantize, "BLOCK_POINTS", points)
+        results.append([m for s in symbols for m in both_quantizations(s, box, grid)])
+    for got in results[1:]:
+        for a, b in zip(results[0], got):
+            assert np.array_equal(a, b)
+    D, T = results[0][2:]
+    assert np.max(np.abs(D - (1.5 - 0.5j) * np.eye(box.size))) < 1e-14
+    assert np.max(np.abs(T - (1.5 + 0.5j) * np.eye(box.size))) < 1e-14
 
 
 # ---------------------------------------------------------------------------

@@ -183,6 +183,18 @@ def test_partial_x_2d_mixed():
     assert complex(ds(np.zeros(2), x)) == pytest.approx(want, abs=1e-11)
 
 
+def test_partial_x_broadcasts_first_against_x():
+    # the shapes block-wise assembly uses: first (B, 1, n), x (1, P, n)
+    s = to_symbol("cos(2*pi*x1)*<xi>^(-1)", n=1, order=-1)
+    ds = partial_x(s, [1], 16)
+    first = np.arange(-2.0, 3.0)[:, None, None]
+    xs = (np.arange(8) / 8.0)[None, :, None]
+    got = np.asarray(ds.func(first, xs))
+    want = -2 * np.pi * np.sin(2 * np.pi * xs[..., 0]) * (1 + first[..., 0] ** 2) ** -0.5
+    assert got.shape == (5, 8)
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
 def test_partial_x_rejects_bad_grid():
     s = to_symbol("x1", n=1, order=0)
     with pytest.raises(UsageError):
