@@ -7,11 +7,12 @@ Usage:
 
 SRC_A and SRC_B are nclab checkouts (each holding src/nclab).  Every
 CLI command runs on every configs/*.cfg of the checkout that holds
-this script, once per tree, as a fresh `python -m nclab.cli COMMAND
---config CFG --out DIR --quiet`.  Runs go one at a time, with BLAS and
-OpenMP pinned to one thread and the address space capped at
-ADDRESS_SPACE bytes, so an oversize run fails instead of exhausting
-the machine.  Outputs go to a temporary directory (under $TMPDIR).
+this script, and on the config of every benchmark workload
+(perfbench/workloads.py) at seed WORKLOAD_SEED, once per tree, as a
+fresh `python -m nclab.cli COMMAND --config CFG --out DIR --quiet`.
+Runs go one at a time, with BLAS and OpenMP pinned to one thread and
+the address space capped at ADDRESS_SPACE bytes, so an oversize run
+fails instead of exhausting the machine.  Outputs go to a temporary directory (under $TMPDIR).
 
 One line per run gives both exit codes; a failed run adds the last
 line of its stderr.  Every output file that is missing on one side or
@@ -31,11 +32,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 from nclab.cli import _COMMANDS  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
 
 ADDRESS_SPACE = 4 * 2**30
 TIMEOUT_S = 900
+WORKLOAD_SEED = 7
 THREAD_PIN = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
@@ -79,7 +83,13 @@ def main() -> int:
 
     mismatches = 0
     with tempfile.TemporaryDirectory(prefix="nclab-compare-") as tmp:
-        for config in sorted((ROOT / "configs").glob("*.cfg")):
+        configs = sorted((ROOT / "configs").glob("*.cfg"))
+        for name, workload in WORKLOADS.items():
+            config = Path(tmp) / "workloads" / f"{name}.cfg"
+            config.parent.mkdir(exist_ok=True)
+            config.write_text(workload.config(WORKLOAD_SEED))
+            configs.append(config)
+        for config in configs:
             for command in _COMMANDS:
                 outs = [Path(tmp) / side / config.stem / command for side in "ab"]
                 for out in outs:

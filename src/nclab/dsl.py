@@ -509,7 +509,10 @@ def to_symbol(
             terms.append(sym.ClassicalTerm(float(degree), _angular_fn(ast)))
         classical = sym.ClassicalStructure(tuple(terms), float(cutoff_radius))
 
-    return sym.Symbol(func, float(order), float(rho), float(delta), side, classical)
+    x_dependent = any(
+        ast is not None and references(ast, ("x",)) for ast in (main_ast, im_ast)
+    )
+    return sym.Symbol(func, float(order), float(rho), float(delta), side, classical, x_dependent)
 
 
 def _angular_fn(ast: SymbolExpr):

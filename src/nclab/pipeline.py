@@ -17,7 +17,6 @@ never an error.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -27,7 +26,7 @@ import numpy as np
 from .errors import UsageError
 from .lattice import TruncationBox
 from .quantize import QuadratureGrid, assemble_toroidal, default_grid_size
-from .residue import CONVENTIONS_STANZA, LATTICE, PAPER, SphereRule, dixmier_trace_formula
+from .residue import CONVENTIONS_STANZA, LATTICE, PAPER, SphereRule, dixmier_trace_formula, residue_value
 from .spectral import SingularSpectrum, SpectralSummary, trace_estimate
 from .symbols import DISCRETE, Symbol, flip
 
@@ -36,7 +35,14 @@ _PROBE_SECONDS = (0.0, 0.137, 0.433, 0.5, 0.871)
 
 
 def depends_on_second(sigma: Symbol, n: int, M: int, tol: float = 1e-12) -> bool:
-    """Sampled-variation test of sigma against its second argument."""
+    """Whether sigma depends on its second argument: the symbol's
+    x_dependent flag when known (from its expression), otherwise a
+    sampled-variation probe.  The probe can miss a dependence that
+    vanishes at every sample; symbols built from expressions never
+    reach it.  A non-finite spread of samples counts as dependence:
+    when in doubt, assemble."""
+    if sigma.x_dependent is not None:
+        return sigma.x_dependent
     firsts = [np.zeros(n)]
     for s in (1, -1, M, -M):
         v = np.zeros(n)
@@ -44,7 +50,6 @@ def depends_on_second(sigma: Symbol, n: int, M: int, tol: float = 1e-12) -> bool
         firsts.append(v)
     if n > 1:
         firsts.append(np.ones(n))
-    spread = 0.0
     for f in firsts:
         vals = [
             complex(np.asarray(sigma.func(f, np.full(n, c))).reshape(()))
@@ -54,8 +59,9 @@ def depends_on_second(sigma: Symbol, n: int, M: int, tol: float = 1e-12) -> bool
             x = np.linspace(0.11, 0.83, n)
             vals.append(complex(np.asarray(sigma.func(f, x)).reshape(())))
         arr = np.array(vals)
-        spread = max(spread, float(np.max(np.abs(arr - arr[0]))))
-    return spread > tol
+        if not np.max(np.abs(arr - arr[0])) <= tol:
+            return True
+    return False
 
 
 def diagonal_fast_path(sigma: Symbol, box: TruncationBox) -> SingularSpectrum:
@@ -186,15 +192,11 @@ def run_connes_check(
             stacklevel=2,
         )
 
-    rep_lat = dixmier_trace_formula(
+    rep = dixmier_trace_formula(
         sigma, n, rule=sphere_rule_, torus_q=residue_q,
         convention=LATTICE, allow_extraction=allow_extraction,
     )
-    rep_pap = dixmier_trace_formula(
-        sigma, n, rule=sphere_rule_, torus_q=residue_q,
-        convention=PAPER, allow_extraction=allow_extraction,
-    )
-    r = float(np.real(rep_lat.value))
+    r = float(np.real(rep.value))
     c = summary.trace_estimate
     deviation = abs(c - r) / (abs(r) if abs(r) > 0 else 1.0)
 
@@ -205,7 +207,7 @@ def run_connes_check(
         symmetrized=run.symmetrized,
         spectral_estimate=c,
         residue_lattice=r,
-        residue_paper=float(np.real(rep_pap.value)),
+        residue_paper=float(np.real(residue_value(rep.integral, n, PAPER))),
         relative_deviation=deviation,
         fit_window=summary.fit_window,
         fit_rms=summary.fit_rms,
@@ -237,9 +239,3 @@ def connes_report_json(rep: ConnesComparison) -> dict:
         "diagonal_path": rep.diagonal_path,
         "conventions": CONVENTIONS_STANZA,
     }
-
-
-def write_connes_json(path, rep: ConnesComparison) -> None:
-    with open(path, "w") as fh:
-        json.dump(connes_report_json(rep), fh, indent=2)
-        fh.write("\n")

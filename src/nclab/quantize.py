@@ -36,6 +36,7 @@ import numpy as np
 
 from .errors import UsageError
 from .lattice import TruncationBox
+from .spectral import _write_csv_rows
 from .symbols import DISCRETE, TOROIDAL, Symbol, flip
 
 LATTICE_DELTA = "lattice_delta"
@@ -245,13 +246,10 @@ def _band_width(A: OperatorMatrix, rel_tol: float = 1e-13) -> int:
 def write_matrix_csv(path, A: OperatorMatrix) -> None:
     """Entries as `row,col,re,im` with a header, %.17g precision."""
     S = A.box.size
-    rows, cols = np.divmod(np.arange(S * S), S)
-    re = A.entries.real.ravel()
-    im = A.entries.imag.ravel()
     with open(path, "w", newline="") as fh:
         fh.write("row,col,re,im\n")
-        for r, c, a, b in zip(rows, cols, re, im):
-            fh.write(f"{r},{c},{a:.17g},{b:.17g}\n")
+        for r, row in enumerate(A.entries):  # one matrix row per formatting call
+            _write_csv_rows(fh, "%d,%d,%.17g,%.17g\n", ([r] * S, range(S), row.real, row.imag))
 
 
 def write_matrix_binary(path, A: OperatorMatrix) -> None:

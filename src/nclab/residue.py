@@ -95,6 +95,7 @@ class ResidueReport:
     sphere_order: int
     torus_q: int
     component_source: str  # "declared" or "extracted"
+    integral: complex  # sphere x torus integral before the prefactor
     flipped: bool = False
 
 
@@ -137,18 +138,26 @@ def noncommutative_residue(
         mean = complex(vals if vals.ndim == 0 else vals.mean())
         total += w * mean
 
-    prefactor = 1.0 / n if convention == LATTICE else 1.0 / (n * (2.0 * np.pi) ** n)
-    value = prefactor * total
-    if abs(value.imag) <= 1e-12 * (1.0 + abs(value.real)):
-        value = value.real
     return ResidueReport(
-        value=value,
+        value=residue_value(total, n, convention),
         convention=convention,
         n=n,
         sphere_order=rule.order,
         torus_q=torus_q,
         component_source="declared" if declared is not None else "extracted",
+        integral=total,
     )
+
+
+def residue_value(integral: complex, n: int, convention: str) -> complex | float:
+    """The convention's prefactor times the sphere x torus integral,
+    made real when its imaginary part is roundoff.  Both conventions
+    scale the same integral, so one quadrature serves both."""
+    prefactor = 1.0 / n if convention == LATTICE else 1.0 / (n * (2.0 * np.pi) ** n)
+    value = prefactor * integral
+    if abs(value.imag) <= 1e-12 * (1.0 + abs(value.real)):
+        value = value.real
+    return value
 
 
 def dixmier_trace_formula(
@@ -179,6 +188,7 @@ def dixmier_trace_formula(
         sphere_order=rep.sphere_order,
         torus_q=rep.torus_q,
         component_source=rep.component_source,
+        integral=rep.integral,
         flipped=True,
     )
 

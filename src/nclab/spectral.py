@@ -24,6 +24,11 @@ import numpy as np
 
 from .errors import UsageError
 
+# Spectrum rows per formatting call of write_spectrum_csv: one chunk's
+# text and values are alive at a time, so memory stays flat in the
+# spectrum length.
+_CSV_CHUNK_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class SingularSpectrum:
@@ -94,9 +99,12 @@ def dixmier_quotients(s) -> np.ndarray:
     v = _values_of(s)
     if len(v) < 2:
         raise UsageError("need at least 2 singular values")
-    sums = np.cumsum(v)
-    N = np.arange(2, len(v) + 1)
-    return sums[1:] / np.log(N)
+    return _quotients(np.cumsum(v))
+
+
+def _quotients(sums: np.ndarray) -> np.ndarray:
+    """D_N = S_N / ln N for N = 2..len(sums), from the partial sums."""
+    return sums[1:] / np.log(np.arange(2, len(sums) + 1))
 
 
 def l1inf_norm(s) -> float:
@@ -145,11 +153,12 @@ def trace_estimate(
         slopes.append(cj)
     span = float(max(slopes) - min(slopes))
 
+    quotients = _quotients(sums)  # len(v) >= L >= 20, so never empty
     return SpectralSummary(
         values=v,
         partial_sums=sums,
-        quotients=dixmier_quotients(v) if len(v) >= 2 else np.array([]),
-        l1inf=l1inf_norm(v) if len(v) >= 2 else float("nan"),
+        quotients=quotients,
+        l1inf=float(np.max(quotients)),
         trace_estimate=c,
         intercept=b,
         fit_window=(N0, N1),
@@ -171,8 +180,26 @@ def write_spectrum_csv(path, s) -> None:
     """Columns N, s_N, S_N, D_N (header row, %.17g; D_1 is nan)."""
     v = _values_of(s)
     sums = np.cumsum(v)
+    quotients = np.full(len(v), np.nan)
+    quotients[1:] = _quotients(sums)
     with open(path, "w", newline="") as fh:
         fh.write("N,s_N,S_N,D_N\n")
-        for i, (sv, Sv) in enumerate(zip(v, sums), start=1):
-            d = sums[i - 1] / np.log(i) if i >= 2 else float("nan")
-            fh.write(f"{i},{sv:.17g},{Sv:.17g},{d:.17g}\n")
+        for start in range(0, len(v), _CSV_CHUNK_ROWS):
+            stop = min(start + _CSV_CHUNK_ROWS, len(v))
+            _write_csv_rows(
+                fh,
+                "%d,%.17g,%.17g,%.17g\n",
+                (range(start + 1, stop + 1), v[start:stop], sums[start:stop], quotients[start:stop]),
+            )
+
+
+def _write_csv_rows(fh, row_format: str, columns) -> None:
+    """Write one line per index i, `row_format % (c[i] for c in columns)`,
+    with a single `%` call for all lines.  Columns are equal-length
+    ranges, lists or 1-d arrays; arrays go through tolist(), so floats
+    format as Python floats (the same text as a per-value f-string)."""
+    width, rows = len(columns), len(columns[0])
+    flat = [None] * (width * rows)
+    for j, col in enumerate(columns):
+        flat[j::width] = col.tolist() if isinstance(col, np.ndarray) else col
+    fh.write((row_format * rows) % tuple(flat))

@@ -90,6 +90,11 @@ class Symbol:
     included).  Assembly calls it with first of shape (B, 1, n) and
     second of shape (1, Q^n, n), for blocks of at most
     quantize.BLOCK_POINTS samples.
+
+    x_dependent records whether func depends on its second (torus)
+    argument: True or False when known from the symbol's expression,
+    None when unknown (an opaque callable).  A symbol built around a
+    new func starts unknown.
     """
 
     func: Callable
@@ -98,6 +103,7 @@ class Symbol:
     delta: float = 0.0
     side: str = DISCRETE
     classical: Optional[ClassicalStructure] = None
+    x_dependent: Optional[bool] = None
 
     def __post_init__(self):
         if self.side not in (DISCRETE, TOROIDAL):
@@ -160,7 +166,9 @@ def flip(sigma: Symbol) -> Symbol:
             sigma.classical.remainder_order,
         )
 
-    return Symbol(tau_func, sigma.order, sigma.rho, sigma.delta, TOROIDAL, classical)
+    return Symbol(
+        tau_func, sigma.order, sigma.rho, sigma.delta, TOROIDAL, classical, sigma.x_dependent
+    )
 
 
 def _flip_angular(angular: Callable) -> Callable:
@@ -486,7 +494,7 @@ def finite_modify(sigma: Symbol, patch: dict) -> Symbol:
             out[miss] = np.broadcast_to(base(sub_first, sub_x), (int(miss.sum()),))
         return out
 
-    return replace(sigma, func=patched)
+    return replace(sigma, func=patched, x_dependent=None)
 
 
 def regularize_at_origin(sigma: Symbol, n: int) -> Symbol:

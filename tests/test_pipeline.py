@@ -7,11 +7,14 @@ from nclab.lattice import TruncationBox
 from nclab.pipeline import (
     build_spectrum,
     connes_report_json,
+    depends_on_second,
     diagonal_fast_path,
     run_connes_check,
 )
 from nclab.quantize import QuadratureGrid, assemble_discrete
+from nclab.residue import LATTICE, PAPER, dixmier_trace_formula
 from nclab.spectral import singular_values
+from nclab.symbols import Symbol
 
 
 def bracket_inv():
@@ -154,3 +157,46 @@ def test_x_dependent_accuracy_pinned_at_m256():
     rep = run_connes_check(cosine_bracket(), 1, 256)
     assert rep.relative_deviation <= 4e-4
     assert rep.stability_span <= 1e-3
+
+
+def test_x_dependence_between_probe_points_takes_the_assembled_path():
+    # cos(2 pi 1000 x1) is 1 at every probe point of depends_on_second;
+    # the diagonal path would report about 3.0 against a residue of 2.
+    # Achieved on the assembled path: relative deviation 1.5e-4.
+    angular = "1+0.5*cos(2*pi*1000*x1)"
+    sigma = to_symbol(f"({angular})*<xi>^(-1)", n=1, order=-1, classical_terms=[(-1, angular)])
+    rep = run_connes_check(sigma, 1, 256)
+    assert not rep.diagonal_path
+    assert rep.residue_lattice == pytest.approx(2.0, abs=1e-12)
+    assert rep.relative_deviation <= 4e-4
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_one_residue_quadrature_serves_both_conventions(monkeypatch, n):
+    from nclab import pipeline
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["convention"])
+        return dixmier_trace_formula(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "dixmier_trace_formula", counted)
+    sigma = to_symbol(f"(1+|xi|^2)^(-{n}/2)", n=n, order=-n, classical_terms=[(-n, "1")])
+    rep = run_connes_check(sigma, n, 16, residue_q=8)
+    assert calls == [LATTICE]
+    # bit-identical to a separate quadrature in each convention
+    for convention, got in ((LATTICE, rep.residue_lattice), (PAPER, rep.residue_paper)):
+        want = dixmier_trace_formula(sigma, n, torus_q=8, convention=convention).value
+        assert got == float(np.real(want))
+
+
+def test_probe_reads_nan_samples_as_x_dependence():
+    # an opaque callable, NaN for x1 < 0.5: the samples give no finite
+    # spread, so the probe must not vouch for the diagonal path
+    def func(first, x):
+        with np.errstate(invalid="ignore"):
+            return np.sqrt(np.asarray(x, dtype=float)[..., 0] - 0.5)
+
+    assert depends_on_second(Symbol(func, order=0), 1, 8)
+    assert not depends_on_second(Symbol(lambda first, x: 2.0, order=0), 1, 8)

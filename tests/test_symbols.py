@@ -350,3 +350,15 @@ def test_patched_symbol_trace_matches_analytic():
     spec = diagonal_fast_path(s, TruncationBox(1, 512))
     c = trace_estimate(spec, discard_fraction=0.0).trace_estimate
     assert abs(c - 2.0) <= 0.05
+
+
+def test_x_dependence_flag_from_the_expression():
+    assert bracket_inv().x_dependent is False
+    assert to_symbol("cos(2*pi*x1)*<xi>^(-1)", n=1, order=-1).x_dependent is True
+    assert to_symbol("<xi>^(-1)", n=1, order=-1, main_im="x1*<xi>^(-2)").x_dependent is True
+    assert flip(bracket_inv()).x_dependent is False
+    # a new evaluation map is opaque: its dependence is unknown
+    assert Symbol(lambda first, x: 1.0, order=0).x_dependent is None
+    assert finite_modify(bracket_inv(), {(0.0,): 2.0}).x_dependent is None
+    assert difference(bracket_inv(), [1]).x_dependent is None
+    assert partial_x(bracket_inv(), [1], 8).x_dependent is None
