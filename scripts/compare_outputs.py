@@ -6,10 +6,11 @@ Usage:
     python scripts/compare_outputs.py SRC_A SRC_B
 
 SRC_A and SRC_B are nclab checkouts (each holding src/nclab).  Every
-CLI command runs on every configs/*.cfg of the checkout that holds
-this script, and on the config of every benchmark workload
-(perfbench/workloads.py) at seed WORKLOAD_SEED, once per tree, as a
-fresh `python -m nclab.cli COMMAND --config CFG --out DIR --quiet`.
+CLI command, plus `residue --convention paper`, runs on every
+configs/*.cfg of the checkout that holds this script, and on the config
+of every benchmark workload (perfbench/workloads.py) at seed
+WORKLOAD_SEED, once per tree, as a fresh
+`python -m nclab.cli COMMAND [FLAGS] --config CFG --out DIR --quiet`.
 Runs go one at a time, with BLAS and OpenMP pinned to one thread and
 the address space capped at ADDRESS_SPACE bytes, so an oversize run
 fails instead of exhausting the machine.  Outputs go to a temporary directory (under $TMPDIR).
@@ -41,16 +42,20 @@ ADDRESS_SPACE = 4 * 2**30
 TIMEOUT_S = 900
 WORKLOAD_SEED = 7
 THREAD_PIN = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+# (label, command, extra flags) of every run on a config
+RUNS = [(command, command, ()) for command in _COMMANDS] + [
+    ("residue-paper", "residue", ("--convention", "paper")),
+]
 
 
 def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
 
 
-def run(tree: Path, command: str, config: Path, out: Path) -> tuple[str, str]:
+def run(tree: Path, command: str, flags: tuple, config: Path, out: Path) -> tuple[str, str]:
     """Exit code (or 'timeout') and the last stderr line of one run."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), **THREAD_PIN)
-    args = [sys.executable, "-m", "nclab.cli", command, "--config", str(config),
+    args = [sys.executable, "-m", "nclab.cli", command, *flags, "--config", str(config),
             "--out", str(out), "--quiet"]
     try:
         proc = subprocess.run(args, env=env, capture_output=True, text=True,
@@ -90,17 +95,17 @@ def main() -> int:
             config.write_text(workload.config(WORKLOAD_SEED))
             configs.append(config)
         for config in configs:
-            for command in _COMMANDS:
-                outs = [Path(tmp) / side / config.stem / command for side in "ab"]
+            for label, command, flags in RUNS:
+                outs = [Path(tmp) / side / config.stem / label for side in "ab"]
                 for out in outs:
                     out.mkdir(parents=True)
                 (code_a, err_a), (code_b, err_b) = (
-                    run(tree, command, config, out) for tree, out in zip(trees, outs)
+                    run(tree, command, flags, config, out) for tree, out in zip(trees, outs)
                 )
                 diff = differing_files(*outs)
                 same = code_a == code_b and not diff
                 mismatches += not same
-                line = f"{'same' if same else 'DIFF'}  {config.name} {command}: exit {code_a}/{code_b}"
+                line = f"{'same' if same else 'DIFF'}  {config.name} {label}: exit {code_a}/{code_b}"
                 if diff:
                     line += f", files differ: {', '.join(diff)}"
                 print(line, flush=True)

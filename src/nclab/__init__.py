@@ -11,8 +11,8 @@ S^(n-1) x T^n.
 
 from .dsl import ParseError, eval_expr, parse, to_symbol, unparse
 from .errors import ConfigError, NonConvergenceError, UsageError
-from .lattice import TruncationBox, box_enumerate, box_index, negate_index_permutation
-from .pipeline import ConnesComparison, build_spectrum, diagonal_fast_path, run_connes_check
+from .lattice import TruncationBox
+from .pipeline import ConnesComparison, build_spectrum, run_connes_check
 from .quantize import (
     OperatorMatrix,
     QuadratureGrid,

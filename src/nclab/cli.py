@@ -33,7 +33,6 @@ from .pipeline import build_spectrum, connes_report_json, run_connes_check
 from .quantize import (
     QuadratureGrid,
     assemble_discrete,
-    default_grid_size,
     verify_identity,
     write_matrix_binary,
     write_matrix_csv,
@@ -98,12 +97,13 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--config", required=True, help="path to the run config file")
         p.add_argument("--out", default="./out", help="output directory (default ./out)")
-        p.add_argument(
-            "--convention",
-            choices=("lattice", "paper"),
-            default="lattice",
-            help="residue prefactor convention (default lattice)",
-        )
+        if name == "residue":
+            p.add_argument(
+                "--convention",
+                choices=("lattice", "paper"),
+                default="lattice",
+                help="residue prefactor convention (default lattice)",
+            )
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
     return parser
 
@@ -196,15 +196,10 @@ def _cmd_symbol_check(cfg: RunConfig, args, out_dir: Path, say) -> int:
     return 0
 
 
-def _assembly_grid(cfg: RunConfig) -> QuadratureGrid:
-    q = cfg.Q if cfg.Q is not None else default_grid_size(cfg.M)
-    return QuadratureGrid(cfg.symbol.n, q)
-
-
 def _cmd_quantize(cfg: RunConfig, args, out_dir: Path, say) -> int:
     sigma = build_symbol(cfg)
     box = TruncationBox(cfg.symbol.n, cfg.M)
-    A = assemble_discrete(sigma, box, _assembly_grid(cfg))
+    A = assemble_discrete(sigma, box, QuadratureGrid.for_box(box, cfg.Q))
     if cfg.matrix_format in ("csv", "both"):
         write_matrix_csv(out_dir / "matrix.csv", A)
         say(f"wrote {out_dir / 'matrix.csv'}")
@@ -267,7 +262,7 @@ def _cmd_residue(cfg: RunConfig, args, out_dir: Path, say) -> int:
 def _cmd_verify_identity(cfg: RunConfig, args, out_dir: Path, say) -> int:
     sigma = build_symbol(cfg)
     box = TruncationBox(cfg.symbol.n, cfg.M)
-    rep = verify_identity(sigma, box, _assembly_grid(cfg))
+    rep = verify_identity(sigma, box, QuadratureGrid.for_box(box, cfg.Q))
     print(
         f"conjugation identity at M={cfg.M}, Q={rep.grid_q}: "
         f"full deviation {rep.full_deviation:.6e}, "

@@ -28,6 +28,14 @@ def torus_point(coords) -> np.ndarray:
     return np.mod(np.asarray(coords, dtype=float), 1.0)
 
 
+def torus_grid(n: int, q: int) -> np.ndarray:
+    """The uniform torus grid j/q, q points per axis, as a (q^n, n)
+    array in lexicographic order (last axis fastest)."""
+    axes = [np.arange(q) / q] * n
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack(mesh, axis=-1).reshape(-1, n)
+
+
 def multi_index(entries) -> np.ndarray:
     """Validate a multi-index (nonnegative integer entries)."""
     a = np.asarray(entries, dtype=int)
@@ -73,11 +81,7 @@ class TruncationBox:
             raise UsageError(f"point has shape {p.shape}, expected ({self.n},)")
         if np.any(np.abs(p) > self.M):
             raise UsageError(f"point {p.tolist()} outside box [-{self.M},{self.M}]^{self.n}")
-        w = 2 * self.M + 1
-        idx = 0
-        for c in p:
-            idx = idx * w + (int(c) + self.M)
-        return idx
+        return int(self.indices_of(p[None])[0])
 
     def indices_of(self, pts: np.ndarray) -> np.ndarray:
         """Vectorized index_of for an (P, n) array of in-box points."""
@@ -95,14 +99,3 @@ class TruncationBox:
         """
         return self.indices_of(-self.points())
 
-
-def box_enumerate(box: TruncationBox) -> np.ndarray:
-    return box.points()
-
-
-def box_index(box: TruncationBox, p) -> int:
-    return box.index_of(p)
-
-
-def negate_index_permutation(box: TruncationBox) -> np.ndarray:
-    return box.negation_permutation()

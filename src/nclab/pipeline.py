@@ -1,10 +1,12 @@
 """End-to-end check that the spectral trace estimate of a discrete
 order-(-n) operator matches the residue of its flipped symbol.
 
-The spectral side assembles the toroidal operator of the flipped
-symbol (singular values are shared with the discrete operator since
-the bases differ by a unitary conjugation), or takes the diagonal fast
-path when the symbol does not depend on the integration variable.
+build_spectrum is the one entry point to the spectral side.  It
+assembles the toroidal operator of the flipped symbol (singular values
+are shared with the discrete operator since the bases differ by a
+unitary conjugation), or, when the symbol does not depend on the
+integration variable, reads the diagonal directly: the symbol's values
+over the box, real ones when they are real and moduli otherwise.
 
 Symmetrization: a toroidal operator built from a real symbol is not
 exactly Hermitian at finite truncation; (A + A*)/2 differs from A at
@@ -25,10 +27,10 @@ import numpy as np
 
 from .errors import UsageError
 from .lattice import TruncationBox
-from .quantize import QuadratureGrid, assemble_toroidal, default_grid_size
+from .quantize import QuadratureGrid, assemble_toroidal
 from .residue import CONVENTIONS_STANZA, LATTICE, PAPER, SphereRule, dixmier_trace_formula, residue_value
-from .spectral import SingularSpectrum, SpectralSummary, trace_estimate
-from .symbols import DISCRETE, Symbol, flip
+from .spectral import SpectralSummary, trace_estimate
+from .symbols import DISCRETE, Symbol, evaluate, flip
 
 # probe offsets used to detect dependence on the integration variable
 _PROBE_SECONDS = (0.0, 0.137, 0.433, 0.5, 0.871)
@@ -64,24 +66,6 @@ def depends_on_second(sigma: Symbol, n: int, M: int, tol: float = 1e-12) -> bool
     return False
 
 
-def diagonal_fast_path(sigma: Symbol, box: TruncationBox) -> SingularSpectrum:
-    """Spectrum of a multiplier without assembling the matrix: the
-    moduli of the symbol over the box, sorted nonincreasing.  Errors
-    if the symbol actually depends on the integration variable."""
-    if depends_on_second(sigma, box.n, box.M):
-        raise UsageError("symbol depends on the integration variable; assemble instead")
-    vals = _diagonal_values(sigma, box)
-    return SingularSpectrum(np.sort(np.abs(vals))[::-1].copy(), box.size)
-
-
-def _diagonal_values(sigma: Symbol, box: TruncationBox) -> np.ndarray:
-    pts = box.points().astype(float)
-    vals = np.asarray(sigma.func(pts, np.zeros(box.n)))
-    if vals.shape != (box.size,):
-        vals = np.broadcast_to(vals, (box.size,))
-    return vals.astype(complex)
-
-
 @dataclass(frozen=True)
 class SpectrumRun:
     """The sorted sequence feeding the trace fit, plus how it was made."""
@@ -113,7 +97,7 @@ def build_spectrum(
     box = TruncationBox(n, M)
 
     if not depends_on_second(sigma, n, M):
-        vals = _diagonal_values(sigma, box)
+        vals = evaluate(sigma.func, box.points().astype(float), np.zeros(n), (box.size,))
         scale = max(1.0, float(np.max(np.abs(vals))))
         real_diag = float(np.max(np.abs(vals.imag))) <= 1e-12 * scale
         seq = np.sort(vals.real if real_diag else np.abs(vals))[::-1].copy()
@@ -124,8 +108,7 @@ def build_spectrum(
             discard_default=0.0,
         )
 
-    q_used = Q if Q is not None else default_grid_size(M)
-    grid = QuadratureGrid(n, q_used)
+    grid = QuadratureGrid.for_box(box, Q)
     A = assemble_toroidal(flip(sigma), box, grid)
     herm_dev = float(np.max(np.abs(A.entries - A.entries.conj().T)))
     symmetrized = True if symmetrize is None else bool(symmetrize)
@@ -135,7 +118,7 @@ def build_spectrum(
     else:
         seq = np.linalg.svd(A.entries, compute_uv=False)
     return SpectrumRun(
-        n=n, M=M, Q=q_used, symmetrized=symmetrized, diagonal_path=False,
+        n=n, M=M, Q=grid.q, symmetrized=symmetrized, diagonal_path=False,
         sequence=seq, min_eigenvalue=float(seq[-1]),
         hermiticity_deviation=herm_dev, discard_default=0.5,
     )
@@ -173,7 +156,6 @@ def run_connes_check(
     symmetrize: Optional[bool] = None,
     sphere_rule_: Optional[SphereRule] = None,
     residue_q: int = 128,
-    allow_extraction: bool = True,
 ) -> ConnesComparison:
     """Build the operator at truncation M, estimate its trace from the
     log fit, evaluate the residue formula for the same symbol, and
@@ -193,8 +175,7 @@ def run_connes_check(
         )
 
     rep = dixmier_trace_formula(
-        sigma, n, rule=sphere_rule_, torus_q=residue_q,
-        convention=LATTICE, allow_extraction=allow_extraction,
+        sigma, n, rule=sphere_rule_, torus_q=residue_q, convention=LATTICE
     )
     r = float(np.real(rep.value))
     c = summary.trace_estimate

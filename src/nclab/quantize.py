@@ -35,9 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .lattice import TruncationBox
+from .lattice import TruncationBox, torus_grid
 from .spectral import _write_csv_rows
-from .symbols import DISCRETE, TOROIDAL, Symbol, flip
+from .symbols import DISCRETE, TOROIDAL, Symbol, evaluate, flip
 
 LATTICE_DELTA = "lattice_delta"
 FOURIER_MODE = "fourier_mode"
@@ -62,10 +62,14 @@ class QuadratureGrid:
         if self.q < 2 or self.q % 2:
             raise UsageError(f"grid size must be even and >= 2, got {self.q}")
 
+    @classmethod
+    def for_box(cls, box: TruncationBox, q: int | None = None) -> QuadratureGrid:
+        """The assembly grid for box: q points per axis, by default
+        default_grid_size(box.M)."""
+        return cls(box.n, default_grid_size(box.M) if q is None else q)
+
     def points(self) -> np.ndarray:
-        axes = [np.arange(self.q) / self.q] * self.n
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack(mesh, axis=-1).reshape(-1, self.n)
+        return torus_grid(self.n, self.q)
 
 
 def default_grid_size(M: int) -> int:
@@ -99,7 +103,7 @@ def _check_sizes(box: TruncationBox, grid: QuadratureGrid) -> QuadratureGrid:
     """Default-fill and validate the grid, and refuse a dense matrix
     larger than physical memory before anything is allocated."""
     if grid is None:
-        grid = QuadratureGrid(box.n, default_grid_size(box.M))
+        grid = QuadratureGrid.for_box(box)
     if grid.n != box.n:
         raise UsageError("grid and box dimensions differ")
     if grid.q < max(2, 4 * box.M + 2):
@@ -132,7 +136,7 @@ def _coefficient_blocks(func, box: TruncationBox, grid: QuadratureGrid):
     for start in range(0, box.size, per_block):
         first = firsts[start : start + per_block]
         B = len(first)
-        samples = np.broadcast_to(np.asarray(func(first, x)), (B, P)).astype(complex, copy=False)
+        samples = evaluate(func, first, x, (B, P))
         coeff = np.fft.fftn(samples.reshape((B,) + shape), axes=tuple(range(1, n + 1))).reshape(B, P)
         offsets = np.mod(box_pts[None, :, :] - box_pts[start : start + B, None, :], Q)
         flat = np.ravel_multi_index(tuple(np.moveaxis(offsets, -1, 0)), shape)

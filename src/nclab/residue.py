@@ -21,12 +21,12 @@ Node evaluations are summed in pinned node order for reproducibility.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import UsageError
+from .lattice import torus_grid
 from .symbols import DISCRETE, TOROIDAL, Symbol, flip, homogeneous_component
 
 LATTICE = "lattice"
@@ -127,8 +127,7 @@ def noncommutative_residue(
             "no declared degree-(-n) component and extraction is disabled"
         )
 
-    xs = _torus_grid(n, torus_q)
-    P = len(xs)
+    xs = torus_grid(n, torus_q)
     total = 0.0 + 0.0j
     for node, w in zip(rule.nodes, rule.weights):
         if declared is not None:
@@ -181,22 +180,7 @@ def dixmier_trace_formula(
         flip(sigma), n, rule=rule, torus_q=torus_q,
         convention=convention, allow_extraction=allow_extraction,
     )
-    return ResidueReport(
-        value=rep.value,
-        convention=rep.convention,
-        n=rep.n,
-        sphere_order=rep.sphere_order,
-        torus_q=rep.torus_q,
-        component_source=rep.component_source,
-        integral=rep.integral,
-        flipped=True,
-    )
-
-
-def _torus_grid(n: int, per_axis: int) -> np.ndarray:
-    axes = [np.arange(per_axis) / per_axis] * n
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack(mesh, axis=-1).reshape(-1, n)
+    return replace(rep, flipped=True)
 
 
 CONVENTIONS_STANZA = {
@@ -220,9 +204,3 @@ def residue_report_json(rep: ResidueReport) -> dict:
         "conventions": CONVENTIONS_STANZA,
     }
     return payload
-
-
-def write_residue_json(path, rep: ResidueReport) -> None:
-    with open(path, "w") as fh:
-        json.dump(residue_report_json(rep), fh, indent=2)
-        fh.write("\n")

@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NonConvergenceError, UsageError
-from .lattice import multi_index
+from .lattice import TruncationBox, multi_index, torus_grid
 
 DISCRETE = "discrete"
 TOROIDAL = "toroidal"
@@ -121,10 +121,11 @@ class Symbol:
         return self.func(first, second)
 
 
-def _eval_batch(sigma: Symbol, first, second, size: int) -> np.ndarray:
-    """Evaluate and broadcast to a flat complex batch of length size
-    (symbols that ignore one argument may return scalars)."""
-    return _eval_batch_raw(sigma.func, first, second, size)
+def evaluate(func: Callable, first, second, shape) -> np.ndarray:
+    """func(first, second) broadcast to shape as complex values (a
+    symbol that ignores an argument may return a smaller shape or a
+    scalar).  The result may be a read-only view of func's output."""
+    return np.broadcast_to(np.asarray(func(first, second)), shape).astype(complex, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +249,7 @@ def partial_x(sigma: Symbol, beta, grid_size: int) -> Symbol:
         shape[axis] = Q
         mult = mult * f.reshape(shape)
 
-    axes = [np.arange(Q) / Q] * n
-    mesh = np.meshgrid(*axes, indexing="ij")
-    grid_pts = np.stack(mesh, axis=-1).reshape(-1, n)
+    grid_pts = torus_grid(n, Q)
     base = sigma.func
     cache: dict[tuple, np.ndarray] = {}
 
@@ -258,7 +257,7 @@ def partial_x(sigma: Symbol, beta, grid_size: int) -> Symbol:
         key = tuple(np.asarray(first_pt, dtype=float).ravel().tolist())
         got = cache.get(key)
         if got is None:
-            samples = _eval_batch_raw(base, first_pt, grid_pts, Q**n).reshape((Q,) * n)
+            samples = evaluate(base, first_pt, grid_pts, (Q**n,)).reshape((Q,) * n)
             got = np.fft.fftn(samples) / Q**n * mult
             cache[key] = got
         return got
@@ -291,13 +290,6 @@ def partial_x(sigma: Symbol, beta, grid_size: int) -> Symbol:
 
     new_order = sigma.order + sigma.delta * float(np.sum(beta))
     return Symbol(deriv_func, new_order, sigma.rho, sigma.delta, sigma.side, None)
-
-
-def _eval_batch_raw(func, first, second, size: int) -> np.ndarray:
-    vals = np.asarray(func(first, second))
-    if vals.shape != (size,):
-        vals = np.broadcast_to(vals, (size,))
-    return vals.astype(complex)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +338,7 @@ def seminorm_estimate(
     radii = np.sqrt(np.sum(pts.astype(float) ** 2, axis=-1))
     shells = np.rint(radii).astype(int)
 
-    xs = _torus_grid(n, x_grid)
+    xs = torus_grid(n, x_grid)
     sup_pointwise = np.zeros(len(pts))
     if np.any(beta > 0):
         # spectral derivative caches per first-argument: iterate points
@@ -355,7 +347,7 @@ def seminorm_estimate(
             sup_pointwise[i] = np.max(vals)
     else:
         for x in xs:
-            vals = np.abs(_eval_batch(g, pts.astype(float), x, len(pts)))
+            vals = np.abs(evaluate(g.func, pts.astype(float), x, (len(pts),)))
             np.maximum(sup_pointwise, vals, out=sup_pointwise)
 
     exponent = sigma.order - sigma.rho * float(np.sum(alpha)) + sigma.delta * float(np.sum(beta))
@@ -385,20 +377,12 @@ def seminorm_estimate(
 
 
 def _window_points(n: int, r_min: int, r_max: int) -> np.ndarray:
-    axis = np.arange(-r_max, r_max + 1)
-    grids = np.meshgrid(*([axis] * n), indexing="ij")
-    pts = np.stack(grids, axis=-1).reshape(-1, n)
+    pts = TruncationBox(n, r_max).points()
     norms = np.sqrt(np.sum(pts.astype(float) ** 2, axis=-1))
     mask = (norms >= r_min) & (norms <= r_max)
     if not np.any(mask):
         raise UsageError(f"no lattice points with {r_min} <= |n'| <= {r_max}")
     return pts[mask]
-
-
-def _torus_grid(n: int, per_axis: int) -> np.ndarray:
-    axes = [np.arange(per_axis) / per_axis] * n
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack(mesh, axis=-1).reshape(-1, n)
 
 
 # ---------------------------------------------------------------------------

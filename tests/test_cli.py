@@ -91,6 +91,17 @@ def test_residue_convention_flag(tmp_path):
     assert paper["value"] == pytest.approx(2.0 / (2 * np.pi))
 
 
+@pytest.mark.parametrize(
+    "command", ["symbol-check", "quantize", "spectrum", "dixmier", "verify-identity", "connes"]
+)
+def test_convention_flag_is_residue_only(command, tmp_path, capsys):
+    cfg = write(tmp_path, MULTIPLIER)
+    args = [command, "--config", cfg, "--out", str(tmp_path / "r"), "--convention", "paper"]
+    assert main(args) == 1
+    assert "unrecognized arguments: --convention" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_unparsable_expression_exits_1(tmp_path, capsys):
     cfg = write(tmp_path, MULTIPLIER.replace("<xi>^(-1)", "cos("))
     code = main(["residue", "--config", cfg, "--out", str(tmp_path / "r")])

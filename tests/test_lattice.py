@@ -4,14 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nclab.errors import UsageError
-from nclab.lattice import (
-    TruncationBox,
-    box_enumerate,
-    box_index,
-    multi_index,
-    negate_index_permutation,
-    torus_point,
-)
+from nclab.lattice import TruncationBox, multi_index, torus_point
 
 
 def test_torus_point_reduces_mod_1():
@@ -29,19 +22,19 @@ def test_multi_index_validation():
 
 def test_enumerate_1d():
     box = TruncationBox(1, 1)
-    assert box_enumerate(box).ravel().tolist() == [-1, 0, 1]
+    assert box.points().ravel().tolist() == [-1, 0, 1]
 
 
 def test_enumerate_single_point():
     box = TruncationBox(2, 0)
-    pts = box_enumerate(box)
+    pts = box.points()
     assert pts.shape == (1, 2)
     assert pts[0].tolist() == [0, 0]
 
 
 def test_enumerate_2d_lexicographic():
     box = TruncationBox(2, 1)
-    pts = box_enumerate(box)
+    pts = box.points()
     assert len(pts) == 9
     assert pts[:4].tolist() == [[-1, -1], [-1, 0], [-1, 1], [0, -1]]
     assert len({tuple(p) for p in pts.tolist()}) == 9
@@ -49,15 +42,15 @@ def test_enumerate_2d_lexicographic():
 
 def test_index_examples():
     box = TruncationBox(1, 2)
-    assert box_index(box, [-2]) == 0
-    assert box_index(box, [0]) == 2
-    assert box_index(TruncationBox(2, 1), [0, -1]) == 3
+    assert box.index_of([-2]) == 0
+    assert box.index_of([0]) == 2
+    assert TruncationBox(2, 1).index_of([0, -1]) == 3
 
 
 def test_index_out_of_box():
     box = TruncationBox(1, 2)
     with pytest.raises(UsageError):
-        box_index(box, [3])
+        box.index_of([3])
 
 
 def test_invalid_box():
@@ -69,12 +62,12 @@ def test_invalid_box():
 
 def test_negation_permutation_1d():
     box = TruncationBox(1, 1)
-    assert negate_index_permutation(box).tolist() == [2, 1, 0]
+    assert box.negation_permutation().tolist() == [2, 1, 0]
 
 
 def test_negation_permutation_2d_example():
     box = TruncationBox(2, 1)
-    perm = negate_index_permutation(box)
+    perm = box.negation_permutation()
     assert perm[box.index_of([1, 0])] == box.index_of([-1, 0])
 
 

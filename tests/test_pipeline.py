@@ -8,7 +8,6 @@ from nclab.pipeline import (
     build_spectrum,
     connes_report_json,
     depends_on_second,
-    diagonal_fast_path,
     run_connes_check,
 )
 from nclab.quantize import QuadratureGrid, assemble_discrete
@@ -35,28 +34,33 @@ def cosine_bracket():
 
 
 def test_fast_path_values_m3():
-    s = diagonal_fast_path(bracket_inv(), TruncationBox(1, 3))
+    run = build_spectrum(bracket_inv(), 1, 3)
+    assert run.diagonal_path
     want = [1, 2**-0.5, 2**-0.5, 5**-0.5, 5**-0.5, 10**-0.5, 10**-0.5]
-    assert s.values == pytest.approx(want)
+    assert run.sequence == pytest.approx(want)
 
 
 def test_fast_path_constant():
     c = to_symbol("0.75", n=1, order=0)
-    s = diagonal_fast_path(c, TruncationBox(1, 5))
-    assert np.all(s.values == 0.75)
+    run = build_spectrum(c, 1, 5)
+    assert run.diagonal_path
+    assert np.all(run.sequence == 0.75)
 
 
 def test_fast_path_matches_full_assembly():
     sigma = bracket_inv()
     box = TruncationBox(1, 16)
-    fast = diagonal_fast_path(sigma, box)
+    run = build_spectrum(sigma, 1, 16)
+    assert run.diagonal_path
     full = singular_values(assemble_discrete(sigma, box, QuadratureGrid(1, 128)))
-    assert np.max(np.abs(fast.values - full.values)) < 1e-13
+    assert np.max(np.abs(run.sequence - full.values)) < 1e-13
 
 
 def test_fast_path_rejects_x_dependence():
-    with pytest.raises(UsageError):
-        diagonal_fast_path(cosine_bracket(), TruncationBox(1, 8))
+    # an x-dependent symbol never takes the diagonal path: it is assembled
+    run = build_spectrum(cosine_bracket(), 1, 8)
+    assert not run.diagonal_path
+    assert run.Q == 128  # default grid: 4*(2M+1) = 68 rounds up to 128
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +73,13 @@ def test_multiplier_comparison():
     assert rep.residue_lattice == pytest.approx(2.0, abs=1e-12)
     assert rep.relative_deviation < 0.05
     assert not rep.positivity_warning
+
+
+def test_multiplier_accuracy_pinned_near_achieved():
+    # achieved: relative deviation 6.2e-9, stability span 1.6e-8
+    rep = run_connes_check(bracket_inv(), 1, 20000)
+    assert rep.relative_deviation <= 2e-8
+    assert rep.stability_span <= 5e-8
 
 
 def test_x_dependent_comparison_symmetrized():

@@ -11,8 +11,8 @@ from nclab.residue import (
     PAPER,
     dixmier_trace_formula,
     noncommutative_residue,
+    residue_report_json,
     sphere_rule,
-    write_residue_json,
 )
 from nclab.symbols import TOROIDAL, Symbol, flip
 
@@ -206,12 +206,10 @@ def test_formula_order_mismatch():
     assert complex(got) == pytest.approx(0.0, abs=1e-6)
 
 
-def test_residue_json(tmp_path):
+def test_residue_json():
     sigma = to_symbol("<xi>^(-1)", n=1, order=-1, classical_terms=[(-1, "1")])
     rep = dixmier_trace_formula(sigma, 1)
-    path = tmp_path / "residue.json"
-    write_residue_json(path, rep)
-    data = json.loads(path.read_text())
+    data = json.loads(json.dumps(residue_report_json(rep)))
     assert list(data.keys()) == [
         "value", "convention", "n", "sphere_order", "torus_Q",
         "component_source", "flipped", "conventions",

@@ -340,15 +340,15 @@ def test_regularize_at_origin_uses_angular_average():
 def test_patched_symbol_trace_matches_analytic():
     # a finite-rank patch is invisible to the trace estimate: the
     # regularized 1/|n'| multiplier still averages to 2 at M=512
-    from nclab.lattice import TruncationBox
-    from nclab.pipeline import diagonal_fast_path
+    from nclab.pipeline import build_spectrum
     from nclab.spectral import trace_estimate
 
     s = regularize_at_origin(
         to_symbol("1/|xi|", n=1, order=-1, classical_terms=[(-1, "1")]), 1
     )
-    spec = diagonal_fast_path(s, TruncationBox(1, 512))
-    c = trace_estimate(spec, discard_fraction=0.0).trace_estimate
+    run = build_spectrum(s, 1, 512)
+    assert run.diagonal_path
+    c = trace_estimate(run.sequence, discard_fraction=0.0).trace_estimate
     assert abs(c - 2.0) <= 0.05
 
 
