@@ -17,14 +17,25 @@ fails instead of exhausting the machine.  Outputs go to a temporary directory (u
 
 One line per run gives both exit codes; a failed run adds the last
 line of its stderr.  Every output file that is missing on one side or
-not byte-identical is listed.  Exits 0 when every run has the same
-exit code and byte-identical outputs on both trees, 1 otherwise.
+not byte-identical is listed.  For each differing .csv or .json pair
+one more line gives the largest difference between paired numbers,
+scaled by the largest magnitude in the pair of files, and whether
+every other token is identical: JSON keys, strings, booleans and
+integers (such as Q or fit_window), and CSV headers, row counts and
+integer columns (a column is numeric when any of its cells is not an
+integer literal).  Round-off moves thus read apart from real changes.
+Exits 0 when every run has the same exit code and byte-identical
+outputs on both trees, 1 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
+import json
+import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -75,6 +86,80 @@ def differing_files(a: Path, b: Path) -> list[str]:
     ]
 
 
+INTEGER = re.compile(r"-?\d+")
+
+
+def _float(token: str) -> float | None:
+    try:
+        return float(token)
+    except ValueError:
+        return None
+
+
+def _json_pairs(a, b):
+    """Yield (x, y) for paired JSON floats and None for each pair of
+    other tokens that differ."""
+    if isinstance(a, float) and isinstance(b, float):
+        yield a, b
+    elif isinstance(a, dict) and isinstance(b, dict) and list(a) == list(b):
+        for key in a:
+            yield from _json_pairs(a[key], b[key])
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for x, y in zip(a, b):
+            yield from _json_pairs(x, y)
+    elif type(a) is not type(b) or a != b:
+        yield None
+
+
+def _csv_pairs(a: Path, b: Path):
+    """As _json_pairs, for the cells of numeric columns; streams both
+    files, so a matrix of millions of rows stays small in memory."""
+    numeric = set()
+    for path in (a, b):
+        with open(path) as fh:
+            next(fh, None)  # header
+            for line in fh:
+                numeric.update(j for j, cell in enumerate(line.rstrip("\n").split(","))
+                               if not INTEGER.fullmatch(cell))
+    with open(a) as fa, open(b) as fb:
+        for la, lb in itertools.zip_longest(fa, fb):
+            if la is None or lb is None:
+                yield None  # row counts differ
+                return
+            ca, cb = la.rstrip("\n").split(","), lb.rstrip("\n").split(",")
+            if len(ca) != len(cb):
+                yield None
+            for j, (x, y) in enumerate(zip(ca, cb)):
+                fx, fy = _float(x), _float(y)
+                if j in numeric and fx is not None and fy is not None:
+                    yield fx, fy
+                elif x != y:
+                    yield None
+
+
+def numeric_summary(a: Path, b: Path) -> str:
+    """The largest paired difference over the largest magnitude, and
+    whether the other tokens are identical, of two .csv or .json files."""
+    if a.suffix == ".json":
+        pairs = _json_pairs(json.loads(a.read_text()), json.loads(b.read_text()))
+    else:
+        pairs = _csv_pairs(a, b)
+    diff = scale = 0.0
+    tokens_same = True
+    for pair in pairs:
+        if pair is None:
+            tokens_same = False
+            continue
+        x, y = pair
+        if not (x == y or (math.isnan(x) and math.isnan(y))):
+            d = abs(x - y)
+            diff = max(diff, d if math.isfinite(d) else math.inf)
+        scale = max(scale, *(abs(v) for v in pair if math.isfinite(v)), 0.0)
+    scaled = diff / scale if scale else diff
+    return (f"largest numeric difference {scaled:.2e} of max |value| {scale:.6g}, "
+            f"other tokens {'identical' if tokens_same else 'DIFFER'}")
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -109,6 +194,10 @@ def main() -> int:
                 if diff:
                     line += f", files differ: {', '.join(diff)}"
                 print(line, flush=True)
+                for name in diff:
+                    pair = [out / name for out in outs]
+                    if pair[0].suffix in (".csv", ".json") and all(p.is_file() for p in pair):
+                        print(f"      {name}: {numeric_summary(*pair)}", flush=True)
                 for side, code, err in (("a", code_a, err_a), ("b", code_b, err_b)):
                     if code != "0":
                         print(f"      {side}: {err}", flush=True)

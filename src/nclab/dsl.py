@@ -26,6 +26,7 @@ not by the grammar.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -454,6 +455,99 @@ def references(e: SymbolExpr, kinds: tuple[str, ...]) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# x-bandwidth
+
+
+def x_bandwidth(e: SymbolExpr) -> float:
+    """Largest x-Fourier degree per axis that the tree can carry: 0 when
+    it does not reference x; |m| for cos/sin of 2*pi*m*x_j plus an
+    x-free offset (m integer); the max over '+' and '-', the sum over
+    '*', unchanged by an x-free divisor, times k under a constant
+    power k >= 0; inf (not band-limited) for anything else that
+    references x.  A tree that references x gets at least 1, so the
+    result is 0 exactly when x is absent."""
+    if not references(e, ("x",)):
+        return 0
+    return max(1, _x_degree(e))
+
+
+def _x_degree(e: SymbolExpr) -> float:
+    if isinstance(e, Neg):
+        return x_bandwidth(e.arg)
+    if isinstance(e, Call) and e.fn in ("cos", "sin"):
+        return _character_degree(e.arg)
+    if isinstance(e, BinOp):
+        left, right = x_bandwidth(e.left), x_bandwidth(e.right)
+        if e.op in "+-":
+            return max(left, right)
+        if e.op == "*":
+            return left + right
+        if e.op == "/" and right == 0:
+            return left
+        if e.op == "^":
+            k = _constant(e.right)
+            if k is not None and k >= 0 and k.is_integer():
+                return left * int(k) if k else 0
+    return math.inf  # bare x_j, exp/abs of x, x in a divisor or an exponent
+
+
+def _character_degree(arg: SymbolExpr) -> float:
+    """max_j |m_j| when arg = sum_j 2*pi*m_j*x_j plus an x-free offset
+    with every m_j an integer, else inf."""
+    coeffs = _linear_in_x(arg)
+    if coeffs is None:
+        return math.inf
+    degree = 0
+    for c in coeffs.values():
+        m = c / (2 * math.pi)
+        if abs(m - round(m)) > 1e-12 * max(1.0, abs(m)):
+            return math.inf
+        degree = max(degree, abs(round(m)))
+    return degree
+
+
+def _linear_in_x(e: SymbolExpr) -> dict[int, float] | None:
+    """The coefficients {j: c_j} when e = sum_j c_j*x_j plus an x-free
+    offset with constant c_j, else None."""
+    if not references(e, ("x",)):
+        return {}
+    if isinstance(e, Var):
+        return {e.index: 1.0}
+    if isinstance(e, Neg):
+        inner = _linear_in_x(e.arg)
+        return None if inner is None else {j: -c for j, c in inner.items()}
+    if not isinstance(e, BinOp):
+        return None
+    if e.op in "+-":
+        left, right = _linear_in_x(e.left), _linear_in_x(e.right)
+        if left is None or right is None:
+            return None
+        sign = 1.0 if e.op == "+" else -1.0
+        return {j: left.get(j, 0.0) + sign * right.get(j, 0.0) for j in left.keys() | right.keys()}
+    if e.op not in "*/":
+        return None
+    scale_side, linear_side = e.left, e.right
+    if e.op == "/" or references(e.left, ("x",)):
+        scale_side, linear_side = e.right, e.left
+    c, inner = _constant(scale_side), _linear_in_x(linear_side)
+    if c is None or inner is None or (e.op == "/" and c == 0):
+        return None
+    scale = c if e.op == "*" else 1.0 / c
+    return {j: scale * v for j, v in inner.items()}
+
+
+def _constant(e: SymbolExpr) -> float | None:
+    """The finite value of a tree that references no variable, else None."""
+    if references(e, VAR_KINDS):
+        return None
+    try:
+        value = float(eval_expr(e, None, None))
+    except EvalError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+# ---------------------------------------------------------------------------
 # Expression -> Symbol assembly
 
 
@@ -509,10 +603,8 @@ def to_symbol(
             terms.append(sym.ClassicalTerm(float(degree), _angular_fn(ast)))
         classical = sym.ClassicalStructure(tuple(terms), float(cutoff_radius))
 
-    x_dependent = any(
-        ast is not None and references(ast, ("x",)) for ast in (main_ast, im_ast)
-    )
-    return sym.Symbol(func, float(order), float(rho), float(delta), side, classical, x_dependent)
+    bandwidth = max(x_bandwidth(ast) for ast in (main_ast, im_ast) if ast is not None)
+    return sym.Symbol(func, float(order), float(rho), float(delta), side, classical, bandwidth)
 
 
 def _angular_fn(ast: SymbolExpr):

@@ -26,25 +26,29 @@ from typing import Optional
 import numpy as np
 
 from .errors import UsageError
-from .lattice import TruncationBox
+from .lattice import TruncationBox, torus_grid
 from .quantize import QuadratureGrid, assemble_toroidal
 from .residue import CONVENTIONS_STANZA, LATTICE, PAPER, SphereRule, dixmier_trace_formula, residue_value
 from .spectral import SpectralSummary, trace_estimate
 from .symbols import DISCRETE, Symbol, evaluate, flip
 
-# probe offsets used to detect dependence on the integration variable
-_PROBE_SECONDS = (0.0, 0.137, 0.433, 0.5, 0.871)
-
 
 def depends_on_second(sigma: Symbol, n: int, M: int, tol: float = 1e-12) -> bool:
     """Whether sigma depends on its second argument: the symbol's
     x_dependent flag when known (from its expression), otherwise a
-    sampled-variation probe.  The probe can miss a dependence that
-    vanishes at every sample; symbols built from expressions never
-    reach it.  A non-finite spread of samples counts as dependence:
-    when in doubt, assemble."""
+    sampled-variation probe along each axis of the assembly grid of
+    the box [-M, M]^n, plus one asymmetric point when n > 1.  The
+    probe can miss a dependence that vanishes at every sample;
+    symbols built from expressions never reach it.  A non-finite
+    spread of samples counts as dependence: when in doubt, assemble."""
     if sigma.x_dependent is not None:
         return sigma.x_dependent
+    q = QuadratureGrid.for_box(TruncationBox(n, M)).q
+    xs = np.zeros((n * q + (n > 1), n))
+    for axis in range(n):
+        xs[axis * q : (axis + 1) * q, axis] = torus_grid(1, q)[:, 0]
+    if n > 1:  # one asymmetric point off the axes
+        xs[-1] = np.linspace(0.11, 0.83, n)
     firsts = [np.zeros(n)]
     for s in (1, -1, M, -M):
         v = np.zeros(n)
@@ -53,15 +57,8 @@ def depends_on_second(sigma: Symbol, n: int, M: int, tol: float = 1e-12) -> bool
     if n > 1:
         firsts.append(np.ones(n))
     for f in firsts:
-        vals = [
-            complex(np.asarray(sigma.func(f, np.full(n, c))).reshape(()))
-            for c in _PROBE_SECONDS
-        ]
-        if n > 1:  # one asymmetric probe per axis pattern
-            x = np.linspace(0.11, 0.83, n)
-            vals.append(complex(np.asarray(sigma.func(f, x)).reshape(())))
-        arr = np.array(vals)
-        if not np.max(np.abs(arr - arr[0])) <= tol:
+        vals = evaluate(sigma.func, f, xs, (len(xs),))
+        if not np.max(np.abs(vals - vals[0])) <= tol:
             return True
     return False
 

@@ -17,13 +17,28 @@ exactly (up to quadrature roundoff), which verify_identity measures.
 
 Torus integrals use the Q-point tensor rectangle rule per axis, i.e.
 one FFT over the grid per row (column); this is exact for trigonometric
-polynomials of degree < Q/2 and spectrally accurate otherwise.  Both
-quantizations assemble block-wise: a block of B consecutive box points
-evaluates the symbol once, on first arguments of shape (B, 1, n)
-against the grid of shape (1, Q^n, n), and runs one batched FFT over
-the grid axes.  B * Q^n stays within BLOCK_POINTS (B >= 1), so a
-block's temporaries stay near 40 * BLOCK_POINTS bytes.  Rows (columns)
-are independent, so the block size never changes a matrix entry.
+polynomials of degree < Q/2 and spectrally accurate otherwise.
+
+A symbol whose expression bounds its x-bandwidth by b
+(Symbol.x_bandwidth) has reach r = min(b, 2M) on the box [-M, M]^n.
+When r < 2M, assembly samples the (2r+2)^n grid instead of the Q^n
+one, reads the offsets |d|_inf <= r and writes exact zeros beyond
+them.  In exact arithmetic a Q-point rule with Q >= 4M+2 and a
+(2r+2)-point rule give the same coefficients for a trigonometric
+polynomial of degree r, and both give zero beyond r, so Q keeps its
+meaning and its reported value; the two differ by round-off only.
+Every other symbol (r = 2M, no band, or an opaque callable) is
+sampled on the Q^n grid.
+
+Both quantizations assemble block-wise: a block of B consecutive box
+points evaluates the symbol once, on first arguments of shape
+(B, 1, n) against the grid of shape (1, P, n) with P = Q^n or
+(2r+2)^n, and runs one batched FFT over the grid axes.  B * P stays
+within BLOCK_POINTS (B >= 1), so a block's temporaries stay near
+40 * BLOCK_POINTS bytes: each point reads fewer entries than P (the
+box size on the Q^n grid, (2r+1)^n offsets on the other).  Rows
+(columns) are independent, so the block size never changes a matrix
+entry.
 """
 
 from __future__ import annotations
@@ -122,11 +137,22 @@ def _check_sizes(box: TruncationBox, grid: QuadratureGrid) -> QuadratureGrid:
     return grid
 
 
-def _coefficient_blocks(func, box: TruncationBox, grid: QuadratureGrid):
-    """Yield (rows, block) over consecutive runs of box points p_i:
-    block[b, j] is the Fourier coefficient of x -> func(p_i, x) at the
-    offset box_j - p_i (mod Q), for i = rows.start + b."""
-    Q, n = grid.q, box.n
+def _coefficient_blocks(sym: Symbol, box: TruncationBox, grid: QuadratureGrid):
+    """Yield (rows, cols, values) over consecutive runs of box points
+    p_i, with values at [rows, cols] the Fourier coefficients of
+    x -> sym(p_i, x) at the offsets box_j - p_i (mod Q), i in rows and
+    j in cols: the discrete matrix, whose transpose is the toroidal
+    one.  On the Q^n grid rows is a slice of box points, cols all of
+    them and values a dense block.  A symbol whose reach
+    r = min(x_bandwidth, 2M) is below 2M is sampled on the (2r+2)^n
+    grid instead, and rows, cols and values list only the entries at
+    offsets |d|_inf <= r; every other entry is zero."""
+    n, M = box.n, box.M
+    reach = 2 * M if sym.x_bandwidth is None else int(min(sym.x_bandwidth, 2 * M))
+    if reach < 2 * M:
+        grid = QuadratureGrid(n, 2 * reach + 2)
+        stencil = TruncationBox(n, reach).points()
+    Q = grid.q
     shape = (Q,) * n
     P = Q**n
     box_pts = box.points()
@@ -136,13 +162,21 @@ def _coefficient_blocks(func, box: TruncationBox, grid: QuadratureGrid):
     for start in range(0, box.size, per_block):
         first = firsts[start : start + per_block]
         B = len(first)
-        samples = evaluate(func, first, x, (B, P))
+        samples = evaluate(sym.func, first, x, (B, P))
         coeff = np.fft.fftn(samples.reshape((B,) + shape), axes=tuple(range(1, n + 1))).reshape(B, P)
-        offsets = np.mod(box_pts[None, :, :] - box_pts[start : start + B, None, :], Q)
-        flat = np.ravel_multi_index(tuple(np.moveaxis(offsets, -1, 0)), shape)
-        block = np.take_along_axis(coeff, flat, axis=1) / P
+        if reach < 2 * M:
+            targets = box_pts[start : start + B, None, :] + stencil
+            hits, taps = np.nonzero(np.all(np.abs(targets) <= M, axis=-1))
+            flat = np.ravel_multi_index(tuple(np.mod(stencil[taps], Q).T), shape)
+            rows, cols = start + hits, box.indices_of(targets[hits, taps])
+            values = coeff[hits, flat] / P
+        else:
+            offsets = np.mod(box_pts[None, :, :] - box_pts[start : start + B, None, :], Q)
+            flat = np.ravel_multi_index(tuple(np.moveaxis(offsets, -1, 0)), shape)
+            rows, cols = slice(start, start + B), slice(None)
+            values = np.take_along_axis(coeff, flat, axis=1) / P
         del samples, coeff  # keep one block's temporaries alive at a time
-        yield slice(start, start + B), block
+        yield rows, cols, values
 
 
 def assemble_discrete(
@@ -154,9 +188,9 @@ def assemble_discrete(
     if sigma.side != DISCRETE:
         raise UsageError("assemble_discrete expects a discrete-side symbol")
     grid = _check_sizes(box, grid)
-    out = np.empty((box.size, box.size), dtype=complex)
-    for rows, block in _coefficient_blocks(sigma.func, box, grid):
-        out[rows, :] = block
+    out = np.zeros((box.size, box.size), dtype=complex)
+    for rows, cols, values in _coefficient_blocks(sigma, box, grid):
+        out[rows, cols] = values
     return OperatorMatrix(out, box, LATTICE_DELTA)
 
 
@@ -169,9 +203,9 @@ def assemble_toroidal(
     if tau.side != TOROIDAL:
         raise UsageError("assemble_toroidal expects a toroidal-side symbol")
     grid = _check_sizes(box, grid)
-    out = np.empty((box.size, box.size), dtype=complex)
-    for cols, block in _coefficient_blocks(tau.func, box, grid):
-        out[:, cols] = block.T
+    out = np.zeros((box.size, box.size), dtype=complex)
+    for rows, cols, values in _coefficient_blocks(tau, box, grid):
+        out[cols, rows] = values.T
     return OperatorMatrix(out, box, FOURIER_MODE)
 
 

@@ -88,13 +88,18 @@ class Symbol:
     axis of each is the coordinate axis, and the result may be any
     shape that broadcasts to the common leading shape (a scalar
     included).  Assembly calls it with first of shape (B, 1, n) and
-    second of shape (1, Q^n, n), for blocks of at most
-    quantize.BLOCK_POINTS samples.
+    second of shape (1, P, n), P = Q^n or (2r+2)^n, for blocks of at
+    most quantize.BLOCK_POINTS samples.
 
-    x_dependent records whether func depends on its second (torus)
-    argument: True or False when known from the symbol's expression,
-    None when unknown (an opaque callable).  A symbol built around a
-    new func starts unknown.
+    x_bandwidth records what the symbol's expression says about its
+    second (torus) argument: None when unknown (an opaque callable),
+    0 when func does not depend on it, an integer b when func(k, .) is
+    a trigonometric polynomial of degree at most b per axis for every
+    k, and inf when it depends on x without a known band.  flip keeps
+    it; a symbol built around a new func starts unknown.  x_dependent
+    reads it as a flag.  Assembly reads the reach r = min(b, 2M) of a
+    truncation box [-M, M]^n: when r < 2M it samples the (2r+2)^n grid
+    and writes exact zeros at offsets beyond r (see quantize).
     """
 
     func: Callable
@@ -103,7 +108,7 @@ class Symbol:
     delta: float = 0.0
     side: str = DISCRETE
     classical: Optional[ClassicalStructure] = None
-    x_dependent: Optional[bool] = None
+    x_bandwidth: Optional[float] = None
 
     def __post_init__(self):
         if self.side not in (DISCRETE, TOROIDAL):
@@ -119,6 +124,11 @@ class Symbol:
 
     def __call__(self, first, second):
         return self.func(first, second)
+
+    @property
+    def x_dependent(self) -> Optional[bool]:
+        """Whether func depends on its second argument; None when unknown."""
+        return None if self.x_bandwidth is None else self.x_bandwidth > 0
 
 
 def evaluate(func: Callable, first, second, shape) -> np.ndarray:
@@ -168,7 +178,7 @@ def flip(sigma: Symbol) -> Symbol:
         )
 
     return Symbol(
-        tau_func, sigma.order, sigma.rho, sigma.delta, TOROIDAL, classical, sigma.x_dependent
+        tau_func, sigma.order, sigma.rho, sigma.delta, TOROIDAL, classical, sigma.x_bandwidth
     )
 
 
@@ -478,7 +488,7 @@ def finite_modify(sigma: Symbol, patch: dict) -> Symbol:
             out[miss] = np.broadcast_to(base(sub_first, sub_x), (int(miss.sum()),))
         return out
 
-    return replace(sigma, func=patched, x_dependent=None)
+    return replace(sigma, func=patched, x_bandwidth=None)
 
 
 def regularize_at_origin(sigma: Symbol, n: int) -> Symbol:

@@ -199,3 +199,13 @@ def test_identity_check_config_pinned_near_achieved_deviation(tmp_path):
     assert main(["verify-identity", "--config", cfg, "--out", str(out), "--quiet"]) == 0
     data = json.loads((out / "identity.json").read_text())
     assert data["full_deviation"] <= 1e-15
+
+
+def test_cosine_config_pinned_near_achieved_accuracy(tmp_path):
+    # achieved at M = 1024: relative deviation 1.2136e-5, stability span 3.13e-5
+    out = tmp_path / "r"
+    cfg = str(CONFIGS / "cosine_1d.cfg")
+    assert main(["connes", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    data = json.loads((out / "connes.json").read_text())
+    assert data["relative_deviation"] <= 2e-5
+    assert data["stability_span"] <= 5e-5

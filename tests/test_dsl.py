@@ -199,3 +199,39 @@ def test_angular_cannot_use_xi():
 def test_main_cannot_use_theta():
     with pytest.raises(UsageError):
         to_symbol("theta1", n=1, order=0)
+
+
+@pytest.mark.parametrize(
+    "main, main_im, want",
+    [
+        ("(1+|xi|^2)^(-1)", None, 0),  # x-free
+        ("cos(2*pi*3*x1+xi1)", None, 3),  # character of 2*pi*m*x_j, xi in the offset
+        ("sin(-2*pi*2*x2)", None, 2),
+        ("cos(2*pi*(x1-3*x2))", None, 3),
+        ("-cos(2*pi*x1)", None, 1),
+        ("cos(0*x1)", None, 1),  # floor of 1 for a tree that references x
+        ("cos(pi*x1)", None, math.inf),  # non-integer multiple
+        ("cos(2*pi*x1)+sin(2*pi*3*x2)", None, 3),  # max
+        ("cos(2*pi*x1)-sin(2*pi*3*x2)", None, 3),
+        ("cos(2*pi*x1)*sin(2*pi*2*x2)", None, 3),  # sum
+        ("(1+cos(2*pi*2*x1))/<xi>", None, 2),  # x-free divisor
+        ("(1+cos(2*pi*x1))^3", None, 3),  # non-negative integer power
+        ("(1+cos(2*pi*x1))^0", None, 1),
+        ("(1+cos(2*pi*x1))^0.5", None, math.inf),
+        ("(2+cos(2*pi*x1))^(-1)", None, math.inf),
+        ("(1+cos(2*pi*x1))^xi1", None, math.inf),
+        ("x1", None, math.inf),  # bare x
+        ("exp(cos(2*pi*x1))", None, math.inf),
+        ("abs(cos(2*pi*x1))", None, math.inf),
+        ("1/(2+cos(2*pi*x1))", None, math.inf),  # x-dependent divisor
+        ("cos(2*pi*xi1*x1)", None, math.inf),  # coefficient on x depends on xi
+        ("cos(1e400*x1)", None, math.inf),  # non-finite constants
+        ("(1+cos(2*pi*x1))^1e400", None, math.inf),
+        ("<xi>^(-1)", "cos(2*pi*2*x1)*<xi>^(-2)", 2),  # main_im counts
+        ("cos(2*pi*x1)", "x2", math.inf),
+    ],
+)
+def test_x_bandwidth_rules(main, main_im, want):
+    s = to_symbol(main, n=2, order=0, main_im=main_im)
+    assert s.x_bandwidth == want
+    assert s.x_dependent is (want > 0)

@@ -202,6 +202,20 @@ def test_one_residue_quadrature_serves_both_conventions(monkeypatch, n):
         assert got == float(np.real(want))
 
 
+@pytest.mark.parametrize("n, M", [(1, 16), (2, 4)])
+def test_probe_samples_x_along_the_assembly_grid(n, M):
+    # cos(2 pi 1000 x_n) is 1 wherever 1000 x_n is an integer, as at
+    # the five fixed offsets the probe once sampled; along the axes of
+    # the assembly grid (Q = 256 for M = 16, 64 for M = 4) it varies
+    def func(first, x):
+        first, x = np.asarray(first, dtype=float), np.asarray(x, dtype=float)
+        return (1 + 0.5 * np.cos(2 * np.pi * 1000 * x[..., -1])) / np.sqrt(1 + np.sum(first**2, axis=-1))
+
+    sigma = Symbol(func, order=-n)
+    assert depends_on_second(sigma, n, M)
+    assert not build_spectrum(sigma, n, M).diagonal_path
+
+
 def test_probe_reads_nan_samples_as_x_dependence():
     # an opaque callable, NaN for x1 < 0.5: the samples give no finite
     # spread, so the probe must not vouch for the diagonal path

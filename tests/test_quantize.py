@@ -249,6 +249,40 @@ def test_block_size_does_not_change_the_matrices(monkeypatch, n, M, q, expr):
     assert np.max(np.abs(T - (1.5 + 0.5j) * np.eye(box.size))) < 1e-14
 
 
+@pytest.mark.parametrize(
+    "n, M, q, main, main_im, b",
+    [
+        (1, 8, 64, "(1+0.5*cos(2*pi*x1+0.3))*<xi>^(-1)", None, 1),
+        (1, 8, 64, "(1+0.5*cos(2*pi*x1))^2*<xi>^(-1)", "sin(2*pi*3*x1+xi1)*<xi>^(-2)", 3),
+        (2, 3, 16, "(1+0.5*cos(2*pi*x1)*sin(2*pi*x2+xi1))*(1+|xi|^2)^(-1)", None, 2),
+        (2, 3, 16, "(1+|xi|^2)^(-1)", "cos(2*pi*(x1-x2))*<xi>^(-3)", 1),
+    ],
+)
+def test_band_assembly_matches_the_full_rule(n, M, q, main, main_im, b):
+    # the same func as an opaque Symbol takes the full Q-point rule
+    sigma = to_symbol(main, n=n, order=-n, main_im=main_im)
+    box, grid = TruncationBox(n, M), QuadratureGrid(n, q)
+    pts = box.points()
+    in_band = np.max(np.abs(pts[:, None, :] - pts[None, :, :]), axis=-1) <= b
+    band = both_quantizations(sigma, box, grid)
+    full = both_quantizations(Symbol(sigma.func, sigma.order), box, grid)
+    for got, want in zip(band, full):
+        assert np.max(np.abs(got - want)[in_band]) <= 1e-15 * np.max(np.abs(want))
+        assert np.all(got[~in_band] == 0)
+    assert sigma.x_bandwidth == b
+
+
+@pytest.mark.parametrize("main", ["cos(2*pi*2*x1)*<xi>^(-1)", "exp(cos(2*pi*x1))*<xi>^(-1)"])
+def test_reach_of_2m_or_more_runs_the_full_rule(main):
+    sigma = to_symbol(main, n=1, order=-1)
+    box, grid = TruncationBox(1, 1), QuadratureGrid(1, 8)
+    band = both_quantizations(sigma, box, grid)
+    full = both_quantizations(Symbol(sigma.func, sigma.order), box, grid)
+    for got, want in zip(band, full):
+        assert np.array_equal(got, want)
+    assert sigma.x_bandwidth >= 2
+
+
 # ---------------------------------------------------------------------------
 # adjoint and Fourier conjugation
 
