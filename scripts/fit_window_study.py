@@ -19,6 +19,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from nclab.config import build_symbol, load_config
+from nclab.errors import UsageError
 from nclab.pipeline import build_spectrum
 from nclab.spectral import trace_estimate
 
@@ -46,7 +47,7 @@ def main() -> int:
             try:
                 c = trace_estimate(run.sequence, (f0, 1.0), d).trace_estimate
                 cells.append(f"{c:>12.5f}")
-            except Exception:
+            except UsageError:
                 cells.append(f"{'n/a':>12}")
         print(f"{f0:<13.2f}" + "".join(cells))
     return 0

@@ -21,6 +21,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from nclab.config import build_symbol, load_config
 from nclab.pipeline import run_connes_check
+from nclab.residue import sphere_rule
 
 
 def main() -> int:
@@ -34,6 +35,7 @@ def main() -> int:
     cfg = load_config(args.config)
     sigma = build_symbol(cfg)
     n = cfg.symbol.n
+    rule = sphere_rule(n, cfg.sphere_order or 0)
     ms = [int(v) for v in args.m_values.split(",")]
 
     rows = []
@@ -45,6 +47,7 @@ def main() -> int:
             window_fraction=(cfg.f0, cfg.f1),
             discard_fraction=cfg.discard,
             symmetrize=cfg.symmetrize,
+            sphere_rule_=rule,
             residue_q=cfg.residue_q,
         )
         dt = time.time() - t0

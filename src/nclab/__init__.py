@@ -25,12 +25,11 @@ from .quantize import (
 )
 from .residue import ResidueReport, SphereRule, dixmier_trace_formula, noncommutative_residue, sphere_rule
 from .spectral import (
-    SingularSpectrum,
     SpectralSummary,
+    diagonal_sequence,
     dixmier_quotients,
-    eigenvalues_hermitian,
     l1inf_norm,
-    singular_values,
+    matrix_sequence,
     trace_estimate,
 )
 from .symbols import (

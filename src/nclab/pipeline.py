@@ -1,12 +1,15 @@
 """End-to-end check that the spectral trace estimate of a discrete
 order-(-n) operator matches the residue of its flipped symbol.
 
-build_spectrum is the one entry point to the spectral side.  It
-assembles the toroidal operator of the flipped symbol (singular values
-are shared with the discrete operator since the bases differ by a
-unitary conjugation), or, when the symbol does not depend on the
-integration variable, reads the diagonal directly: the symbol's values
-over the box, real ones when they are real and moduli otherwise.
+build_spectrum is the one entry point to the spectral side.  It picks
+the path from the symbol's structure: when the symbol does not depend
+on the integration variable it evaluates the diagonal over the box;
+otherwise it assembles the toroidal operator of the flipped symbol
+(singular values are shared with the discrete operator since the
+bases differ by a unitary conjugation).  Turning that diagonal or
+matrix into the sorted sequence, with its Hermiticity deviation and
+the non-finite check, is spectral's job (diagonal_sequence,
+matrix_sequence); this module only chooses between them.
 
 Symmetrization: a toroidal operator built from a real symbol is not
 exactly Hermitian at finite truncation; (A + A*)/2 differs from A at
@@ -29,7 +32,7 @@ from .errors import UsageError
 from .lattice import TruncationBox, torus_grid
 from .quantize import QuadratureGrid, assemble_toroidal
 from .residue import CONVENTIONS_STANZA, LATTICE, PAPER, SphereRule, dixmier_trace_formula, residue_value
-from .spectral import SpectralSummary, trace_estimate
+from .spectral import SpectralSummary, diagonal_sequence, matrix_sequence, trace_estimate
 from .symbols import DISCRETE, Symbol, evaluate, flip
 
 
@@ -95,25 +98,17 @@ def build_spectrum(
 
     if not depends_on_second(sigma, n, M):
         vals = evaluate(sigma.func, box.points().astype(float), np.zeros(n), (box.size,))
-        scale = max(1.0, float(np.max(np.abs(vals))))
-        real_diag = float(np.max(np.abs(vals.imag))) <= 1e-12 * scale
-        seq = np.sort(vals.real if real_diag else np.abs(vals))[::-1].copy()
+        seq, herm_dev = diagonal_sequence(vals)
         return SpectrumRun(
             n=n, M=M, Q=0, symmetrized=False, diagonal_path=True,
             sequence=seq, min_eigenvalue=float(seq[-1]),
-            hermiticity_deviation=0.0 if real_diag else float(np.max(np.abs(vals.imag))),
-            discard_default=0.0,
+            hermiticity_deviation=herm_dev, discard_default=0.0,
         )
 
     grid = QuadratureGrid.for_box(box, Q)
     A = assemble_toroidal(flip(sigma), box, grid)
-    herm_dev = float(np.max(np.abs(A.entries - A.entries.conj().T)))
     symmetrized = True if symmetrize is None else bool(symmetrize)
-    if symmetrized:
-        H = 0.5 * (A.entries + A.entries.conj().T)
-        seq = np.linalg.eigvalsh(H)[::-1].copy()
-    else:
-        seq = np.linalg.svd(A.entries, compute_uv=False)
+    seq, herm_dev = matrix_sequence(A, symmetrized)
     return SpectrumRun(
         n=n, M=M, Q=grid.q, symmetrized=symmetrized, diagonal_path=False,
         sequence=seq, min_eigenvalue=float(seq[-1]),

@@ -105,7 +105,6 @@ def noncommutative_residue(
     rule: SphereRule | None = None,
     torus_q: int = DEFAULT_TORUS_Q,
     convention: str = LATTICE,
-    allow_extraction: bool = True,
 ) -> ResidueReport:
     """Residue of a toroidal-side symbol: prefactor times the integral
     of its degree-(-n) homogeneous component over S^(n-1) x T^n.
@@ -122,10 +121,6 @@ def noncommutative_residue(
         raise UsageError("sphere rule dimension mismatch")
 
     declared = a.classical.component(-float(n)) if a.classical is not None else None
-    if declared is None and not allow_extraction:
-        raise UsageError(
-            "no declared degree-(-n) component and extraction is disabled"
-        )
 
     xs = torus_grid(n, torus_q)
     total = 0.0 + 0.0j
@@ -165,7 +160,6 @@ def dixmier_trace_formula(
     rule: SphereRule | None = None,
     torus_q: int = DEFAULT_TORUS_Q,
     convention: str = LATTICE,
-    allow_extraction: bool = True,
 ) -> ResidueReport:
     """Dixmier trace of the discrete quantization of a classical
     order-(-n) symbol, computed as the residue of its flip.  Valid
@@ -177,8 +171,7 @@ def dixmier_trace_formula(
             f"trace formula needs order exactly -{n}, got {sigma.order}"
         )
     rep = noncommutative_residue(
-        flip(sigma), n, rule=rule, torus_q=torus_q,
-        convention=convention, allow_extraction=allow_extraction,
+        flip(sigma), n, rule=rule, torus_q=torus_q, convention=convention
     )
     return replace(rep, flipped=True)
 

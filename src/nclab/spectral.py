@@ -1,19 +1,29 @@
-"""Singular values, Dixmier partial sums/quotients, and trace
+"""Sequence from operator, Dixmier partial sums/quotients, and trace
 estimation by logarithmic fit.
 
+This module owns every step from an operator to the sequence the fit
+reads.  matrix_sequence takes an assembled matrix: it measures the
+Hermiticity deviation max|A - A*| once, then returns the eigenvalues
+of the Hermitian part (A + A*)/2 or the singular values.
+diagonal_sequence takes the values of a diagonal operator: their real
+parts when the imaginary parts are round-off, their moduli otherwise.
+Both sort NONINCREASING (largest first; the partial sums only capture
+the logarithmic divergence that way) and raise UsageError on a
+non-finite entry or value instead of returning a sequence built from
+it.
+
 The trace functional targeted here is the limit of S_N / log N where
-S_N is the N-th partial sum of the singular values sorted in
-NONINCREASING order (largest first; the partial sums only capture the
-logarithmic divergence that way).  Natural logarithm throughout.
+S_N is the N-th partial sum of that sequence.  Natural logarithm
+throughout.
 
 Rather than reading off the raw quotient D_N = S_N / ln N, the
 estimator fits S_N ~ c ln N + b by least squares: the affine fit
 cancels the O(1) intercept (Euler-Mascheroni-type constants), so c
 converges one log-order faster than D_N.  For spectra obtained from
-SVD of box-truncated operators only the head of the spectrum is
-reliable (boundary modes corrupt the small singular values), hence the
-default discard of the trailing half; exactly enumerated diagonal
-spectra need no discard.
+box-truncated operators only the head of the spectrum is reliable
+(boundary modes corrupt the small singular values), hence the default
+discard of the trailing half; exactly enumerated diagonal spectra need
+no discard.
 """
 
 from __future__ import annotations
@@ -31,24 +41,6 @@ _CSV_CHUNK_ROWS = 4096
 
 
 @dataclass(frozen=True)
-class SingularSpectrum:
-    """Nonincreasing nonnegative singular values of a matrix."""
-
-    values: np.ndarray
-    source_size: int
-
-    def __post_init__(self):
-        v = self.values
-        if np.any(v < 0):
-            raise UsageError("singular values must be nonnegative")
-        if np.any(np.diff(v) > 1e-12 * max(1.0, float(v[0]) if len(v) else 1.0)):
-            raise UsageError("singular values must be sorted nonincreasing")
-
-    def __len__(self):
-        return len(self.values)
-
-
-@dataclass(frozen=True)
 class SpectralSummary:
     """Trace estimate and diagnostics from a log fit of partial sums."""
 
@@ -63,40 +55,42 @@ class SpectralSummary:
     stability_span: float
 
 
-def _values_of(s) -> np.ndarray:
-    if isinstance(s, SingularSpectrum):
-        return s.values
-    return np.asarray(s, dtype=float)
-
-
-def singular_values(A) -> SingularSpectrum:
-    """Singular values (square roots of the spectrum of A*A), sorted
-    nonincreasing; accepts an OperatorMatrix or a plain 2-d array."""
+def matrix_sequence(A, symmetrize: bool) -> tuple[np.ndarray, float]:
+    """The nonincreasing sequence of a square matrix (an OperatorMatrix
+    or a plain 2-d array) and its Hermiticity deviation max|A - A*|:
+    the eigenvalues of the Hermitian part (A + A*)/2 when symmetrize,
+    the singular values otherwise.  A non-finite entry makes the
+    deviation non-finite, which raises UsageError before any solve."""
     entries = np.asarray(getattr(A, "entries", A))
-    if not np.all(np.isfinite(entries)):
+    with np.errstate(invalid="ignore"):  # inf - inf is reported below
+        deviation = float(np.max(np.abs(entries - entries.conj().T)))
+    if not np.isfinite(deviation):
         raise UsageError("matrix has non-finite entries")
-    vals = np.linalg.svd(entries, compute_uv=False)
-    return SingularSpectrum(vals, entries.shape[0])
+    if symmetrize:
+        H = 0.5 * (entries + entries.conj().T)
+        return np.linalg.eigvalsh(H)[::-1].copy(), deviation
+    return np.linalg.svd(entries, compute_uv=False), deviation
 
 
-def eigenvalues_hermitian(A, tol_factor: float = 1e-10) -> np.ndarray:
-    """Real eigenvalues of a (numerically) Hermitian matrix, sorted
-    nonincreasing.  Rejects matrices whose max asymmetry exceeds
-    tol_factor times the max entry magnitude."""
-    entries = np.asarray(getattr(A, "entries", A))
-    asym = float(np.max(np.abs(entries - entries.conj().T)))
-    scale = float(np.max(np.abs(entries))) or 1.0
-    if asym > tol_factor * scale:
-        raise UsageError(
-            f"matrix is not Hermitian: max asymmetry {asym:.3e} "
-            f"exceeds {tol_factor:.1e} * max entry {scale:.3e}"
-        )
-    return np.linalg.eigvalsh(entries)[::-1].copy()
+def diagonal_sequence(values) -> tuple[np.ndarray, float]:
+    """The nonincreasing sequence of a diagonal operator from its
+    diagonal values, and the largest imaginary part it dropped: the
+    real parts when every imaginary part is within
+    1e-12 * max(1, max|v|) (reported as 0), the moduli otherwise.  A
+    non-finite value raises UsageError."""
+    values = np.asarray(values)
+    top = float(np.max(np.abs(values)))
+    if not np.isfinite(top):
+        raise UsageError("diagonal has non-finite values")
+    imag = float(np.max(np.abs(values.imag)))
+    if imag <= 1e-12 * max(1.0, top):
+        return np.sort(values.real)[::-1].copy(), 0.0
+    return np.sort(np.abs(values))[::-1].copy(), imag
 
 
 def dixmier_quotients(s) -> np.ndarray:
     """D_N = (sum of the first N values) / ln N for N = 2..len."""
-    v = _values_of(s)
+    v = np.asarray(s, dtype=float)
     if len(v) < 2:
         raise UsageError("need at least 2 singular values")
     return _quotients(np.cumsum(v))
@@ -126,7 +120,7 @@ def trace_estimate(
     0.5 for SVD spectra of truncated operators and 0.0 for exactly
     enumerated diagonal spectra.
     """
-    v = _values_of(s)
+    v = np.asarray(s, dtype=float)
     f0, f1 = window_fraction
     if not (0.0 <= f0 < f1 <= 1.0):
         raise UsageError(f"bad window fractions ({f0}, {f1})")
@@ -178,7 +172,7 @@ def _affine_logfit(sums: np.ndarray, N0: int, N1: int) -> tuple[float, float, fl
 
 def write_spectrum_csv(path, s) -> None:
     """Columns N, s_N, S_N, D_N (header row, %.17g; D_1 is nan)."""
-    v = _values_of(s)
+    v = np.asarray(s, dtype=float)
     sums = np.cumsum(v)
     quotients = np.full(len(v), np.nan)
     quotients[1:] = _quotients(sums)

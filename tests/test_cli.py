@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +47,7 @@ M = 2000
 """
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SCRIPTS = CONFIGS.parent / "scripts"
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -209,3 +212,27 @@ def test_cosine_config_pinned_near_achieved_accuracy(tmp_path):
     data = json.loads((out / "connes.json").read_text())
     assert data["relative_deviation"] <= 2e-5
     assert data["stability_span"] <= 5e-5
+
+
+def test_truncation_sweep_uses_the_configured_sphere_rule(tmp_path):
+    # sphere_order = 4 is too coarse for theta1^6: residue 4.7124
+    # against 21*pi/16 = 4.1233 from the default rule, which the sweep
+    # used to report; it must report what connes does
+    cfg = write(
+        tmp_path,
+        "[symbol]\nn = 2\nmain = (1+|xi|^2)^(-1)\norder = -2\n"
+        "term_0 = -2 ; 1+theta1^6\n[lattice]\nM = 10\n[quadrature]\nsphere_order = 4\n",
+    )
+    out = tmp_path / "r"
+    assert main(["connes", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    want = json.loads((out / "connes.json").read_text())["residue_lattice"]
+    sweep = tmp_path / "sweep.csv"
+    subprocess.run(
+        [sys.executable, str(SCRIPTS / "truncation_sweep.py"), "--config", cfg,
+         "--m-values", "10", "--out", str(sweep)],
+        check=True, capture_output=True,
+    )
+    header, row = sweep.read_text().splitlines()
+    got = float(row.split(",")[header.split(",").index("residue_lattice")])
+    assert got == want
+    assert got == pytest.approx(4.712389, abs=1e-6)

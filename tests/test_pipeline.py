@@ -10,10 +10,10 @@ from nclab.pipeline import (
     depends_on_second,
     run_connes_check,
 )
-from nclab.quantize import QuadratureGrid, assemble_discrete
+from nclab.quantize import QuadratureGrid, assemble_discrete, assemble_toroidal
 from nclab.residue import LATTICE, PAPER, dixmier_trace_formula
-from nclab.spectral import singular_values
-from nclab.symbols import Symbol
+from nclab.spectral import matrix_sequence
+from nclab.symbols import Symbol, evaluate, flip
 
 
 def bracket_inv():
@@ -52,8 +52,8 @@ def test_fast_path_matches_full_assembly():
     box = TruncationBox(1, 16)
     run = build_spectrum(sigma, 1, 16)
     assert run.diagonal_path
-    full = singular_values(assemble_discrete(sigma, box, QuadratureGrid(1, 128)))
-    assert np.max(np.abs(run.sequence - full.values)) < 1e-13
+    full, _ = matrix_sequence(assemble_discrete(sigma, box, QuadratureGrid(1, 128)), symmetrize=False)
+    assert np.max(np.abs(run.sequence - full)) < 1e-13
 
 
 def test_fast_path_rejects_x_dependence():
@@ -225,3 +225,74 @@ def test_probe_reads_nan_samples_as_x_dependence():
 
     assert depends_on_second(Symbol(func, order=0), 1, 8)
     assert not depends_on_second(Symbol(lambda first, x: 2.0, order=0), 1, 8)
+
+
+def _inline_solve(sigma, n, M, symmetrize):
+    """The sequence and deviation as build_spectrum computed them inline
+    before spectral owned the step: the reference the owner must match
+    bit for bit."""
+    box = TruncationBox(n, M)
+    if symmetrize is None and not depends_on_second(sigma, n, M):
+        vals = evaluate(sigma.func, box.points().astype(float), np.zeros(n), (box.size,))
+        scale = max(1.0, float(np.max(np.abs(vals))))
+        real_diag = float(np.max(np.abs(vals.imag))) <= 1e-12 * scale
+        seq = np.sort(vals.real if real_diag else np.abs(vals))[::-1].copy()
+        return seq, 0.0 if real_diag else float(np.max(np.abs(vals.imag)))
+    A = assemble_toroidal(flip(sigma), box, QuadratureGrid.for_box(box))
+    herm_dev = float(np.max(np.abs(A.entries - A.entries.conj().T)))
+    if symmetrize:
+        H = 0.5 * (A.entries + A.entries.conj().T)
+        return np.linalg.eigvalsh(H)[::-1].copy(), herm_dev
+    return np.linalg.svd(A.entries, compute_uv=False), herm_dev
+
+
+def _phased_bracket(first, x):
+    k = np.asarray(first, dtype=float)[..., 0]
+    return np.exp(1j * k) / np.sqrt(1 + k**2)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["symmetrized", "unsymmetrized", "real diagonal", "complex diagonal"],
+)
+def test_build_spectrum_matches_the_inline_solve(case):
+    # the phase makes the assembled matrix complex, so A* is not A^T
+    angular = "1+0.5*cos(2*pi*x1+0.3)"
+    phased = to_symbol(f"({angular})*<xi>^(-1)", n=1, order=-1, classical_terms=[(-1, angular)])
+    sigma, symmetrize = {
+        "symmetrized": (phased, True),
+        "unsymmetrized": (phased, False),
+        "real diagonal": (bracket_inv(), None),
+        "complex diagonal": (Symbol(_phased_bracket, order=-1), None),
+    }[case]
+    run = build_spectrum(sigma, 1, 24, symmetrize=symmetrize)
+    assert run.diagonal_path == (symmetrize is None)
+    seq, deviation = _inline_solve(sigma, 1, 24, symmetrize)
+    assert np.array_equal(run.sequence, seq)
+    assert run.hermiticity_deviation == deviation
+    if case == "complex diagonal":
+        assert deviation > 0.5  # moduli, not real parts
+
+
+def _pole_at_3(first, x):
+    with np.errstate(divide="ignore"):
+        return 1.0 / (np.abs(np.asarray(first, dtype=float)[..., 0]) - 3.0)
+
+
+def test_pole_on_the_diagonal_path_is_a_usage_error():
+    # unchecked, the sorted sequence starts [inf, inf] and the fit returns nan
+    sigma = Symbol(_pole_at_3, order=-1)
+    with pytest.raises(UsageError, match="non-finite"):
+        build_spectrum(sigma, 1, 64)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_pole_on_the_assembled_path_is_a_usage_error():
+    # unchecked, both solves end in numpy's LinAlgError traceback
+    def func(first, x):
+        return _pole_at_3(first, x) * (1 + 0.5 * np.cos(2 * np.pi * np.asarray(x, dtype=float)[..., 0]))
+
+    sigma = Symbol(func, order=-1)
+    for symmetrize in (True, False):
+        with pytest.raises(UsageError, match="non-finite"):
+            build_spectrum(sigma, 1, 16, symmetrize=symmetrize)

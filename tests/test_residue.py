@@ -96,12 +96,6 @@ def test_residue_requires_toroidal():
         noncommutative_residue(sigma, 1)
 
 
-def test_residue_extraction_disabled():
-    a = Symbol(lambda f, x: 0.0, order=-1, side=TOROIDAL)
-    with pytest.raises(UsageError):
-        noncommutative_residue(a, 1, allow_extraction=False)
-
-
 def test_residue_linearity_declared():
     a = toroidal("<xi>^(-1)", terms=[(-1, "1")])
     b = toroidal("(1+0.5*cos(2*pi*x1))*<xi>^(-1)", terms=[(-1, "1+0.5*cos(2*pi*x1)")])

@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from nclab.errors import UsageError
 from nclab.spectral import (
-    SingularSpectrum,
+    diagonal_sequence,
     dixmier_quotients,
-    eigenvalues_hermitian,
     l1inf_norm,
-    singular_values,
+    matrix_sequence,
     trace_estimate,
     write_spectrum_csv,
 )
@@ -21,28 +20,43 @@ def harmonic(N):
     return sum(1.0 / j for j in range(1, N + 1))
 
 
+def svals(A):
+    return matrix_sequence(A, symmetrize=False)[0]
+
+
+def hermitian_eigs(A):
+    return matrix_sequence(A, symmetrize=True)[0]
+
+
 # ---------------------------------------------------------------------------
 # singular values
 
 
 def test_diagonal_reordering():
-    s = singular_values(np.diag([3.0, 1.0, 2.0]))
-    assert s.values.tolist() == [3.0, 2.0, 1.0]
+    s = svals(np.diag([3.0, 1.0, 2.0]))
+    assert s.tolist() == [3.0, 2.0, 1.0]
 
 
 def test_antidiagonal_2x2():
-    s = singular_values(np.array([[0.0, 2.0], [2.0, 0.0]]))
-    assert s.values == pytest.approx([2.0, 2.0])
+    s = svals(np.array([[0.0, 2.0], [2.0, 0.0]]))
+    assert s == pytest.approx([2.0, 2.0])
 
 
 def test_permutation_matrix_all_ones():
     P = np.eye(5)[[3, 0, 4, 1, 2]]
-    assert singular_values(P).values == pytest.approx(np.ones(5))
+    assert svals(P) == pytest.approx(np.ones(5))
 
 
 def test_rejects_non_finite():
-    with pytest.raises(UsageError):
-        singular_values(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    # eigvalsh([[nan, 0], [0, 1]]) returns [0, -0] without complaint:
+    # the deviation check has to come before the solve
+    for symmetrize in (True, False):
+        for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.inf)):
+            for where in ((0, 0), (0, 1)):
+                A = np.array([[2.0, 0.0], [0.0, 1.0]], dtype=complex)
+                A[where] = bad
+                with pytest.raises(UsageError, match="non-finite"):
+                    matrix_sequence(A, symmetrize)
 
 
 @given(st.integers(2, 6), st.integers(0, 10))
@@ -52,8 +66,8 @@ def test_permutation_invariance(size, seed):
     A = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
     perm = rng.permutation(size)
     P = np.eye(size)[perm]
-    sa = singular_values(A).values
-    sp = singular_values(P @ A @ P.T).values
+    sa = svals(A)
+    sp = svals(P @ A @ P.T)
     assert np.max(np.abs(sa - sp)) < 1e-13 * max(sa[0], 1.0)
 
 
@@ -62,15 +76,15 @@ def test_permutation_invariance(size, seed):
 def test_scale_equivariance(c, seed):
     rng = np.random.default_rng(seed)
     A = rng.normal(size=(4, 4))
-    sa = singular_values(A).values
-    sc = singular_values(c * A).values
+    sa = svals(A)
+    sc = svals(c * A)
     assert np.max(np.abs(sc - abs(c) * sa)) < 1e-12 * max(1.0, abs(c) * sa[0])
 
 
 def test_positive_diagonal_exact():
     d = np.array([0.5, 4.0, 2.0, 1.0])
-    s = singular_values(np.diag(d))
-    assert np.array_equal(s.values, np.sort(d)[::-1])
+    s = svals(np.diag(d))
+    assert np.array_equal(s, np.sort(d)[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -78,18 +92,36 @@ def test_positive_diagonal_exact():
 
 
 def test_hermitian_signed():
-    w = eigenvalues_hermitian(np.diag([1.0, -1.0]))
+    w = hermitian_eigs(np.diag([1.0, -1.0]))
     assert w.tolist() == [1.0, -1.0]
 
 
 def test_hermitian_identity():
-    assert eigenvalues_hermitian(np.eye(5)).tolist() == [1.0] * 5
+    assert hermitian_eigs(np.eye(5)).tolist() == [1.0] * 5
 
 
-def test_hermitian_rejects_asymmetric():
-    A = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(UsageError, match="asymmetry"):
-        eigenvalues_hermitian(A)
+def test_hermitian_part_of_asymmetric_matrix():
+    # no rejection: the Hermitian part is solved and the asymmetry reported
+    w, deviation = matrix_sequence(np.array([[0.0, 1.0], [0.0, 0.0]]), symmetrize=True)
+    assert deviation == 1.0
+    assert w.tolist() == [0.5, -0.5]
+
+
+# ---------------------------------------------------------------------------
+# diagonal sequences
+
+
+def test_diagonal_round_off_imaginary_parts_keep_the_sign():
+    # 1e-10 is within 1e-12 * max|v| = 2e-9: real parts, not moduli
+    seq, deviation = diagonal_sequence(np.array([0.5, -2000.0, 3.0 + 1e-10j]))
+    assert seq.tolist() == [3.0, 0.5, -2000.0]
+    assert deviation == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
+def test_diagonal_rejects_non_finite(bad):
+    with pytest.raises(UsageError, match="non-finite"):
+        diagonal_sequence(np.array([1.0, bad, 0.5], dtype=complex))
 
 
 def test_symmetrized_tridiagonal_example():
@@ -106,8 +138,9 @@ def test_symmetrized_tridiagonal_example():
     )
     A = assemble_toroidal(flip(sigma), TruncationBox(1, 64), QuadratureGrid(1, 512))
     H = 0.5 * (A.entries + A.entries.conj().T)
-    w = eigenvalues_hermitian(H)
+    w = hermitian_eigs(H)
     assert np.all(np.isreal(w))
+    assert np.all(np.diff(w) <= 0)
     assert w[-1] > -0.05
 
 
@@ -203,13 +236,6 @@ def test_partial_sums_monotone_and_quotients_decreasing():
     summary = trace_estimate(s, discard_fraction=0.0)
     assert np.all(np.diff(summary.partial_sums) >= 0)
     assert np.all(np.diff(summary.quotients) <= 1e-15)
-
-
-def test_spectrum_invariants():
-    with pytest.raises(UsageError):
-        SingularSpectrum(np.array([1.0, 2.0]), 2)  # increasing
-    with pytest.raises(UsageError):
-        SingularSpectrum(np.array([1.0, -0.5]), 2)  # negative
 
 
 def test_write_spectrum_csv(tmp_path):
