@@ -7,7 +7,8 @@ Usage:
         --m-values 250,500,1000,2000,4000 --out sweep.csv
 
 Writes one CSV row per M with the estimate, the residue, the relative
-deviation and the fit diagnostics.
+deviation, the fit diagnostics, the solver that ran and the seconds
+the run took.
 """
 
 from __future__ import annotations
@@ -52,13 +53,14 @@ def main() -> int:
         )
         dt = time.time() - t0
         rows.append((M, rep.spectral_estimate, rep.residue_lattice,
-                     rep.relative_deviation, rep.fit_rms, rep.stability_span, dt))
+                     rep.relative_deviation, rep.fit_rms, rep.stability_span, rep.solver, dt))
         print(f"M={M:>6}  c={rep.spectral_estimate:+.6f}  r={rep.residue_lattice:+.6f}"
               f"  dev={rep.relative_deviation:.3e}  span={rep.stability_span:.2e}"
-              f"  [{dt:.1f}s]")
+              f"  {rep.solver}  [{dt:.1f}s]")
 
     with open(args.out, "w") as fh:
-        fh.write("M,spectral_estimate,residue_lattice,relative_deviation,fit_rms,stability_span,seconds\n")
+        fh.write("M,spectral_estimate,residue_lattice,relative_deviation,fit_rms,stability_span,"
+                 "solver,seconds\n")
         for row in rows:
             fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) + "\n")
     print(f"wrote {args.out}")

@@ -303,7 +303,7 @@ def _cmd_connes(cfg: RunConfig, args, out_dir: Path, say) -> int:
     say(
         f"spectral estimate {rep.spectral_estimate:.6g} vs residue "
         f"{rep.residue_lattice:.6g} (lattice convention): relative deviation "
-        f"{rep.relative_deviation:.3%}"
+        f"{rep.relative_deviation:.3%} ({rep.solver} solver)"
     )
     if rep.positivity_warning:
         print(

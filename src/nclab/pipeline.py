@@ -6,10 +6,13 @@ the path from the symbol's structure: when the symbol does not depend
 on the integration variable it evaluates the diagonal over the box;
 otherwise it assembles the toroidal operator of the flipped symbol
 (singular values are shared with the discrete operator since the
-bases differ by a unitary conjugation).  Turning that diagonal or
-matrix into the sorted sequence, with its Hermiticity deviation and
-the non-finite check, is spectral's job (diagonal_sequence,
-matrix_sequence); this module only chooses between them.
+bases differ by a unitary conjugation).  A symbol whose expression
+bounds its x-bandwidth comes back from assemble_toroidal as a band,
+never as an S x S matrix.  Turning that diagonal, band or matrix into
+the sorted sequence, with its Hermiticity deviation, the non-finite
+check and the choice of solver, is spectral's job (diagonal_sequence,
+matrix_sequence); this module only chooses between them and reports
+the solver that ran.
 
 Symmetrization: a toroidal operator built from a real symbol is not
 exactly Hermitian at finite truncation; (A + A*)/2 differs from A at
@@ -75,6 +78,7 @@ class SpectrumRun:
     Q: int  # 0 when the diagonal fast path skipped assembly
     symmetrized: bool
     diagonal_path: bool
+    solver: str  # diagonal, tridiagonal, banded, dense or svd
     sequence: np.ndarray  # nonincreasing; signed for symmetrized runs
     min_eigenvalue: float
     hermiticity_deviation: float
@@ -89,9 +93,10 @@ def build_spectrum(
     symmetrize: Optional[bool] = None,
 ) -> SpectrumRun:
     """Diagonal fast path for multipliers; otherwise assemble the
-    toroidal operator of the flipped symbol and take eigenvalues of
-    its Hermitian part (symmetrize on, the default for x-dependent
-    symbols) or singular values (symmetrize off)."""
+    toroidal operator of the flipped symbol (as a band when its reach
+    is below 2M) and take eigenvalues of its Hermitian part (symmetrize
+    on, the default for x-dependent symbols) or singular values
+    (symmetrize off)."""
     if sigma.side != DISCRETE:
         raise UsageError("spectrum runs start from a discrete-side symbol")
     box = TruncationBox(n, M)
@@ -100,7 +105,7 @@ def build_spectrum(
         vals = evaluate(sigma.func, box.points().astype(float), np.zeros(n), (box.size,))
         seq, herm_dev = diagonal_sequence(vals)
         return SpectrumRun(
-            n=n, M=M, Q=0, symmetrized=False, diagonal_path=True,
+            n=n, M=M, Q=0, symmetrized=False, diagonal_path=True, solver="diagonal",
             sequence=seq, min_eigenvalue=float(seq[-1]),
             hermiticity_deviation=herm_dev, discard_default=0.0,
         )
@@ -108,9 +113,9 @@ def build_spectrum(
     grid = QuadratureGrid.for_box(box, Q)
     A = assemble_toroidal(flip(sigma), box, grid)
     symmetrized = True if symmetrize is None else bool(symmetrize)
-    seq, herm_dev = matrix_sequence(A, symmetrized)
+    seq, herm_dev, solver = matrix_sequence(A, symmetrized)
     return SpectrumRun(
-        n=n, M=M, Q=grid.q, symmetrized=symmetrized, diagonal_path=False,
+        n=n, M=M, Q=grid.q, symmetrized=symmetrized, diagonal_path=False, solver=solver,
         sequence=seq, min_eigenvalue=float(seq[-1]),
         hermiticity_deviation=herm_dev, discard_default=0.5,
     )
@@ -135,6 +140,7 @@ class ConnesComparison:
     hermiticity_deviation: float
     positivity_warning: bool
     diagonal_path: bool
+    solver: str
     summary: SpectralSummary
 
 
@@ -189,6 +195,7 @@ def run_connes_check(
         hermiticity_deviation=run.hermiticity_deviation,
         positivity_warning=positivity_warning,
         diagonal_path=run.diagonal_path,
+        solver=run.solver,
         summary=summary,
     )
 

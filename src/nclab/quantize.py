@@ -30,6 +30,15 @@ meaning and its reported value; the two differ by round-off only.
 Every other symbol (r = 2M, no band, or an opaque callable) is
 sampled on the Q^n grid.
 
+With r < 2M every nonzero entry lies within index distance
+kd = r * sum_{j<n} (2M+1)^j of the diagonal (box enumeration is
+lexicographic, last axis fastest), so assemble_toroidal writes the
+kernel's in-band entries straight into band storage of half-width kd
+(OperatorMatrix.kd) and never allocates the S x S matrix; .entries
+materialises it for the consumers that need it dense.
+assemble_discrete, whose only consumers (quantize and verify_identity)
+export or compare the dense matrix, always assembles it dense.
+
 Both quantizations assemble block-wise: a block of B consecutive box
 points evaluates the symbol once, on first arguments of shape
 (B, 1, n) against the grid of shape (1, P, n) with P = Q^n or
@@ -99,24 +108,74 @@ def default_grid_size(M: int) -> int:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense complex matrix plus the index maps tying rows/columns to
-    the box enumeration, in either basis."""
+    """Complex S x S matrix plus the index maps tying rows/columns to
+    the box enumeration, in either basis.
 
-    entries: np.ndarray
+    data is the dense matrix when kd is None.  Otherwise it is the band
+    of half-width kd as an (S, 2kd+1) array with
+    data[min(i, j), kd + i - j] = A[i, j]: column kd + m holds the m-th
+    subdiagonal by column index, column kd - m the m-th superdiagonal
+    by row index, so data[:, kd:] is LAPACK's lower band storage of A
+    and data[:, kd::-1] that of A^T.  Entries with |i - j| > kd and the
+    slots past the matrix's edge are zero."""
+
+    data: np.ndarray
     box: TruncationBox
     basis: str
+    kd: int | None = None
 
     def __post_init__(self):
         S = self.box.size
-        if self.entries.shape != (S, S):
-            raise UsageError(f"matrix shape {self.entries.shape} != box size {S}")
+        shape = (S, S) if self.kd is None else (S, 2 * self.kd + 1)
+        if self.data.shape != shape:
+            raise UsageError(f"matrix storage shape {self.data.shape} != {shape} for box size {S}")
         if self.basis not in (LATTICE_DELTA, FOURIER_MODE):
             raise UsageError(f"unknown basis tag {self.basis!r}")
 
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense matrix: data itself, or a new array built from the
+        band on each access (refused when larger than physical memory)."""
+        if self.kd is None:
+            return self.data
+        S, kd = self.box.size, self.kd
+        _check_memory(16 * S * S, f"a dense {S} x {S} complex matrix")
+        first = np.arange(S)[:, None]
+        offset = np.arange(-kd, kd + 1)
+        rows, cols = first + np.maximum(offset, 0), first - np.minimum(offset, 0)
+        inside = (rows < S) & (cols < S)
+        out = np.zeros((S, S), dtype=complex)
+        out[rows[inside], cols[inside]] = self.data[inside]
+        return out
 
-def _check_sizes(box: TruncationBox, grid: QuadratureGrid) -> QuadratureGrid:
-    """Default-fill and validate the grid, and refuse a dense matrix
-    larger than physical memory before anything is allocated."""
+
+def _reach(sym: Symbol, box: TruncationBox) -> int:
+    """Largest Chebyshev offset with a nonzero entry: min(b, 2M) for a
+    symbol of x-bandwidth b, 2M when b is unknown."""
+    M = box.M
+    return 2 * M if sym.x_bandwidth is None else int(min(sym.x_bandwidth, 2 * M))
+
+
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _check_memory(need: int, what: str) -> None:
+    """Refuse an allocation of need bytes larger than physical memory."""
+    have = _physical_memory()
+    if need > have:
+        raise UsageError(
+            f"{what} needs {need / 2**30:.1f} GiB, "
+            f"more than the {have / 2**30:.1f} GiB of physical memory"
+        )
+
+
+def _check_sizes(
+    box: TruncationBox, grid: QuadratureGrid | None, kd: int | None = None
+) -> QuadratureGrid:
+    """Default-fill and validate the grid, and refuse storage larger
+    than physical memory before anything is allocated: the dense
+    matrix, or its band of half-width kd when kd is given."""
     if grid is None:
         grid = QuadratureGrid.for_box(box)
     if grid.n != box.n:
@@ -127,13 +186,10 @@ def _check_sizes(box: TruncationBox, grid: QuadratureGrid) -> QuadratureGrid:
             f"need at least {4 * box.M + 2} points to stay distinct"
         )
     S = box.size
-    need = 16 * S * S
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise UsageError(
-            f"a dense {S} x {S} complex matrix needs {need / 2**30:.1f} GiB, "
-            f"more than the {have / 2**30:.1f} GiB of physical memory"
-        )
+    if kd is None:
+        _check_memory(16 * S * S, f"a dense {S} x {S} complex matrix")
+    else:
+        _check_memory(16 * S * (2 * kd + 1), f"a band of {S} x {2 * kd + 1} complex entries")
     return grid
 
 
@@ -148,7 +204,7 @@ def _coefficient_blocks(sym: Symbol, box: TruncationBox, grid: QuadratureGrid):
     grid instead, and rows, cols and values list only the entries at
     offsets |d|_inf <= r; every other entry is zero."""
     n, M = box.n, box.M
-    reach = 2 * M if sym.x_bandwidth is None else int(min(sym.x_bandwidth, 2 * M))
+    reach = _reach(sym, box)
     if reach < 2 * M:
         grid = QuadratureGrid(n, 2 * reach + 2)
         stencil = TruncationBox(n, reach).points()
@@ -162,19 +218,24 @@ def _coefficient_blocks(sym: Symbol, box: TruncationBox, grid: QuadratureGrid):
     for start in range(0, box.size, per_block):
         first = firsts[start : start + per_block]
         B = len(first)
-        samples = evaluate(sym.func, first, x, (B, P))
-        coeff = np.fft.fftn(samples.reshape((B,) + shape), axes=tuple(range(1, n + 1))).reshape(B, P)
         if reach < 2 * M:
             targets = box_pts[start : start + B, None, :] + stencil
             hits, taps = np.nonzero(np.all(np.abs(targets) <= M, axis=-1))
             flat = np.ravel_multi_index(tuple(np.mod(stencil[taps], Q).T), shape)
             rows, cols = start + hits, box.indices_of(targets[hits, taps])
-            values = coeff[hits, flat] / P
         else:
             offsets = np.mod(box_pts[None, :, :] - box_pts[start : start + B, None, :], Q)
             flat = np.ravel_multi_index(tuple(np.moveaxis(offsets, -1, 0)), shape)
             rows, cols = slice(start, start + B), slice(None)
-            values = np.take_along_axis(coeff, flat, axis=1) / P
+        # a pole or overflow in the samples is reported once, as the
+        # solve's non-finite-entry error, not as numpy warnings here
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            samples = evaluate(sym.func, first, x, (B, P))
+            coeff = np.fft.fftn(samples.reshape((B,) + shape), axes=tuple(range(1, n + 1))).reshape(B, P)
+            if reach < 2 * M:
+                values = coeff[hits, flat] / P
+            else:
+                values = np.take_along_axis(coeff, flat, axis=1) / P
         del samples, coeff  # keep one block's temporaries alive at a time
         yield rows, cols, values
 
@@ -199,14 +260,23 @@ def assemble_toroidal(
 ) -> OperatorMatrix:
     """Matrix of the toroidal quantization of tau(x, k) in the Fourier
     basis: column m holds the x-Fourier coefficients of tau(., m) at
-    offsets eta - m."""
+    offsets eta - m.  Held as its band (OperatorMatrix.kd) when the
+    reach is below 2M, dense otherwise."""
     if tau.side != TOROIDAL:
         raise UsageError("assemble_toroidal expects a toroidal-side symbol")
-    grid = _check_sizes(box, grid)
-    out = np.zeros((box.size, box.size), dtype=complex)
+    reach = _reach(tau, box)
+    if reach == 2 * box.M:
+        grid = _check_sizes(box, grid)
+        out = np.zeros((box.size, box.size), dtype=complex)
+        for rows, cols, values in _coefficient_blocks(tau, box, grid):
+            out[cols, rows] = values.T
+        return OperatorMatrix(out, box, FOURIER_MODE)
+    kd = reach * sum((2 * box.M + 1) ** j for j in range(box.n))
+    grid = _check_sizes(box, grid, kd)
+    band = np.zeros((box.size, 2 * kd + 1), dtype=complex)
     for rows, cols, values in _coefficient_blocks(tau, box, grid):
-        out[cols, rows] = values.T
-    return OperatorMatrix(out, box, FOURIER_MODE)
+        band[np.minimum(cols, rows), kd + cols - rows] = values
+    return OperatorMatrix(band, box, FOURIER_MODE, kd)
 
 
 def adjoint(A: OperatorMatrix) -> OperatorMatrix:

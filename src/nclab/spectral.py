@@ -4,7 +4,16 @@ estimation by logarithmic fit.
 This module owns every step from an operator to the sequence the fit
 reads.  matrix_sequence takes an assembled matrix: it measures the
 Hermiticity deviation max|A - A*| once, then returns the eigenvalues
-of the Hermitian part (A + A*)/2 or the singular values.
+of the Hermitian part (A + A*)/2 or the singular values, and names the
+solver it picked from the matrix's structure.  A banded operator
+(quantize.OperatorMatrix with a half-width kd) keeps its band: the
+deviation and the Hermitian part are formed on it, and LAPACK's dsterf
+(kd = 1, on a real tridiagonal) or zhbevd (kd > 1) solves it in
+O(S^2) or O(S^2 kd) time and O(S kd) memory instead of the dense
+eigvalsh's O(S^3) and S^2.  Both routines come from the OpenBLAS that
+numpy's wheel bundles (numpy.libs), bound through ctypes at the first
+banded solve; a numpy build without that library falls back to dense
+eigvalsh.
 diagonal_sequence takes the values of a diagonal operator: their real
 parts when the imaginary parts are round-off, their moduli otherwise.
 Both sort NONINCREASING (largest first; the partial sums only capture
@@ -28,11 +37,14 @@ no discard.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UsageError
+from .errors import NonConvergenceError, UsageError
 
 # Spectrum rows per formatting call of write_spectrum_csv: one chunk's
 # text and values are alive at a time, so memory stays flat in the
@@ -55,21 +67,82 @@ class SpectralSummary:
     stability_span: float
 
 
-def matrix_sequence(A, symmetrize: bool) -> tuple[np.ndarray, float]:
-    """The nonincreasing sequence of a square matrix (an OperatorMatrix
-    or a plain 2-d array) and its Hermiticity deviation max|A - A*|:
-    the eigenvalues of the Hermitian part (A + A*)/2 when symmetrize,
-    the singular values otherwise.  A non-finite entry makes the
-    deviation non-finite, which raises UsageError before any solve."""
-    entries = np.asarray(getattr(A, "entries", A))
+def matrix_sequence(A, symmetrize: bool) -> tuple[np.ndarray, float, str]:
+    """The nonincreasing sequence of a square matrix (an OperatorMatrix,
+    dense or banded, or a plain 2-d array), its Hermiticity deviation
+    max|A - A*| and the solver that produced it: the eigenvalues of the
+    Hermitian part (A + A*)/2 when symmetrize, the singular values of
+    the dense matrix ("svd") otherwise.  A banded operator's Hermitian
+    part is solved in band storage, by dsterf on a real tridiagonal
+    ("tridiagonal", kd = 1) or by zhbevd ("banded", kd > 1); a dense
+    one, or any when numpy's LAPACK is not at hand, by eigvalsh
+    ("dense").  A non-finite entry makes the deviation non-finite,
+    which raises UsageError before any solve."""
+    kd = getattr(A, "kd", None)
+    lapack = _lapack() if kd is not None and symmetrize else None
+    if lapack is None:
+        entries = np.asarray(getattr(A, "entries", A))
+        deviation = _hermiticity_deviation(entries, entries.conj().T)
+        if symmetrize:
+            H = 0.5 * (entries + entries.conj().T)
+            return np.linalg.eigvalsh(H)[::-1].copy(), deviation, "dense"
+        return np.linalg.svd(entries, compute_uv=False), deviation, "svd"
+    band = np.asarray(A.data, dtype=complex)
+    # lower[j, m] = A[j+m, j] and adjoint[j, m] = conj(A[j, j+m]) = A*[j+m, j]:
+    # both in lower band storage, and zero past the band, as dense A - A* is
+    lower, adjoint = band[:, kd:], band[:, kd::-1].conj()
+    deviation = _hermiticity_deviation(lower, adjoint)
+    H = 0.5 * (lower + adjoint)
+    dsterf, zhbevd = lapack
+    if kd == 1:
+        # a diagonal phase similarity turns the Hermitian tridiagonal H
+        # into the real one with off-diagonal |H[j+1, j]|: same eigenvalues
+        d, e = np.ascontiguousarray(H[:, 0].real), np.abs(H[:-1, 1])
+        _check_info("dsterf", dsterf(len(d), d.ctypes.data, e.ctypes.data))
+        return d[::-1].copy(), deviation, "tridiagonal"
+    S = len(H)
+    w, z = np.empty(S), np.empty(1, dtype=complex)  # z is not referenced for jobz = N
+    info = zhbevd(_LAPACK_COL_MAJOR, b"N", b"L", S, kd, H.ctypes.data, kd + 1, w.ctypes.data, z.ctypes.data, 1)
+    _check_info("zhbevd", info)
+    return w[::-1].copy(), deviation, "banded"
+
+
+def _hermiticity_deviation(A: np.ndarray, adjoint: np.ndarray) -> float:
+    """max|A - A*|, given A and A* in the same layout; a non-finite
+    result (NaN or inf entries always give one) raises UsageError."""
     with np.errstate(invalid="ignore"):  # inf - inf is reported below
-        deviation = float(np.max(np.abs(entries - entries.conj().T)))
+        deviation = float(np.max(np.abs(A - adjoint)))
     if not np.isfinite(deviation):
         raise UsageError("matrix has non-finite entries")
-    if symmetrize:
-        H = 0.5 * (entries + entries.conj().T)
-        return np.linalg.eigvalsh(H)[::-1].copy(), deviation
-    return np.linalg.svd(entries, compute_uv=False), deviation
+    return deviation
+
+
+_LAPACK_COL_MAJOR = 102
+
+
+@functools.cache
+def _lapack():
+    """LAPACKE's dsterf and zhbevd (64-bit integers) from the OpenBLAS
+    that numpy's wheel bundles in numpy.libs, with argument types
+    declared; None when this numpy build ships no such library or
+    symbol."""
+    folder = os.path.dirname(np.__file__) + ".libs"
+    try:
+        name = next(f for f in sorted(os.listdir(folder)) if f.startswith("libscipy_openblas64_"))
+        lib = ctypes.CDLL(os.path.join(folder, name))
+        dsterf, zhbevd = lib.scipy_LAPACKE_dsterf64_, lib.scipy_LAPACKE_zhbevd64_
+    except (OSError, StopIteration, AttributeError):
+        return None
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    dsterf.argtypes, dsterf.restype = (i64, ptr, ptr), i64
+    zhbevd.argtypes = (ctypes.c_int, ctypes.c_char, ctypes.c_char, i64, i64, ptr, i64, ptr, ptr, i64)
+    zhbevd.restype = i64
+    return dsterf, zhbevd
+
+
+def _check_info(routine: str, info: int) -> None:
+    if info != 0:
+        raise NonConvergenceError(f"LAPACK {routine} failed (info {info})")
 
 
 def diagonal_sequence(values) -> tuple[np.ndarray, float]:

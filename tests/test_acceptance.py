@@ -149,8 +149,8 @@ def test_a6_unitary_invariance_of_spectra():
     )
     box = TruncationBox(1, 64)
     grid = QuadratureGrid(1, 512)
-    s_direct, _ = matrix_sequence(assemble_discrete(sigma, box, grid), symmetrize=False)
-    s_via, _ = matrix_sequence(adjoint(assemble_toroidal(flip(sigma), box, grid)), symmetrize=False)
+    s_direct, _, _ = matrix_sequence(assemble_discrete(sigma, box, grid), symmetrize=False)
+    s_via, _, _ = matrix_sequence(adjoint(assemble_toroidal(flip(sigma), box, grid)), symmetrize=False)
     elapsed = time.time() - t0
     gap = float(np.max(np.abs(s_direct - s_via)))
     ok = gap <= 1e-10 * s_direct[0] and elapsed < 10.0

@@ -190,9 +190,31 @@ def test_oversize_matrix_exits_1_before_allocating(tmp_path, capsys, command):
     cfg = write(tmp_path, OVERSIZE)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "r")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: a dense 16008001 x 16008001 complex matrix needs")
+    # connes keeps the band of half-width 1 + 4001 = 4002, never the dense matrix
+    what = "a band of 16008001 x 8005 complex entries" if command == "connes" else (
+        "a dense 16008001 x 16008001 complex matrix")
+    assert err.startswith(f"error: {what} needs")
     assert err.endswith("of physical memory\n")
     assert err.count("\n") == 1
+
+
+def test_banded_connes_is_sized_by_its_band(tmp_path, monkeypatch, capsys):
+    # at M = 2048 the dense matrix takes 16 * 4097^2 B = 268.6 MB and
+    # the band of half-width 1 takes 16 * 4097 * 3 B = 197 kB
+    import nclab.quantize as quantize
+    import nclab.spectral as spectral
+
+    if spectral._lapack() is None:
+        pytest.skip("numpy ships no LAPACKE dsterf: connes would need the dense matrix")
+    monkeypatch.setattr(quantize, "_physical_memory", lambda: 200 * 10**6)
+    cfg = write(tmp_path, COSINE.replace("M = 24", "M = 2048").replace("Q = 256", "Q = 16384"))
+    assert main(["connes", "--config", cfg, "--out", str(tmp_path / "c"), "--quiet"]) == 0
+    data = json.loads((tmp_path / "c" / "connes.json").read_text())
+    assert data["relative_deviation"] <= 1e-4
+    assert main(["quantize", "--config", cfg, "--out", str(tmp_path / "q")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a dense 4097 x 4097 complex matrix needs 0.3 GiB, more than the 0.2 GiB")
+    assert not (tmp_path / "q" / "matrix.csv").exists()
 
 
 def test_identity_check_config_pinned_near_achieved_deviation(tmp_path):

@@ -52,7 +52,7 @@ def test_fast_path_matches_full_assembly():
     box = TruncationBox(1, 16)
     run = build_spectrum(sigma, 1, 16)
     assert run.diagonal_path
-    full, _ = matrix_sequence(assemble_discrete(sigma, box, QuadratureGrid(1, 128)), symmetrize=False)
+    full, _, _ = matrix_sequence(assemble_discrete(sigma, box, QuadratureGrid(1, 128)), symmetrize=False)
     assert np.max(np.abs(run.sequence - full)) < 1e-13
 
 
@@ -268,7 +268,11 @@ def test_build_spectrum_matches_the_inline_solve(case):
     run = build_spectrum(sigma, 1, 24, symmetrize=symmetrize)
     assert run.diagonal_path == (symmetrize is None)
     seq, deviation = _inline_solve(sigma, 1, 24, symmetrize)
-    assert np.array_equal(run.sequence, seq)
+    if case == "symmetrized":  # the band's dsterf against dense eigvalsh
+        assert run.solver == "tridiagonal"
+        assert np.max(np.abs(run.sequence - seq)) <= 1e-13 * seq[0]
+    else:
+        assert np.array_equal(run.sequence, seq)
     assert run.hermiticity_deviation == deviation
     if case == "complex diagonal":
         assert deviation > 0.5  # moduli, not real parts
@@ -293,6 +297,20 @@ def test_pole_on_the_assembled_path_is_a_usage_error():
         return _pole_at_3(first, x) * (1 + 0.5 * np.cos(2 * np.pi * np.asarray(x, dtype=float)[..., 0]))
 
     sigma = Symbol(func, order=-1)
+    for symmetrize in (True, False):
+        with pytest.raises(UsageError, match="non-finite"):
+            build_spectrum(sigma, 1, 16, symmetrize=symmetrize)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x_bandwidth", [None, 1])  # full Q-point rule, band of reach 1
+def test_pole_on_the_assembled_path_reports_only_the_usage_error(x_bandwidth):
+    # no errstate in the symbol: the kernel's samples must not warn
+    def func(first, x):
+        k = np.asarray(first, dtype=float)[..., 0]
+        return (1 + 0.5 * np.cos(2 * np.pi * np.asarray(x, dtype=float)[..., 0])) / (np.abs(k) - 3.0)
+
+    sigma = Symbol(func, order=-1, x_bandwidth=x_bandwidth)
     for symmetrize in (True, False):
         with pytest.raises(UsageError, match="non-finite"):
             build_spectrum(sigma, 1, 16, symmetrize=symmetrize)

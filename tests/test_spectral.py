@@ -102,9 +102,78 @@ def test_hermitian_identity():
 
 def test_hermitian_part_of_asymmetric_matrix():
     # no rejection: the Hermitian part is solved and the asymmetry reported
-    w, deviation = matrix_sequence(np.array([[0.0, 1.0], [0.0, 0.0]]), symmetrize=True)
+    w, deviation, solver = matrix_sequence(np.array([[0.0, 1.0], [0.0, 0.0]]), symmetrize=True)
     assert deviation == 1.0
+    assert solver == "dense"
     assert w.tolist() == [0.5, -0.5]
+
+
+# ---------------------------------------------------------------------------
+# banded operators: dsterf and zhbevd against dense eigvalsh
+
+BANDED = {
+    # phased, so the band is complex and A* is not A^T
+    "1-D b=1": (1, "(1+0.5*cos(2*pi*x1+0.3))*<xi>^(-1)", None, 1, "tridiagonal"),
+    "1-D b=3": (1, "(1+0.5*cos(2*pi*x1+0.3))*<xi>^(-1)", "0.3*sin(2*pi*3*x1+xi1)*<xi>^(-2)", 3, "banded"),
+    "2-D b=1": (2, "(1+0.5*cos(2*pi*x1+0.3))*(1+|xi|^2)^(-1)", None, 1, "banded"),
+}
+
+
+def banded_operator(case, M=10):
+    from nclab.dsl import to_symbol
+    from nclab.lattice import TruncationBox
+    from nclab.quantize import assemble_toroidal
+    from nclab.symbols import flip
+
+    n, main, main_im, b, _ = BANDED[case]
+    A = assemble_toroidal(flip(to_symbol(main, n=n, order=-n, main_im=main_im)), TruncationBox(n, M))
+    assert A.kd == b * sum((2 * M + 1) ** j for j in range(n))  # 1, 3 and 22 at M = 10
+    return A
+
+
+@pytest.mark.parametrize("case", list(BANDED))
+def test_banded_solve_matches_dense_eigvalsh(case):
+    A = banded_operator(case)
+    w, deviation, solver = matrix_sequence(A, symmetrize=True)
+    want, want_deviation, want_solver = matrix_sequence(A.entries, symmetrize=True)
+    assert (solver, want_solver) == (BANDED[case][-1], "dense")
+    assert np.max(np.abs(w - want)) <= 1e-13 * want[0]
+    assert deviation == want_deviation
+    assert deviation > 0  # the phase leaves a real asymmetry to measure
+
+
+@pytest.mark.parametrize("case", list(BANDED))
+def test_banded_solve_without_lapack_is_the_dense_solve(monkeypatch, case):
+    import nclab.spectral as spectral
+
+    A = banded_operator(case)
+    monkeypatch.setattr(spectral, "_lapack", lambda: None)
+    w, deviation, solver = matrix_sequence(A, symmetrize=True)
+    want, want_deviation, _ = matrix_sequence(A.entries, symmetrize=True)
+    assert solver == "dense"
+    assert np.array_equal(w, want)
+    assert deviation == want_deviation
+
+
+def test_banded_operator_unsymmetrized_takes_the_dense_svd():
+    A = banded_operator("1-D b=1")
+    w, deviation, solver = matrix_sequence(A, symmetrize=False)
+    want, want_deviation, _ = matrix_sequence(A.entries, symmetrize=False)
+    assert solver == "svd"
+    assert np.array_equal(w, want)
+    assert deviation == want_deviation
+
+
+@pytest.mark.parametrize("case", ["1-D b=1", "2-D b=1"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_banded_solve_rejects_non_finite(case, bad):
+    from nclab.quantize import OperatorMatrix
+
+    A = banded_operator(case, M=3)
+    data = A.data.copy()
+    data[5, A.kd + 1] = bad
+    with pytest.raises(UsageError, match="non-finite"):
+        matrix_sequence(OperatorMatrix(data, A.box, A.basis, A.kd), symmetrize=True)
 
 
 # ---------------------------------------------------------------------------
