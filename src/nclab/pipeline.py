@@ -7,8 +7,8 @@ on the integration variable it evaluates the diagonal over the box;
 otherwise it assembles the toroidal operator of the flipped symbol
 (singular values are shared with the discrete operator since the
 bases differ by a unitary conjugation).  A symbol whose expression
-bounds its x-bandwidth comes back from assemble_toroidal as a band,
-never as an S x S matrix.  Turning that diagonal, band or matrix into
+bounds its x-bandwidth narrowly enough (quantize.BAND_RATIO) comes
+back from assemble_toroidal as a band, never as an S x S matrix.  Turning that diagonal, band or matrix into
 the sorted sequence, with its Hermiticity deviation, the non-finite
 check and the choice of solver, is spectral's job (diagonal_sequence,
 matrix_sequence); this module only chooses between them and reports
@@ -78,7 +78,7 @@ class SpectrumRun:
     Q: int  # 0 when the diagonal fast path skipped assembly
     symmetrized: bool
     diagonal_path: bool
-    solver: str  # diagonal, tridiagonal, banded, dense or svd
+    solver: str  # diagonal, banded, dense or svd
     sequence: np.ndarray  # nonincreasing; signed for symmetrized runs
     min_eigenvalue: float
     hermiticity_deviation: float
@@ -93,8 +93,8 @@ def build_spectrum(
     symmetrize: Optional[bool] = None,
 ) -> SpectrumRun:
     """Diagonal fast path for multipliers; otherwise assemble the
-    toroidal operator of the flipped symbol (as a band when its reach
-    is below 2M) and take eigenvalues of its Hermitian part (symmetrize
+    toroidal operator of the flipped symbol (as a band when that band
+    is narrow) and take eigenvalues of its Hermitian part (symmetrize
     on, the default for x-dependent symbols) or singular values
     (symmetrize off)."""
     if sigma.side != DISCRETE:

@@ -32,10 +32,13 @@ sampled on the Q^n grid.
 
 With r < 2M every nonzero entry lies within index distance
 kd = r * sum_{j<n} (2M+1)^j of the diagonal (box enumeration is
-lexicographic, last axis fastest), so assemble_toroidal writes the
-kernel's in-band entries straight into band storage of half-width kd
-(OperatorMatrix.kd) and never allocates the S x S matrix; .entries
-materialises it for the consumers that need it dense.
+lexicographic, last axis fastest).  When that band is narrow
+(BAND_RATIO * kd < S, so never for r = 2M) assemble_toroidal writes
+the kernel's in-band entries straight into band storage of half-width
+kd (OperatorMatrix.kd) and never allocates the S x S matrix; .entries
+materialises it for the consumers that need it dense.  A wider band
+is assembled dense: its banded solve would be slower than the dense
+one.
 assemble_discrete, whose only consumers (quantize and verify_identity)
 export or compare the dense matrix, always assembles it dense.
 
@@ -73,6 +76,14 @@ BINARY_MAGIC = b"NCRM"
 # peak memory (about 40 bytes per sample: the real samples, their
 # complex copy and its transform).
 BLOCK_POINTS = 2**15
+
+# A toroidal operator of band half-width kd is kept in band storage only
+# when BAND_RATIO * kd < S, chosen by measurement: on one BLAS thread
+# zhbevd's band reduction overtook the dense eigvalsh near kd = S/16
+# (S = 513 and 2049 in 1-D, S = 2401 in 2-D), and up to kd = S/2 it
+# took 2 to 4 times as long.  Past 2kd + 1 = S the band would also
+# outgrow the dense matrix.
+BAND_RATIO = 16
 
 
 @dataclass(frozen=True)
@@ -115,9 +126,9 @@ class OperatorMatrix:
     of half-width kd as an (S, 2kd+1) array with
     data[min(i, j), kd + i - j] = A[i, j]: column kd + m holds the m-th
     subdiagonal by column index, column kd - m the m-th superdiagonal
-    by row index, so data[:, kd:] is LAPACK's lower band storage of A
-    and data[:, kd::-1] that of A^T.  Entries with |i - j| > kd and the
-    slots past the matrix's edge are zero."""
+    by row index.  Entries with |i - j| > kd and the slots past the
+    matrix's edge are zero.  Only this class reads that layout:
+    consumers take .entries or lower_bands()."""
 
     data: np.ndarray
     box: TruncationBox
@@ -147,6 +158,15 @@ class OperatorMatrix:
         out = np.zeros((S, S), dtype=complex)
         out[rows[inside], cols[inside]] = self.data[inside]
         return out
+
+    def lower_bands(self) -> tuple[np.ndarray, np.ndarray]:
+        """LAPACK's lower band storage of A and of A* for a banded
+        matrix: (S, kd + 1) arrays with [j, m] = A[j + m, j] and
+        A*[j + m, j] = conj(A[j, j + m]), zero past the band and the
+        matrix's edge."""
+        if self.kd is None:
+            raise UsageError("lower_bands needs a banded matrix")
+        return self.data[:, self.kd :], self.data[:, self.kd :: -1].conj()
 
 
 def _reach(sym: Symbol, box: TruncationBox) -> int:
@@ -260,18 +280,17 @@ def assemble_toroidal(
 ) -> OperatorMatrix:
     """Matrix of the toroidal quantization of tau(x, k) in the Fourier
     basis: column m holds the x-Fourier coefficients of tau(., m) at
-    offsets eta - m.  Held as its band (OperatorMatrix.kd) when the
-    reach is below 2M, dense otherwise."""
+    offsets eta - m.  Held as its band (OperatorMatrix.kd) when
+    BAND_RATIO * kd < S, dense otherwise."""
     if tau.side != TOROIDAL:
         raise UsageError("assemble_toroidal expects a toroidal-side symbol")
-    reach = _reach(tau, box)
-    if reach == 2 * box.M:
+    kd = _reach(tau, box) * sum((2 * box.M + 1) ** j for j in range(box.n))
+    if BAND_RATIO * kd >= box.size:  # reach 2M always lands here: kd = S - 1
         grid = _check_sizes(box, grid)
         out = np.zeros((box.size, box.size), dtype=complex)
         for rows, cols, values in _coefficient_blocks(tau, box, grid):
             out[cols, rows] = values.T
         return OperatorMatrix(out, box, FOURIER_MODE)
-    kd = reach * sum((2 * box.M + 1) ** j for j in range(box.n))
     grid = _check_sizes(box, grid, kd)
     band = np.zeros((box.size, 2 * kd + 1), dtype=complex)
     for rows, cols, values in _coefficient_blocks(tau, box, grid):

@@ -7,13 +7,13 @@ Hermiticity deviation max|A - A*| once, then returns the eigenvalues
 of the Hermitian part (A + A*)/2 or the singular values, and names the
 solver it picked from the matrix's structure.  A banded operator
 (quantize.OperatorMatrix with a half-width kd) keeps its band: the
-deviation and the Hermitian part are formed on it, and LAPACK's dsterf
-(kd = 1, on a real tridiagonal) or zhbevd (kd > 1) solves it in
-O(S^2) or O(S^2 kd) time and O(S kd) memory instead of the dense
-eigvalsh's O(S^3) and S^2.  Both routines come from the OpenBLAS that
-numpy's wheel bundles (numpy.libs), bound through ctypes at the first
-banded solve; a numpy build without that library falls back to dense
-eigvalsh.
+deviation and the Hermitian part are formed on it, and LAPACK's zhbevd
+solves it in O(S^2 kd) time and O(S kd) memory instead of the dense
+eigvalsh's O(S^3) and S^2 (for kd = 1 its reduction is an O(S) phase
+scaling, and the O(S^2) tridiagonal QR dominates).  zhbevd comes from
+the OpenBLAS that numpy's wheel bundles (numpy.libs), bound through
+ctypes at the first banded solve; a numpy build without that library
+falls back to dense eigvalsh.
 diagonal_sequence takes the values of a diagonal operator: their real
 parts when the imaginary parts are round-off, their moduli otherwise.
 Both sort NONINCREASING (largest first; the partial sums only capture
@@ -73,37 +73,29 @@ def matrix_sequence(A, symmetrize: bool) -> tuple[np.ndarray, float, str]:
     max|A - A*| and the solver that produced it: the eigenvalues of the
     Hermitian part (A + A*)/2 when symmetrize, the singular values of
     the dense matrix ("svd") otherwise.  A banded operator's Hermitian
-    part is solved in band storage, by dsterf on a real tridiagonal
-    ("tridiagonal", kd = 1) or by zhbevd ("banded", kd > 1); a dense
-    one, or any when numpy's LAPACK is not at hand, by eigvalsh
-    ("dense").  A non-finite entry makes the deviation non-finite,
-    which raises UsageError before any solve."""
+    part is solved in band storage by zhbevd ("banded"); a dense one,
+    or any when numpy's LAPACK is not at hand, by eigvalsh ("dense").
+    A non-finite entry makes the deviation non-finite, which raises
+    UsageError before any solve."""
     kd = getattr(A, "kd", None)
-    lapack = _lapack() if kd is not None and symmetrize else None
-    if lapack is None:
+    zhbevd = _zhbevd() if kd is not None and symmetrize else None
+    if zhbevd is None:
         entries = np.asarray(getattr(A, "entries", A))
         deviation = _hermiticity_deviation(entries, entries.conj().T)
         if symmetrize:
             H = 0.5 * (entries + entries.conj().T)
             return np.linalg.eigvalsh(H)[::-1].copy(), deviation, "dense"
         return np.linalg.svd(entries, compute_uv=False), deviation, "svd"
-    band = np.asarray(A.data, dtype=complex)
-    # lower[j, m] = A[j+m, j] and adjoint[j, m] = conj(A[j, j+m]) = A*[j+m, j]:
-    # both in lower band storage, and zero past the band, as dense A - A* is
-    lower, adjoint = band[:, kd:], band[:, kd::-1].conj()
+    # A and A* in one band layout, zero past the band as dense A - A* is
+    lower, adjoint = A.lower_bands()
     deviation = _hermiticity_deviation(lower, adjoint)
-    H = 0.5 * (lower + adjoint)
-    dsterf, zhbevd = lapack
-    if kd == 1:
-        # a diagonal phase similarity turns the Hermitian tridiagonal H
-        # into the real one with off-diagonal |H[j+1, j]|: same eigenvalues
-        d, e = np.ascontiguousarray(H[:, 0].real), np.abs(H[:-1, 1])
-        _check_info("dsterf", dsterf(len(d), d.ctypes.data, e.ctypes.data))
-        return d[::-1].copy(), deviation, "tridiagonal"
+    # a C-ordered complex (S, kd+1) array is LAPACK's column-major lower band
+    H = np.ascontiguousarray(0.5 * (lower + adjoint), dtype=complex)
     S = len(H)
     w, z = np.empty(S), np.empty(1, dtype=complex)  # z is not referenced for jobz = N
     info = zhbevd(_LAPACK_COL_MAJOR, b"N", b"L", S, kd, H.ctypes.data, kd + 1, w.ctypes.data, z.ctypes.data, 1)
-    _check_info("zhbevd", info)
+    if info != 0:
+        raise NonConvergenceError(f"LAPACK zhbevd failed (info {info})")
     return w[::-1].copy(), deviation, "banded"
 
 
@@ -121,28 +113,20 @@ _LAPACK_COL_MAJOR = 102
 
 
 @functools.cache
-def _lapack():
-    """LAPACKE's dsterf and zhbevd (64-bit integers) from the OpenBLAS
-    that numpy's wheel bundles in numpy.libs, with argument types
-    declared; None when this numpy build ships no such library or
-    symbol."""
+def _zhbevd():
+    """LAPACKE's zhbevd (64-bit integers) from the OpenBLAS that numpy's
+    wheel bundles in numpy.libs, with argument types declared; None
+    when this numpy build ships no such library or symbol."""
     folder = os.path.dirname(np.__file__) + ".libs"
     try:
         name = next(f for f in sorted(os.listdir(folder)) if f.startswith("libscipy_openblas64_"))
-        lib = ctypes.CDLL(os.path.join(folder, name))
-        dsterf, zhbevd = lib.scipy_LAPACKE_dsterf64_, lib.scipy_LAPACKE_zhbevd64_
+        zhbevd = ctypes.CDLL(os.path.join(folder, name)).scipy_LAPACKE_zhbevd64_
     except (OSError, StopIteration, AttributeError):
         return None
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    dsterf.argtypes, dsterf.restype = (i64, ptr, ptr), i64
     zhbevd.argtypes = (ctypes.c_int, ctypes.c_char, ctypes.c_char, i64, i64, ptr, i64, ptr, ptr, i64)
     zhbevd.restype = i64
-    return dsterf, zhbevd
-
-
-def _check_info(routine: str, info: int) -> None:
-    if info != 0:
-        raise NonConvergenceError(f"LAPACK {routine} failed (info {info})")
+    return zhbevd
 
 
 def diagonal_sequence(values) -> tuple[np.ndarray, float]:

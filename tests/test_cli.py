@@ -204,8 +204,8 @@ def test_banded_connes_is_sized_by_its_band(tmp_path, monkeypatch, capsys):
     import nclab.quantize as quantize
     import nclab.spectral as spectral
 
-    if spectral._lapack() is None:
-        pytest.skip("numpy ships no LAPACKE dsterf: connes would need the dense matrix")
+    if spectral._zhbevd() is None:
+        pytest.skip("numpy ships no LAPACKE zhbevd: connes would need the dense matrix")
     monkeypatch.setattr(quantize, "_physical_memory", lambda: 200 * 10**6)
     cfg = write(tmp_path, COSINE.replace("M = 24", "M = 2048").replace("Q = 256", "Q = 16384"))
     assert main(["connes", "--config", cfg, "--out", str(tmp_path / "c"), "--quiet"]) == 0

@@ -268,8 +268,8 @@ def test_build_spectrum_matches_the_inline_solve(case):
     run = build_spectrum(sigma, 1, 24, symmetrize=symmetrize)
     assert run.diagonal_path == (symmetrize is None)
     seq, deviation = _inline_solve(sigma, 1, 24, symmetrize)
-    if case == "symmetrized":  # the band's dsterf against dense eigvalsh
-        assert run.solver == "tridiagonal"
+    if case == "symmetrized":  # the band's zhbevd against dense eigvalsh
+        assert run.solver == "banded"
         assert np.max(np.abs(run.sequence - seq)) <= 1e-13 * seq[0]
     else:
         assert np.array_equal(run.sequence, seq)

@@ -109,25 +109,25 @@ def test_hermitian_part_of_asymmetric_matrix():
 
 
 # ---------------------------------------------------------------------------
-# banded operators: dsterf and zhbevd against dense eigvalsh
+# banded operators: zhbevd against dense eigvalsh
 
 BANDED = {
-    # phased, so the band is complex and A* is not A^T
-    "1-D b=1": (1, "(1+0.5*cos(2*pi*x1+0.3))*<xi>^(-1)", None, 1, "tridiagonal"),
-    "1-D b=3": (1, "(1+0.5*cos(2*pi*x1+0.3))*<xi>^(-1)", "0.3*sin(2*pi*3*x1+xi1)*<xi>^(-2)", 3, "banded"),
-    "2-D b=1": (2, "(1+0.5*cos(2*pi*x1+0.3))*(1+|xi|^2)^(-1)", None, 1, "banded"),
+    # phased, so the band is complex and A* is not A^T; M keeps 16 kd < S
+    "1-D b=1": (1, 10, "(1+0.5*cos(2*pi*x1+0.3))*<xi>^(-1)", None, 1),
+    "1-D b=3": (1, 24, "(1+0.5*cos(2*pi*x1+0.3))*<xi>^(-1)", "0.3*sin(2*pi*3*x1+xi1)*<xi>^(-2)", 3),
+    "2-D b=1": (2, 10, "(1+0.5*cos(2*pi*x1+0.3))*(1+|xi|^2)^(-1)", None, 1),
 }
 
 
-def banded_operator(case, M=10):
+def banded_operator(case):
     from nclab.dsl import to_symbol
     from nclab.lattice import TruncationBox
     from nclab.quantize import assemble_toroidal
     from nclab.symbols import flip
 
-    n, main, main_im, b, _ = BANDED[case]
+    n, M, main, main_im, b = BANDED[case]
     A = assemble_toroidal(flip(to_symbol(main, n=n, order=-n, main_im=main_im)), TruncationBox(n, M))
-    assert A.kd == b * sum((2 * M + 1) ** j for j in range(n))  # 1, 3 and 22 at M = 10
+    assert A.kd == b * sum((2 * M + 1) ** j for j in range(n))  # 1, 3 and 22
     return A
 
 
@@ -136,7 +136,7 @@ def test_banded_solve_matches_dense_eigvalsh(case):
     A = banded_operator(case)
     w, deviation, solver = matrix_sequence(A, symmetrize=True)
     want, want_deviation, want_solver = matrix_sequence(A.entries, symmetrize=True)
-    assert (solver, want_solver) == (BANDED[case][-1], "dense")
+    assert (solver, want_solver) == ("banded", "dense")
     assert np.max(np.abs(w - want)) <= 1e-13 * want[0]
     assert deviation == want_deviation
     assert deviation > 0  # the phase leaves a real asymmetry to measure
@@ -147,11 +147,43 @@ def test_banded_solve_without_lapack_is_the_dense_solve(monkeypatch, case):
     import nclab.spectral as spectral
 
     A = banded_operator(case)
-    monkeypatch.setattr(spectral, "_lapack", lambda: None)
+    monkeypatch.setattr(spectral, "_zhbevd", lambda: None)
     w, deviation, solver = matrix_sequence(A, symmetrize=True)
     want, want_deviation, _ = matrix_sequence(A.entries, symmetrize=True)
     assert solver == "dense"
     assert np.array_equal(w, want)
+    assert deviation == want_deviation
+
+
+def test_banded_solve_converts_a_real_band():
+    # zhbevd reads complex128: a float64 band must be converted, not reinterpreted
+    from nclab.quantize import OperatorMatrix
+
+    A = banded_operator("1-D b=3")
+    real = OperatorMatrix(A.data.real.copy(), A.box, A.basis, A.kd)
+    w, deviation, solver = matrix_sequence(real, symmetrize=True)
+    want, want_deviation, _ = matrix_sequence(real.entries, symmetrize=True)
+    assert solver == "banded"
+    assert np.max(np.abs(w - want)) <= 1e-13 * want[0]
+    assert deviation == want_deviation
+
+
+@pytest.mark.parametrize("b, kd", [(1, 1), (2, None), (12, None)])
+def test_wide_band_is_assembled_dense(b, kd):
+    # M = 10, S = 21: half-width b stays a band only for 16 b < 21; at
+    # b = 12 > M the band storage would even outgrow the dense matrix
+    from nclab.dsl import to_symbol
+    from nclab.lattice import TruncationBox
+    from nclab.quantize import assemble_toroidal
+    from nclab.symbols import flip
+
+    sigma = to_symbol(f"(1+0.5*cos(2*pi*{b}*x1+0.3))*<xi>^(-1)", n=1, order=-1)
+    A = assemble_toroidal(flip(sigma), TruncationBox(1, 10))
+    assert A.kd == kd
+    w, deviation, solver = matrix_sequence(A, symmetrize=True)
+    assert solver == ("dense" if kd is None else "banded")
+    want, want_deviation, _ = matrix_sequence(A.entries, symmetrize=True)
+    assert np.max(np.abs(w - want)) <= 1e-13 * want[0]
     assert deviation == want_deviation
 
 
@@ -169,7 +201,7 @@ def test_banded_operator_unsymmetrized_takes_the_dense_svd():
 def test_banded_solve_rejects_non_finite(case, bad):
     from nclab.quantize import OperatorMatrix
 
-    A = banded_operator(case, M=3)
+    A = banded_operator(case)
     data = A.data.copy()
     data[5, A.kd + 1] = bad
     with pytest.raises(UsageError, match="non-finite"):
