@@ -7,9 +7,9 @@ Usage:
 
 SRC_A and SRC_B are nclab checkouts (each holding src/nclab).  Every
 CLI command, plus `residue --convention paper`, runs on every
-configs/*.cfg of the checkout that holds this script, and on the config
+configs/*.cfg of the checkout that holds this script, on the config
 of every benchmark workload (perfbench/workloads.py) at seed
-WORKLOAD_SEED, once per tree, as a fresh
+WORKLOAD_SEED and on the BRANCH_CONFIGS, once per tree, as a fresh
 `python -m nclab.cli COMMAND [FLAGS] --config CFG --out DIR --quiet`.
 Runs go one at a time, with BLAS and OpenMP pinned to one thread and
 the address space capped at ADDRESS_SPACE bytes, so an oversize run
@@ -53,10 +53,28 @@ ADDRESS_SPACE = 4 * 2**30
 TIMEOUT_S = 900
 WORKLOAD_SEED = 7
 THREAD_PIN = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+# Configs for the assembly branches that no shipped config reaches:
+# name -> (n, x-dependent factor, M) of (factor) * <xi>^(-n) (for n = 1)
+# or (factor) * (1+|xi|^2)^(-1) (for n = 2).  In turn: no known band
+# (b = inf), a band as wide as the box (b >= 2M, the full Q-point rule),
+# a band on the dense side of quantize.BAND_RATIO (b = M/4) and a 2-D band.
+BRANCH_CONFIGS = {
+    "band_inf_1d": (1, "exp(0.3*cos(2*pi*x1))", 64),
+    "band_wide_1d": (1, "1+0.5*cos(2*pi*100*x1)", 32),
+    "band_dense_1d": (1, "1+0.5*cos(2*pi*16*x1)", 64),
+    "band_2d": (2, "1+0.5*cos(2*pi*x1)", 12),
+}
 # (label, command, extra flags) of every run on a config
 RUNS = [(command, command, ()) for command in _COMMANDS] + [
     ("residue-paper", "residue", ("--convention", "paper")),
 ]
+
+
+def branch_config(n: int, factor: str, M: int) -> str:
+    """The config text of one BRANCH_CONFIGS entry."""
+    decay = "<xi>^(-1)" if n == 1 else "(1+|xi|^2)^(-1)"
+    return (f"[symbol]\nn = {n}\nmain = ({factor})*{decay}\norder = {-n}\n"
+            f"term_0 = {-n} ; {factor}\n[lattice]\nM = {M}\n")
 
 
 def _cap_address_space():
@@ -174,10 +192,12 @@ def main() -> int:
     mismatches = 0
     with tempfile.TemporaryDirectory(prefix="nclab-compare-") as tmp:
         configs = sorted((ROOT / "configs").glob("*.cfg"))
-        for name, workload in WORKLOADS.items():
-            config = Path(tmp) / "workloads" / f"{name}.cfg"
+        written = [(name, workload.config(WORKLOAD_SEED)) for name, workload in WORKLOADS.items()]
+        written += [(name, branch_config(*spec)) for name, spec in BRANCH_CONFIGS.items()]
+        for name, text in written:
+            config = Path(tmp) / "generated" / f"{name}.cfg"
             config.parent.mkdir(exist_ok=True)
-            config.write_text(workload.config(WORKLOAD_SEED))
+            config.write_text(text)
             configs.append(config)
         for config in configs:
             for label, command, flags in RUNS:

@@ -2,17 +2,21 @@
 order-(-n) operator matches the residue of its flipped symbol.
 
 build_spectrum is the one entry point to the spectral side.  It picks
-the path from the symbol's structure: when the symbol does not depend
-on the integration variable it evaluates the diagonal over the box;
-otherwise it assembles the toroidal operator of the flipped symbol
-(singular values are shared with the discrete operator since the
-bases differ by a unitary conjugation).  A symbol whose expression
-bounds its x-bandwidth narrowly enough (quantize.BAND_RATIO) comes
-back from assemble_toroidal as a band, never as an S x S matrix.  Turning that diagonal, band or matrix into
-the sorted sequence, with its Hermiticity deviation, the non-finite
-check and the choice of solver, is spectral's job (diagonal_sequence,
-matrix_sequence); this module only chooses between them and reports
-the solver that ran.
+the path from the symbol's declared structure (Symbol.x_bandwidth),
+never from samples: a symbol declared x-free (bandwidth 0) is a
+multiplier, and its diagonal is evaluated over the box; every other
+symbol, a plain Symbol(func) of unknown bandwidth included, has the
+toroidal operator of its flipped symbol assembled (singular values
+are shared with the discrete operator since the bases differ by a
+unitary conjugation).  Symbols derived by flip, finite_modify
+(regularize_at_origin), difference and partial_x keep their input's
+bandwidth, so they take their input's path.  A symbol whose bandwidth
+is narrow enough (quantize.BAND_RATIO) comes back from
+assemble_toroidal as a band, never as an S x S matrix.  Turning that
+diagonal, band or matrix into the sorted sequence, with its
+Hermiticity deviation, the non-finite check and the choice of solver,
+is spectral's job (diagonal_sequence, matrix_sequence); this module
+only chooses between them and reports the solver that ran.
 
 Symmetrization: a toroidal operator built from a real symbol is not
 exactly Hermitian at finite truncation; (A + A*)/2 differs from A at
@@ -32,41 +36,19 @@ from typing import Optional
 import numpy as np
 
 from .errors import UsageError
-from .lattice import TruncationBox, torus_grid
+from .lattice import TruncationBox
 from .quantize import QuadratureGrid, assemble_toroidal
 from .residue import CONVENTIONS_STANZA, LATTICE, PAPER, SphereRule, dixmier_trace_formula, residue_value
 from .spectral import SpectralSummary, diagonal_sequence, matrix_sequence, trace_estimate
 from .symbols import DISCRETE, Symbol, evaluate, flip
 
 
-def depends_on_second(sigma: Symbol, n: int, M: int, tol: float = 1e-12) -> bool:
-    """Whether sigma depends on its second argument: the symbol's
-    x_dependent flag when known (from its expression), otherwise a
-    sampled-variation probe along each axis of the assembly grid of
-    the box [-M, M]^n, plus one asymmetric point when n > 1.  The
-    probe can miss a dependence that vanishes at every sample;
-    symbols built from expressions never reach it.  A non-finite
-    spread of samples counts as dependence: when in doubt, assemble."""
-    if sigma.x_dependent is not None:
-        return sigma.x_dependent
-    q = QuadratureGrid.for_box(TruncationBox(n, M)).q
-    xs = np.zeros((n * q + (n > 1), n))
-    for axis in range(n):
-        xs[axis * q : (axis + 1) * q, axis] = torus_grid(1, q)[:, 0]
-    if n > 1:  # one asymmetric point off the axes
-        xs[-1] = np.linspace(0.11, 0.83, n)
-    firsts = [np.zeros(n)]
-    for s in (1, -1, M, -M):
-        v = np.zeros(n)
-        v[0] = s
-        firsts.append(v)
-    if n > 1:
-        firsts.append(np.ones(n))
-    for f in firsts:
-        vals = evaluate(sigma.func, f, xs, (len(xs),))
-        if not np.max(np.abs(vals - vals[0])) <= tol:
-            return True
-    return False
+def depends_on_second(sigma: Symbol) -> bool:
+    """Whether the spectrum of sigma must be assembled: every symbol
+    except one whose x_bandwidth declares it x-free (0).  An unknown
+    bandwidth (a plain Symbol(func)) counts as dependence, as it does
+    for assembly's reach."""
+    return sigma.x_bandwidth != 0
 
 
 @dataclass(frozen=True)
@@ -101,7 +83,7 @@ def build_spectrum(
         raise UsageError("spectrum runs start from a discrete-side symbol")
     box = TruncationBox(n, M)
 
-    if not depends_on_second(sigma, n, M):
+    if not depends_on_second(sigma):
         vals = evaluate(sigma.func, box.points().astype(float), np.zeros(n), (box.size,))
         seq, herm_dev = diagonal_sequence(vals)
         return SpectrumRun(

@@ -131,9 +131,10 @@ def _zhbevd():
 
 def diagonal_sequence(values) -> tuple[np.ndarray, float]:
     """The nonincreasing sequence of a diagonal operator from its
-    diagonal values, and the largest imaginary part it dropped: the
-    real parts when every imaginary part is within
-    1e-12 * max(1, max|v|) (reported as 0), the moduli otherwise.  A
+    diagonal values, and its Hermiticity deviation: the real parts,
+    reported with deviation 0, when every imaginary part is within
+    1e-12 * max(1, max|v|); otherwise the moduli, with
+    max|A - A*| = 2 max|Im v| as matrix_sequence reports it.  A
     non-finite value raises UsageError."""
     values = np.asarray(values)
     top = float(np.max(np.abs(values)))
@@ -142,7 +143,7 @@ def diagonal_sequence(values) -> tuple[np.ndarray, float]:
     imag = float(np.max(np.abs(values.imag)))
     if imag <= 1e-12 * max(1.0, top):
         return np.sort(values.real)[::-1].copy(), 0.0
-    return np.sort(np.abs(values))[::-1].copy(), imag
+    return np.sort(np.abs(values))[::-1].copy(), 2.0 * imag
 
 
 def dixmier_quotients(s) -> np.ndarray:

@@ -91,15 +91,18 @@ class Symbol:
     second of shape (1, P, n), P = Q^n or (2r+2)^n, for blocks of at
     most quantize.BLOCK_POINTS samples.
 
-    x_bandwidth records what the symbol's expression says about its
-    second (torus) argument: None when unknown (an opaque callable),
-    0 when func does not depend on it, an integer b when func(k, .) is
-    a trigonometric polynomial of degree at most b per axis for every
-    k, and inf when it depends on x without a known band.  flip keeps
-    it; a symbol built around a new func starts unknown.  x_dependent
-    reads it as a flag.  Assembly reads the reach r = min(b, 2M) of a
-    truncation box [-M, M]^n: when r < 2M it samples the (2r+2)^n grid
-    and writes exact zeros at offsets beyond r (see quantize).
+    x_bandwidth declares what func does with its second (torus)
+    argument: 0 when func does not depend on it, an integer b when
+    func(k, .) is a trigonometric polynomial of degree at most b per
+    axis for every k, inf when it depends on x without a known band,
+    None when unknown (a plain Symbol(func) unless the caller declares
+    it; to_symbol reads it from the expression).  flip, finite_modify,
+    difference and partial_x keep it: none of them can widen the
+    x-band.  x_dependent reads it as a flag.  The pipeline takes the
+    diagonal path only for 0; assembly reads the reach r = min(b, 2M)
+    of a truncation box [-M, M]^n (2M when unknown): when r < 2M it
+    samples the (2r+2)^n grid and writes exact zeros at offsets beyond
+    r (see quantize).
     """
 
     func: Callable
@@ -226,7 +229,7 @@ def difference(sigma: Symbol, alpha) -> Symbol:
         return acc
 
     new_order = sigma.order - sigma.rho * float(np.sum(alpha))
-    return Symbol(diff_func, new_order, sigma.rho, sigma.delta, sigma.side, None)
+    return Symbol(diff_func, new_order, sigma.rho, sigma.delta, sigma.side, None, sigma.x_bandwidth)
 
 
 # ---------------------------------------------------------------------------
@@ -261,16 +264,6 @@ def partial_x(sigma: Symbol, beta, grid_size: int) -> Symbol:
 
     grid_pts = torus_grid(n, Q)
     base = sigma.func
-    cache: dict[tuple, np.ndarray] = {}
-
-    def coefficients(first_pt: np.ndarray) -> np.ndarray:
-        key = tuple(np.asarray(first_pt, dtype=float).ravel().tolist())
-        got = cache.get(key)
-        if got is None:
-            samples = evaluate(base, first_pt, grid_pts, (Q**n,)).reshape((Q,) * n)
-            got = np.fft.fftn(samples) / Q**n * mult
-            cache[key] = got
-        return got
 
     def synthesize(chat: np.ndarray, x: np.ndarray) -> np.ndarray:
         pts = np.asarray(x, dtype=float)
@@ -295,11 +288,12 @@ def partial_x(sigma: Symbol, beta, grid_size: int) -> Symbol:
         bounds = np.cumsum(np.bincount(inverse))[:-1]
         out = np.empty(len(firsts), dtype=complex)
         for key, idx in zip(keys, np.split(order, bounds)):
-            out[idx] = synthesize(coefficients(key), xs[idx])
+            samples = evaluate(base, key, grid_pts, (Q**n,)).reshape((Q,) * n)
+            out[idx] = synthesize(np.fft.fftn(samples) / Q**n * mult, xs[idx])
         return out.reshape(lead)
 
     new_order = sigma.order + sigma.delta * float(np.sum(beta))
-    return Symbol(deriv_func, new_order, sigma.rho, sigma.delta, sigma.side, None)
+    return Symbol(deriv_func, new_order, sigma.rho, sigma.delta, sigma.side, None, sigma.x_bandwidth)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +345,7 @@ def seminorm_estimate(
     xs = torus_grid(n, x_grid)
     sup_pointwise = np.zeros(len(pts))
     if np.any(beta > 0):
-        # spectral derivative caches per first-argument: iterate points
+        # the spectral derivative transforms once per first point: iterate points
         for i, p in enumerate(pts):
             vals = np.abs(np.asarray(g.func(p.astype(float), xs)))
             sup_pointwise[i] = np.max(vals)
@@ -456,7 +450,7 @@ def finite_modify(sigma: Symbol, patch: dict) -> Symbol:
     """Override the symbol at finitely many lattice points (first
     variable); a finite-rank change, invisible to the Dixmier trace.
     Keys are lattice points (tuples or ints), values the new constants.
-    The classical structure is unchanged."""
+    The classical structure and the x-bandwidth are unchanged."""
     if not patch:
         return sigma
 
@@ -488,35 +482,22 @@ def finite_modify(sigma: Symbol, patch: dict) -> Symbol:
             out[miss] = np.broadcast_to(base(sub_first, sub_x), (int(miss.sum()),))
         return out
 
-    return replace(sigma, func=patched, x_bandwidth=None)
+    return replace(sigma, func=patched)
 
 
 def regularize_at_origin(sigma: Symbol, n: int) -> Symbol:
     """Patch the origin of a symbol whose homogeneous expression is
-    singular at 0 with the angular average of its declared leading
-    term at |k| = 1.  A finite-rank change, so the Dixmier trace and
-    the residue are unaffected."""
+    singular at 0 with the average of its declared leading term over
+    the unit sphere at x = 0, by the residue's quadrature
+    (residue.sphere_rule(n), 1 <= n <= 3).  A finite-rank change, so
+    the Dixmier trace and the residue are unaffected."""
+    from .residue import sphere_rule  # local import: residue imports this module
+
     if sigma.classical is None or not sigma.classical.terms:
         raise UsageError("origin regularization needs a declared leading term")
     lead = sigma.classical.terms[0]
-    if n == 1:
-        thetas = np.array([[1.0], [-1.0]])
-    else:
-        ang = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-        if n == 2:
-            thetas = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-        else:
-            thetas = _fibonacci_sphere(128)
+    rule = sphere_rule(n)
     x0 = np.zeros(n)
-    avg = np.mean([complex(np.asarray(lead.angular(x0, th)).reshape(())) for th in thetas])
+    vals = [complex(np.asarray(lead.angular(x0, th)).reshape(())) for th in rule.nodes]
+    avg = np.dot(rule.weights, vals) / np.sum(rule.weights)
     return finite_modify(sigma, {tuple([0.0] * n): avg})
-
-
-def _fibonacci_sphere(count: int) -> np.ndarray:
-    i = np.arange(count) + 0.5
-    phi = np.arccos(1 - 2 * i / count)
-    golden = np.pi * (1 + 5**0.5)
-    th = golden * i
-    return np.stack(
-        [np.cos(th) * np.sin(phi), np.sin(th) * np.sin(phi), np.cos(phi)], axis=-1
-    )

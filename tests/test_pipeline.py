@@ -13,7 +13,7 @@ from nclab.pipeline import (
 from nclab.quantize import QuadratureGrid, assemble_discrete, assemble_toroidal
 from nclab.residue import LATTICE, PAPER, dixmier_trace_formula
 from nclab.spectral import matrix_sequence
-from nclab.symbols import Symbol, evaluate, flip
+from nclab.symbols import Symbol, evaluate, flip, regularize_at_origin
 
 
 def bracket_inv():
@@ -204,27 +204,49 @@ def test_one_residue_quadrature_serves_both_conventions(monkeypatch, n):
 
 @pytest.mark.parametrize("n, M", [(1, 16), (2, 4)])
 def test_probe_samples_x_along_the_assembly_grid(n, M):
-    # cos(2 pi 1000 x_n) is 1 wherever 1000 x_n is an integer, as at
-    # the five fixed offsets the probe once sampled; along the axes of
-    # the assembly grid (Q = 256 for M = 16, 64 for M = 4) it varies
+    # cos(2 pi 1000 x_n) is 1 wherever 1000 x_n is an integer, so
+    # sampled probes can miss it; an undeclared bandwidth is assembled
     def func(first, x):
         first, x = np.asarray(first, dtype=float), np.asarray(x, dtype=float)
         return (1 + 0.5 * np.cos(2 * np.pi * 1000 * x[..., -1])) / np.sqrt(1 + np.sum(first**2, axis=-1))
 
     sigma = Symbol(func, order=-n)
-    assert depends_on_second(sigma, n, M)
+    assert depends_on_second(sigma)
     assert not build_spectrum(sigma, n, M).diagonal_path
 
 
 def test_probe_reads_nan_samples_as_x_dependence():
-    # an opaque callable, NaN for x1 < 0.5: the samples give no finite
-    # spread, so the probe must not vouch for the diagonal path
+    # an opaque callable, NaN for x1 < 0.5: only a declared bandwidth
+    # of 0 vouches for the diagonal path
     def func(first, x):
         with np.errstate(invalid="ignore"):
             return np.sqrt(np.asarray(x, dtype=float)[..., 0] - 0.5)
 
-    assert depends_on_second(Symbol(func, order=0), 1, 8)
-    assert not depends_on_second(Symbol(lambda first, x: 2.0, order=0), 1, 8)
+    assert depends_on_second(Symbol(func, order=0))
+    assert not depends_on_second(Symbol(lambda first, x: 2.0, order=0, x_bandwidth=0))
+
+
+def test_undeclared_x_free_callable_is_assembled():
+    def func(first, x):
+        return (1 + np.sum(np.asarray(first, dtype=float) ** 2, axis=-1)) ** -0.5
+
+    undeclared = build_spectrum(Symbol(func, order=-1), 1, 16)
+    assert not undeclared.diagonal_path and undeclared.Q > 0
+    declared = build_spectrum(Symbol(func, order=-1, x_bandwidth=0), 1, 16)
+    assert declared.diagonal_path and declared.solver == "diagonal"
+    assert np.max(np.abs(undeclared.sequence - declared.sequence)) <= 1e-12
+
+
+def test_regularized_cosine_symbol_keeps_its_band():
+    # finite_modify keeps b = 1, so the operator is solved in band
+    # storage; an unknown bandwidth would assemble it dense
+    angular = "1+0.5*cos(2*pi*x1)"
+    base = to_symbol(f"({angular})/|xi|", n=1, order=-1, classical_terms=[(-1, angular)])
+    sigma = regularize_at_origin(base, 1)
+    assert sigma.x_bandwidth == 1
+    run = build_spectrum(sigma, 1, 64)
+    assert not run.diagonal_path
+    assert run.solver == "banded"
 
 
 def _inline_solve(sigma, n, M, symmetrize):
@@ -232,12 +254,12 @@ def _inline_solve(sigma, n, M, symmetrize):
     before spectral owned the step: the reference the owner must match
     bit for bit."""
     box = TruncationBox(n, M)
-    if symmetrize is None and not depends_on_second(sigma, n, M):
+    if symmetrize is None and not depends_on_second(sigma):
         vals = evaluate(sigma.func, box.points().astype(float), np.zeros(n), (box.size,))
         scale = max(1.0, float(np.max(np.abs(vals))))
         real_diag = float(np.max(np.abs(vals.imag))) <= 1e-12 * scale
         seq = np.sort(vals.real if real_diag else np.abs(vals))[::-1].copy()
-        return seq, 0.0 if real_diag else float(np.max(np.abs(vals.imag)))
+        return seq, 0.0 if real_diag else float(np.max(np.abs(vals - vals.conj())))
     A = assemble_toroidal(flip(sigma), box, QuadratureGrid.for_box(box))
     herm_dev = float(np.max(np.abs(A.entries - A.entries.conj().T)))
     if symmetrize:
@@ -263,7 +285,7 @@ def test_build_spectrum_matches_the_inline_solve(case):
         "symmetrized": (phased, True),
         "unsymmetrized": (phased, False),
         "real diagonal": (bracket_inv(), None),
-        "complex diagonal": (Symbol(_phased_bracket, order=-1), None),
+        "complex diagonal": (Symbol(_phased_bracket, order=-1, x_bandwidth=0), None),
     }[case]
     run = build_spectrum(sigma, 1, 24, symmetrize=symmetrize)
     assert run.diagonal_path == (symmetrize is None)
@@ -285,7 +307,7 @@ def _pole_at_3(first, x):
 
 def test_pole_on_the_diagonal_path_is_a_usage_error():
     # unchecked, the sorted sequence starts [inf, inf] and the fit returns nan
-    sigma = Symbol(_pole_at_3, order=-1)
+    sigma = Symbol(_pole_at_3, order=-1, x_bandwidth=0)
     with pytest.raises(UsageError, match="non-finite"):
         build_spectrum(sigma, 1, 64)
 

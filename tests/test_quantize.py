@@ -217,10 +217,18 @@ def test_patched_symbols_assemble_like_the_column_loop(n):
     )
     origin, unit = (0,) * n, (1,) + (0,) * (n - 1)
     box, grid = TruncationBox(n, 3), QuadratureGrid(n, 16)
+    pts = box.points()
+    beyond = np.max(np.abs(pts[:, None, :] - pts[None, :, :]), axis=-1) > 1
     for sigma in (finite_modify(base, {origin: 3.0, unit: -1j}), regularize_at_origin(base, n)):
-        D, T = both_quantizations(sigma, box, grid)
+        # the same func of unknown bandwidth takes the full Q-point rule
+        D, T = both_quantizations(Symbol(sigma.func, sigma.order), box, grid)
         assert np.array_equal(D, column_loop(sigma.func, box, grid).T)
         assert np.array_equal(T, column_loop(flip(sigma).func, box, grid))
+        # the patch keeps b = 1: the band sampled on 4 points per axis
+        assert sigma.x_bandwidth == 1
+        for band, full in zip(both_quantizations(sigma, box, grid), (D, T)):
+            assert np.max(np.abs(band - full)[~beyond]) <= 1e-15 * np.max(np.abs(full))
+            assert not np.any(band[beyond])
 
 
 @pytest.mark.parametrize(

@@ -219,6 +219,15 @@ def test_diagonal_round_off_imaginary_parts_keep_the_sign():
     assert deviation == 0.0
 
 
+def test_diagonal_deviation_is_the_matrix_deviation_of_the_diagonal():
+    k = np.arange(-8.0, 9.0)
+    v = np.exp(1j * k) / np.sqrt(1 + k**2)
+    seq, deviation = diagonal_sequence(v)
+    dense_seq, dense_deviation, _ = matrix_sequence(np.diag(v), False)
+    assert deviation == dense_deviation  # max|A - A*| = 2 max|Im v|
+    assert np.max(np.abs(seq - dense_seq)) <= 1e-15
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
 def test_diagonal_rejects_non_finite(bad):
     with pytest.raises(UsageError, match="non-finite"):

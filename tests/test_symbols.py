@@ -226,6 +226,15 @@ def test_seminorm_first_difference_exponent():
     assert rep.fitted_exponent == pytest.approx(-2.0, abs=0.05)
 
 
+def test_seminorm_x_derivative_sup_and_exponent():
+    # d/dx1 gives -pi sin(2 pi x1) <xi>^(-1): |sin| peaks at x1 = 1/4 on
+    # the 16-point grid and (1+r)/sqrt(1+r^2) at r = 1, so pi sqrt(2)
+    s = to_symbol("(1+0.5*cos(2*pi*x1))*<xi>^(-1)", n=1, order=-1)
+    rep = seminorm_estimate(s, [0], [1], (0, 1024))
+    assert rep.sup_ratio == pytest.approx(np.pi * np.sqrt(2), abs=1e-12)
+    assert rep.fitted_exponent == pytest.approx(-1.0, abs=0.05)
+
+
 def test_seminorm_empty_window():
     with pytest.raises(UsageError):
         seminorm_estimate(bracket_inv(), [0], [0], (10, 5))
@@ -337,6 +346,13 @@ def test_regularize_at_origin_uses_angular_average():
     assert fixed(np.array([3.0]), np.zeros(1)) == pytest.approx(1 / 3)
 
 
+def test_regularize_at_origin_averages_over_the_sphere_rule():
+    # theta3^2 averages to 1/3 over S^2
+    s = to_symbol("(1+xi3^2/|xi|^2)/|xi|^3", n=3, order=-3, classical_terms=[(-3, "1+theta3^2")])
+    fixed = regularize_at_origin(s, 3)
+    assert complex(fixed(np.zeros(3), np.zeros(3))) == pytest.approx(4 / 3, abs=1e-12)
+
+
 def test_patched_symbol_trace_matches_analytic():
     # a finite-rank patch is invisible to the trace estimate: the
     # regularized 1/|n'| multiplier still averages to 2 at M=512
@@ -359,6 +375,7 @@ def test_x_dependence_flag_from_the_expression():
     assert flip(bracket_inv()).x_dependent is False
     # a new evaluation map is opaque: its dependence is unknown
     assert Symbol(lambda first, x: 1.0, order=0).x_dependent is None
-    assert finite_modify(bracket_inv(), {(0.0,): 2.0}).x_dependent is None
-    assert difference(bracket_inv(), [1]).x_dependent is None
-    assert partial_x(bracket_inv(), [1], 8).x_dependent is None
+    # derived symbols keep their input's bandwidth
+    assert finite_modify(bracket_inv(), {(0.0,): 2.0}).x_dependent is False
+    assert difference(bracket_inv(), [1]).x_dependent is False
+    assert partial_x(bracket_inv(), [1], 8).x_dependent is False
