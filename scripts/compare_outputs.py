@@ -15,9 +15,11 @@ Runs go one at a time, with BLAS and OpenMP pinned to one thread and
 the address space capped at ADDRESS_SPACE bytes, so an oversize run
 fails instead of exhausting the machine.  Outputs go to a temporary directory (under $TMPDIR).
 
-One line per run gives both exit codes; a failed run adds the last
-line of its stderr.  Every output file that is missing on one side or
-not byte-identical is listed.  For each differing .csv or .json pair
+One line per run gives both exit codes and both wall times in seconds
+(process start to exit, so a slowdown shows next to identical
+outputs); a failed run adds the last line of its stderr.  Every
+output file that is missing on one side or not byte-identical is
+listed.  For each differing .csv or .json pair
 one more line gives the largest difference between paired numbers,
 scaled by the largest magnitude in the pair of files, and whether
 every other token is identical: JSON keys, strings, booleans and
@@ -40,6 +42,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -81,18 +84,20 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
 
 
-def run(tree: Path, command: str, flags: tuple, config: Path, out: Path) -> tuple[str, str]:
-    """Exit code (or 'timeout') and the last stderr line of one run."""
+def run(tree: Path, command: str, flags: tuple, config: Path, out: Path) -> tuple[str, str, float]:
+    """Exit code (or 'timeout'), the last stderr line and the wall
+    seconds of one run."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), **THREAD_PIN)
     args = [sys.executable, "-m", "nclab.cli", command, *flags, "--config", str(config),
             "--out", str(out), "--quiet"]
+    start = time.perf_counter()
     try:
         proc = subprocess.run(args, env=env, capture_output=True, text=True,
                               timeout=TIMEOUT_S, preexec_fn=_cap_address_space)
     except subprocess.TimeoutExpired:
-        return "timeout", ""
+        return "timeout", "", time.perf_counter() - start
     lines = proc.stderr.strip().splitlines()
-    return str(proc.returncode), lines[-1] if lines else ""
+    return str(proc.returncode), lines[-1] if lines else "", time.perf_counter() - start
 
 
 def differing_files(a: Path, b: Path) -> list[str]:
@@ -204,13 +209,14 @@ def main() -> int:
                 outs = [Path(tmp) / side / config.stem / label for side in "ab"]
                 for out in outs:
                     out.mkdir(parents=True)
-                (code_a, err_a), (code_b, err_b) = (
+                (code_a, err_a, wall_a), (code_b, err_b, wall_b) = (
                     run(tree, command, flags, config, out) for tree, out in zip(trees, outs)
                 )
                 diff = differing_files(*outs)
                 same = code_a == code_b and not diff
                 mismatches += not same
-                line = f"{'same' if same else 'DIFF'}  {config.name} {label}: exit {code_a}/{code_b}"
+                line = (f"{'same' if same else 'DIFF'}  {config.name} {label}: "
+                        f"exit {code_a}/{code_b}, {wall_a:.2f}/{wall_b:.2f} s")
                 if diff:
                     line += f", files differ: {', '.join(diff)}"
                 print(line, flush=True)

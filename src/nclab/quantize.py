@@ -85,6 +85,10 @@ BLOCK_POINTS = 2**15
 # outgrow the dense matrix.
 BAND_RATIO = 16
 
+# verify_identity's observed band width counts an entry as significant
+# above this fraction of the largest |entry|.
+BAND_REL_TOL = 1e-13
+
 
 @dataclass(frozen=True)
 class QuadratureGrid:
@@ -353,12 +357,12 @@ def verify_identity(
     return IdentityReport(full, inner, b, box, grid.q)
 
 
-def _band_width(A: OperatorMatrix, rel_tol: float = 1e-13) -> int:
+def _band_width(A: OperatorMatrix) -> int:
     """Largest Chebyshev offset |row - col| carrying a significant
     entry; equals the x-Fourier bandwidth for band-limited symbols."""
     pts = A.box.points()
     mags = np.abs(A.entries)
-    thr = rel_tol * mags.max()
+    thr = BAND_REL_TOL * mags.max()
     rows, cols = np.nonzero(mags > thr)
     if len(rows) == 0:
         return 0

@@ -37,6 +37,12 @@ EXTRACTION_BASE_T = 2.0**10
 EXTRACTION_LEVELS = 4
 EXTRACTION_TOL = 1e-6
 
+# Pinned grids of the seminorm estimate: the torus grid the sup runs
+# over, and the spectral grid of its x-derivatives (exact for x-degree
+# below SEMINORM_DERIV_GRID / 2).
+SEMINORM_X_GRID = 16
+SEMINORM_DERIV_GRID = 32
+
 
 @dataclass(frozen=True)
 class ClassicalTerm:
@@ -51,15 +57,13 @@ class ClassicalTerm:
 class ClassicalStructure:
     """Declared homogeneous expansion, valid for |frequency| >= cutoff_radius:
 
-        symbol(k, x) = sum_j |k|^(d_j) * angular_j(x, k/|k|) + remainder(k, x)
+        symbol(k, x) = sum_j |k|^(d_j) * angular_j(x, k/|k|) + lower order
 
     with degrees strictly descending by one.
     """
 
     terms: tuple[ClassicalTerm, ...]
     cutoff_radius: float = 1.0
-    remainder: Optional[Callable] = None  # (first, x) -> complex
-    remainder_order: Optional[float] = None
 
     def __post_init__(self):
         if self.cutoff_radius <= 0:
@@ -98,11 +102,10 @@ class Symbol:
     None when unknown (a plain Symbol(func) unless the caller declares
     it; to_symbol reads it from the expression).  flip, finite_modify,
     difference and partial_x keep it: none of them can widen the
-    x-band.  x_dependent reads it as a flag.  The pipeline takes the
-    diagonal path only for 0; assembly reads the reach r = min(b, 2M)
-    of a truncation box [-M, M]^n (2M when unknown): when r < 2M it
-    samples the (2r+2)^n grid and writes exact zeros at offsets beyond
-    r (see quantize).
+    x-band.  The pipeline takes the diagonal path only for 0; assembly
+    reads the reach r = min(b, 2M) of a truncation box [-M, M]^n (2M
+    when unknown): when r < 2M it samples the (2r+2)^n grid and writes
+    exact zeros at offsets beyond r (see quantize).
     """
 
     func: Callable
@@ -127,11 +130,6 @@ class Symbol:
 
     def __call__(self, first, second):
         return self.func(first, second)
-
-    @property
-    def x_dependent(self) -> Optional[bool]:
-        """Whether func depends on its second argument; None when unknown."""
-        return None if self.x_bandwidth is None else self.x_bandwidth > 0
 
 
 def evaluate(func: Callable, first, second, shape) -> np.ndarray:
@@ -166,19 +164,7 @@ def flip(sigma: Symbol) -> Symbol:
         flipped_terms = tuple(
             ClassicalTerm(t.degree, _flip_angular(t.angular)) for t in sigma.classical.terms
         )
-        remainder = sigma.classical.remainder
-        if remainder is not None:
-            rem = remainder
-
-            def remainder(k, x):
-                return np.conj(rem(-np.asarray(k, dtype=float), x))
-
-        classical = ClassicalStructure(
-            flipped_terms,
-            sigma.classical.cutoff_radius,
-            remainder,
-            sigma.classical.remainder_order,
-        )
+        classical = ClassicalStructure(flipped_terms, sigma.classical.cutoff_radius)
 
     return Symbol(
         tau_func, sigma.order, sigma.rho, sigma.delta, TOROIDAL, classical, sigma.x_bandwidth
@@ -241,6 +227,15 @@ def partial_x(sigma: Symbol, beta, grid_size: int) -> Symbol:
     uniform grid_size-grid per axis, scale the Fourier coefficient at
     mode j by prod_a (2*pi*i*j_a)^(beta_a), resynthesize.  Exact for
     trigonometric polynomials of degree < grid_size/2.
+
+    The derivative broadcasts as any symbol does.  It takes one
+    coefficient set per entry of first: first of shape (B, 1, n)
+    against x of shape (1, P, n) samples the base symbol at B * Q^n
+    points (Q = grid_size) in one batched transform, and sums the
+    series one torus axis at a time by broadcasting matrix products,
+    whose largest result holds B * P * Q^(n-1) values.  Callers bound
+    B (seminorm_estimate keeps B * P * Q^(n-1) within
+    quantize.BLOCK_POINTS).
     """
     beta = multi_index(beta)
     n = beta.size
@@ -265,32 +260,19 @@ def partial_x(sigma: Symbol, beta, grid_size: int) -> Symbol:
     grid_pts = torus_grid(n, Q)
     base = sigma.func
 
-    def synthesize(chat: np.ndarray, x: np.ndarray) -> np.ndarray:
-        pts = np.asarray(x, dtype=float)
-        squeeze = pts.ndim == 1
-        pts = pts.reshape(-1, n)
-        cur = np.broadcast_to(chat, (pts.shape[0],) + chat.shape)
-        for axis in range(n):
-            phase = np.exp(2j * np.pi * np.outer(pts[:, axis], freqs))
-            cur = np.einsum("pj,pj...->p...", phase, cur)
-        return cur[0] if squeeze else cur
-
     def deriv_func(first, x):
         first = np.asarray(first, dtype=float)
         x = np.asarray(x, dtype=float)
-        lead = np.broadcast_shapes(first.shape[:-1], x.shape[:-1])
-        firsts = np.broadcast_to(first, lead + (n,)).reshape(-1, n)
-        xs = np.broadcast_to(x, lead + (n,)).reshape(-1, n)
-        # one coefficient set per distinct first point
-        keys, inverse = np.unique(firsts, axis=0, return_inverse=True)
-        inverse = inverse.ravel()
-        order = np.argsort(inverse, kind="stable")
-        bounds = np.cumsum(np.bincount(inverse))[:-1]
-        out = np.empty(len(firsts), dtype=complex)
-        for key, idx in zip(keys, np.split(order, bounds)):
-            samples = evaluate(base, key, grid_pts, (Q**n,)).reshape((Q,) * n)
-            out[idx] = synthesize(np.fft.fftn(samples) / Q**n * mult, xs[idx])
-        return out.reshape(lead)
+        lead = first.shape[:-1]
+        samples = evaluate(base, first[..., None, :], grid_pts, lead + (Q**n,))
+        coeffs = np.fft.fftn(samples.reshape(lead + (Q,) * n), axes=tuple(range(-n, 0)))
+        cur = (coeffs / Q**n * mult).reshape(lead + (Q**n,))
+        # sum the series one torus axis at a time: x's leading axes
+        # broadcast against first's, and no phase matrix spans all Q^n modes
+        for axis in range(n):
+            phase = np.exp(2j * np.pi * x[..., axis, None] * freqs)
+            cur = (phase[..., None, :] @ cur.reshape(cur.shape[:-1] + (Q, -1)))[..., 0, :]
+        return cur[..., 0]
 
     new_order = sigma.order + sigma.delta * float(np.sum(beta))
     return Symbol(deriv_func, new_order, sigma.rho, sigma.delta, sigma.side, None, sigma.x_bandwidth)
@@ -313,18 +295,20 @@ class SeminormReport:
     residual: float
 
 
-def seminorm_estimate(
-    sigma: Symbol,
-    alpha,
-    beta,
-    window: tuple[int, int],
-    x_grid: int = 16,
-    deriv_grid: int = 32,
-) -> SeminormReport:
-    """Scan lattice radii r_min <= |n'| <= r_max and a uniform torus
-    grid; report the sup of the weighted ratio and the least-squares
-    decay exponent of the per-shell sup against log(1+r).
+def seminorm_estimate(sigma: Symbol, alpha, beta, window: tuple[int, int]) -> SeminormReport:
+    """Scan lattice radii r_min <= |n'| <= r_max and the uniform torus
+    grid of SEMINORM_X_GRID points per axis; report the sup of the
+    weighted ratio and the least-squares decay exponent of the
+    per-shell sup against log(1+r).
+
+    Delta^alpha d^beta sigma is evaluated on blocks of window points,
+    first of shape (B, 1, n) against the X-point torus grid as x of
+    shape (1, X, n), with B * X within quantize.BLOCK_POINTS; for
+    beta > 0, B * X * SEMINORM_DERIV_GRID^(n-1), the size of
+    partial_x's largest intermediate, stays within it.
     """
+    from .quantize import BLOCK_POINTS  # local import: quantize imports this module
+
     alpha = multi_index(alpha)
     beta = multi_index(beta)
     n = alpha.size
@@ -334,32 +318,26 @@ def seminorm_estimate(
     if r_max < r_min or r_min < 0:
         raise UsageError(f"empty window [{r_min}, {r_max}]")
 
-    g = difference(sigma, alpha)
-    if np.any(beta > 0):
-        g = partial_x(g, beta, deriv_grid)
+    g = partial_x(difference(sigma, alpha), beta, SEMINORM_DERIV_GRID)
 
-    pts = _window_points(n, r_min, r_max)
-    radii = np.sqrt(np.sum(pts.astype(float) ** 2, axis=-1))
-    shells = np.rint(radii).astype(int)
-
-    xs = torus_grid(n, x_grid)
-    sup_pointwise = np.zeros(len(pts))
-    if np.any(beta > 0):
-        # the spectral derivative transforms once per first point: iterate points
-        for i, p in enumerate(pts):
-            vals = np.abs(np.asarray(g.func(p.astype(float), xs)))
-            sup_pointwise[i] = np.max(vals)
-    else:
-        for x in xs:
-            vals = np.abs(evaluate(g.func, pts.astype(float), x, (len(pts),)))
-            np.maximum(sup_pointwise, vals, out=sup_pointwise)
+    pts = _window_points(n, r_min, r_max).astype(float)
+    radii = np.sqrt(np.sum(pts**2, axis=-1))
+    xs = torus_grid(n, SEMINORM_X_GRID)
+    per_sample = SEMINORM_DERIV_GRID ** (n - 1) if beta.any() else 1
+    per_block = max(1, BLOCK_POINTS // (len(xs) * per_sample))
+    sup_pointwise = np.empty(len(pts))
+    for start in range(0, len(pts), per_block):
+        block = pts[start : start + per_block, None, :]
+        vals = evaluate(g.func, block, xs[None], (len(block), len(xs)))
+        sup_pointwise[start : start + len(block)] = np.max(np.abs(vals), axis=1)
 
     exponent = sigma.order - sigma.rho * float(np.sum(alpha)) + sigma.delta * float(np.sum(beta))
     weights = (1.0 + radii) ** (-exponent)
     sup_ratio = float(np.max(sup_pointwise * weights))
 
-    shell_ids = np.unique(shells)
-    shell_sup = np.array([np.max(sup_pointwise[shells == s]) for s in shell_ids])
+    shell_ids, shell_of = np.unique(np.rint(radii).astype(int), return_inverse=True)
+    shell_sup = np.zeros(len(shell_ids))
+    np.maximum.at(shell_sup, shell_of, sup_pointwise)
     keep = shell_sup > 0
     if np.count_nonzero(keep) >= 2:
         lx = np.log1p(shell_ids[keep].astype(float))
@@ -393,14 +371,7 @@ def _window_points(n: int, r_min: int, r_max: int) -> np.ndarray:
 # Homogeneous components
 
 
-def homogeneous_component(
-    sigma: Symbol,
-    degree: float,
-    x,
-    theta,
-    base_t: float = EXTRACTION_BASE_T,
-    tol: float = EXTRACTION_TOL,
-):
+def homogeneous_component(sigma: Symbol, degree: float, x, theta):
     """Degree-`degree` homogeneous component at (x, theta), |theta| = 1.
 
     Prefers a declared term of that degree; otherwise extracts it
@@ -418,7 +389,7 @@ def homogeneous_component(
 
     estimates = []
     for k in range(EXTRACTION_LEVELS):
-        t = base_t * 2.0**k
+        t = EXTRACTION_BASE_T * 2.0**k
         v = np.asarray(sigma.func(t * theta, x), dtype=complex)
         estimates.append(t ** (-degree) * v)
 
@@ -435,9 +406,9 @@ def homogeneous_component(
     result = prev[0]
 
     drift = float(np.max(np.abs(result - diag[-2])))
-    if drift > 10.0 * tol:
+    if drift > 10.0 * EXTRACTION_TOL:
         raise NonConvergenceError(
-            f"homogeneous extraction did not settle: drift {drift:.3e} > {10 * tol:.1e}"
+            f"homogeneous extraction did not settle: drift {drift:.3e} > {10 * EXTRACTION_TOL:.1e}"
         )
     return result
 

@@ -234,4 +234,3 @@ def test_main_cannot_use_theta():
 def test_x_bandwidth_rules(main, main_im, want):
     s = to_symbol(main, n=2, order=0, main_im=main_im)
     assert s.x_bandwidth == want
-    assert s.x_dependent is (want > 0)

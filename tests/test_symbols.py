@@ -195,6 +195,22 @@ def test_partial_x_broadcasts_first_against_x():
     assert np.max(np.abs(got - want)) < 1e-12
 
 
+def test_partial_x_2d_on_assembly_shapes():
+    s = to_symbol("cos(2*pi*x1)*sin(2*pi*x2)*(1+|xi|^2)^(-1)", n=2, order=-2)
+    ds = partial_x(s, [1, 1], 16)
+    first = np.array([[0.0, 0.0], [1.0, -2.0], [-3.0, 4.0], [5.0, 5.0]])[:, None, :]
+    xs = np.stack(np.meshgrid(np.arange(7) / 7.0, np.arange(5) / 5.0), axis=-1).reshape(1, -1, 2)
+    got = np.asarray(ds.func(first, xs))
+    want = (
+        -4 * np.pi**2
+        * np.sin(2 * np.pi * xs[..., 0])
+        * np.cos(2 * np.pi * xs[..., 1])
+        / (1 + np.sum(first**2, axis=-1))
+    )
+    assert got.shape == (4, 35)
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
 def test_partial_x_rejects_bad_grid():
     s = to_symbol("x1", n=1, order=0)
     with pytest.raises(UsageError):
@@ -233,6 +249,64 @@ def test_seminorm_x_derivative_sup_and_exponent():
     rep = seminorm_estimate(s, [0], [1], (0, 1024))
     assert rep.sup_ratio == pytest.approx(np.pi * np.sqrt(2), abs=1e-12)
     assert rep.fitted_exponent == pytest.approx(-1.0, abs=0.05)
+
+
+def test_seminorm_2d_x_derivative_pinned():
+    # d/dx1 gives -pi sin(2 pi x1) (1+|xi|^2)^(-1): pi at x1 = 1/4 times
+    # (1+r)^2/(1+r^2), which peaks at r = 1 with 2
+    s = to_symbol("(1+0.5*cos(2*pi*x1))*(1+|xi|^2)^(-1)", n=2, order=-2)
+    rep = seminorm_estimate(s, [0, 0], [1, 0], (0, 40))
+    assert abs(rep.sup_ratio - 2 * np.pi) < 1e-12
+    assert abs(rep.fitted_exponent - (-2.1327950138575593)) < 1e-9
+
+
+def _reference_seminorm(sigma, alpha, beta, window):
+    """The estimate with one x-grid point at a time (beta = 0) or one
+    lattice point at a time (beta > 0), per-shell maxima by mask."""
+    from nclab.lattice import torus_grid
+    from nclab.symbols import _window_points, evaluate
+
+    alpha, beta = np.asarray(alpha), np.asarray(beta)
+    g = difference(sigma, alpha)
+    if np.any(beta > 0):
+        g = partial_x(g, beta, 32)
+    pts = _window_points(alpha.size, *window)
+    radii = np.sqrt(np.sum(pts.astype(float) ** 2, axis=-1))
+    shells = np.rint(radii).astype(int)
+    xs = torus_grid(alpha.size, 16)
+    sup_pointwise = np.zeros(len(pts))
+    if np.any(beta > 0):
+        for i, p in enumerate(pts):
+            sup_pointwise[i] = np.max(np.abs(np.asarray(g.func(p.astype(float), xs))))
+    else:
+        for x in xs:
+            vals = np.abs(evaluate(g.func, pts.astype(float), x, (len(pts),)))
+            np.maximum(sup_pointwise, vals, out=sup_pointwise)
+    exponent = sigma.order - sigma.rho * np.sum(alpha) + sigma.delta * np.sum(beta)
+    sup_ratio = float(np.max(sup_pointwise * (1.0 + radii) ** (-exponent)))
+    shell_ids = np.unique(shells)
+    shell_sup = np.array([np.max(sup_pointwise[shells == s]) for s in shell_ids])
+    keep = shell_sup > 0
+    lx = np.log1p(shell_ids[keep].astype(float))
+    ly = np.log(shell_sup[keep])
+    slope, intercept = np.polyfit(lx, ly, 1)
+    resid = float(np.sqrt(np.mean((ly - (slope * lx + intercept)) ** 2)))
+    return sup_ratio, float(slope), resid
+
+
+def test_seminorm_matches_the_pointwise_reference():
+    s = to_symbol("(1+0.5*cos(2*pi*x1))*cos(2*pi*x2)*(1+|xi|^2)^(-1)", n=2, order=-2)
+    rep = seminorm_estimate(s, [1, 0], [0, 0], (0, 24))
+    assert (rep.sup_ratio, rep.fitted_exponent, rep.residual) == _reference_seminorm(
+        s, [1, 0], [0, 0], (0, 24)
+    )
+
+
+def test_seminorm_x_derivative_matches_the_pointwise_reference():
+    s = to_symbol("(1+0.5*cos(2*pi*x1)+0.25*sin(2*pi*2*x1))*<xi>^(-1)", n=1, order=-1)
+    rep = seminorm_estimate(s, [1], [1], (0, 64))
+    want = _reference_seminorm(s, [1], [1], (0, 64))
+    assert (rep.sup_ratio, rep.fitted_exponent, rep.residual) == pytest.approx(want, rel=1e-12)
 
 
 def test_seminorm_empty_window():
@@ -369,13 +443,13 @@ def test_patched_symbol_trace_matches_analytic():
 
 
 def test_x_dependence_flag_from_the_expression():
-    assert bracket_inv().x_dependent is False
-    assert to_symbol("cos(2*pi*x1)*<xi>^(-1)", n=1, order=-1).x_dependent is True
-    assert to_symbol("<xi>^(-1)", n=1, order=-1, main_im="x1*<xi>^(-2)").x_dependent is True
-    assert flip(bracket_inv()).x_dependent is False
+    assert bracket_inv().x_bandwidth == 0
+    assert to_symbol("cos(2*pi*x1)*<xi>^(-1)", n=1, order=-1).x_bandwidth > 0
+    assert to_symbol("<xi>^(-1)", n=1, order=-1, main_im="x1*<xi>^(-2)").x_bandwidth > 0
+    assert flip(bracket_inv()).x_bandwidth == 0
     # a new evaluation map is opaque: its dependence is unknown
-    assert Symbol(lambda first, x: 1.0, order=0).x_dependent is None
+    assert Symbol(lambda first, x: 1.0, order=0).x_bandwidth is None
     # derived symbols keep their input's bandwidth
-    assert finite_modify(bracket_inv(), {(0.0,): 2.0}).x_dependent is False
-    assert difference(bracket_inv(), [1]).x_dependent is False
-    assert partial_x(bracket_inv(), [1], 8).x_dependent is False
+    assert finite_modify(bracket_inv(), {(0.0,): 2.0}).x_bandwidth == 0
+    assert difference(bracket_inv(), [1]).x_bandwidth == 0
+    assert partial_x(bracket_inv(), [1], 8).x_bandwidth == 0
