@@ -52,11 +52,12 @@ def main() -> int:
             residue_q=cfg.residue_q,
         )
         dt = time.time() - t0
-        rows.append((M, rep.spectral_estimate, rep.residue_lattice,
-                     rep.relative_deviation, rep.fit_rms, rep.stability_span, rep.solver, dt))
-        print(f"M={M:>6}  c={rep.spectral_estimate:+.6f}  r={rep.residue_lattice:+.6f}"
-              f"  dev={rep.relative_deviation:.3e}  span={rep.stability_span:.2e}"
-              f"  {rep.solver}  [{dt:.1f}s]")
+        fit = rep.summary
+        rows.append((M, fit.trace_estimate, rep.residue_lattice,
+                     rep.relative_deviation, fit.fit_rms, fit.stability_span, rep.run.solver, dt))
+        print(f"M={M:>6}  c={fit.trace_estimate:+.6f}  r={rep.residue_lattice:+.6f}"
+              f"  dev={rep.relative_deviation:.3e}  span={fit.stability_span:.2e}"
+              f"  {rep.run.solver}  [{dt:.1f}s]")
 
     with open(args.out, "w") as fh:
         fh.write("M,spectral_estimate,residue_lattice,relative_deviation,fit_rms,stability_span,"

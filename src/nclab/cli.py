@@ -43,8 +43,8 @@ from .residue import (
     residue_report_json,
     sphere_rule,
 )
-from .spectral import trace_estimate, write_spectrum_csv
-from .symbols import seminorm_estimate
+from .spectral import write_spectrum_csv
+from .symbols import Symbol, seminorm_estimate
 
 GRAMMAR_HELP = """\
 expression grammar (in `main`, `main_im` and classical terms):
@@ -68,17 +68,6 @@ config format (strict: unknown keys are fatal):
     [fit]        f0, f1, discard, symmetrize
     [output]     dir, matrix_format (csv|binary|both)
 """
-
-_COMMANDS = (
-    "symbol-check",
-    "quantize",
-    "spectrum",
-    "dixmier",
-    "residue",
-    "verify-identity",
-    "connes",
-)
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -134,18 +123,9 @@ def _dispatch(args) -> int:
     cfg = load_config(args.config)
     out_dir = Path(args.out if args.out != "./out" or cfg.out_dir is None else cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    sigma = build_symbol(cfg)
     say = (lambda *a, **k: None) if args.quiet else print
-
-    handler = {
-        "symbol-check": _cmd_symbol_check,
-        "quantize": _cmd_quantize,
-        "spectrum": _cmd_spectrum,
-        "dixmier": _cmd_dixmier,
-        "residue": _cmd_residue,
-        "verify-identity": _cmd_verify_identity,
-        "connes": _cmd_connes,
-    }[args.command]
-    return handler(cfg, args, out_dir, say)
+    return _COMMANDS[args.command](cfg, sigma, args, out_dir, say)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -154,8 +134,7 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _cmd_symbol_check(cfg: RunConfig, args, out_dir: Path, say) -> int:
-    sigma = build_symbol(cfg)
+def _cmd_symbol_check(cfg: RunConfig, sigma: Symbol, args, out_dir: Path, say) -> int:
     n, M = cfg.symbol.n, cfg.M
     r_min = 16 if M >= 64 else 0
     combos = [np.zeros(n, dtype=int)]
@@ -196,8 +175,7 @@ def _cmd_symbol_check(cfg: RunConfig, args, out_dir: Path, say) -> int:
     return 0
 
 
-def _cmd_quantize(cfg: RunConfig, args, out_dir: Path, say) -> int:
-    sigma = build_symbol(cfg)
+def _cmd_quantize(cfg: RunConfig, sigma: Symbol, args, out_dir: Path, say) -> int:
     box = TruncationBox(cfg.symbol.n, cfg.M)
     A = assemble_discrete(sigma, box, QuadratureGrid.for_box(box, cfg.Q))
     if cfg.matrix_format in ("csv", "both"):
@@ -209,8 +187,7 @@ def _cmd_quantize(cfg: RunConfig, args, out_dir: Path, say) -> int:
     return 0
 
 
-def _cmd_spectrum(cfg: RunConfig, args, out_dir: Path, say) -> int:
-    sigma = build_symbol(cfg)
+def _cmd_spectrum(cfg: RunConfig, sigma: Symbol, args, out_dir: Path, say) -> int:
     run = build_spectrum(sigma, cfg.symbol.n, cfg.M, Q=cfg.Q, symmetrize=cfg.symmetrize)
     write_spectrum_csv(out_dir / "spectrum.csv", run.sequence)
     say(f"wrote {out_dir / 'spectrum.csv'} ({len(run.sequence)} values, "
@@ -218,11 +195,9 @@ def _cmd_spectrum(cfg: RunConfig, args, out_dir: Path, say) -> int:
     return 0
 
 
-def _cmd_dixmier(cfg: RunConfig, args, out_dir: Path, say) -> int:
-    sigma = build_symbol(cfg)
+def _cmd_dixmier(cfg: RunConfig, sigma: Symbol, args, out_dir: Path, say) -> int:
     run = build_spectrum(sigma, cfg.symbol.n, cfg.M, Q=cfg.Q, symmetrize=cfg.symmetrize)
-    d = run.discard_default if cfg.discard is None else cfg.discard
-    summary = trace_estimate(run.sequence, (cfg.f0, cfg.f1), d)
+    summary = run.fit((cfg.f0, cfg.f1), cfg.discard)
     payload = {
         "n": cfg.symbol.n,
         "M": cfg.M,
@@ -245,8 +220,7 @@ def _cmd_dixmier(cfg: RunConfig, args, out_dir: Path, say) -> int:
     return 0
 
 
-def _cmd_residue(cfg: RunConfig, args, out_dir: Path, say) -> int:
-    sigma = build_symbol(cfg)
+def _cmd_residue(cfg: RunConfig, sigma: Symbol, args, out_dir: Path, say) -> int:
     n = cfg.symbol.n
     rule = sphere_rule(n, cfg.sphere_order or 0)
     rep = dixmier_trace_formula(
@@ -259,8 +233,7 @@ def _cmd_residue(cfg: RunConfig, args, out_dir: Path, say) -> int:
     return 0
 
 
-def _cmd_verify_identity(cfg: RunConfig, args, out_dir: Path, say) -> int:
-    sigma = build_symbol(cfg)
+def _cmd_verify_identity(cfg: RunConfig, sigma: Symbol, args, out_dir: Path, say) -> int:
     box = TruncationBox(cfg.symbol.n, cfg.M)
     rep = verify_identity(sigma, box, QuadratureGrid.for_box(box, cfg.Q))
     print(
@@ -283,8 +256,7 @@ def _cmd_verify_identity(cfg: RunConfig, args, out_dir: Path, say) -> int:
     return 0
 
 
-def _cmd_connes(cfg: RunConfig, args, out_dir: Path, say) -> int:
-    sigma = build_symbol(cfg)
+def _cmd_connes(cfg: RunConfig, sigma: Symbol, args, out_dir: Path, say) -> int:
     n = cfg.symbol.n
     rule = sphere_rule(n, cfg.sphere_order or 0)
     rep = run_connes_check(
@@ -298,21 +270,33 @@ def _cmd_connes(cfg: RunConfig, args, out_dir: Path, say) -> int:
         sphere_rule_=rule,
         residue_q=cfg.residue_q,
     )
-    write_spectrum_csv(out_dir / "spectrum.csv", rep.summary.values)
+    write_spectrum_csv(out_dir / "spectrum.csv", rep.run.sequence)
     _write_json(out_dir / "connes.json", connes_report_json(rep))
     say(
-        f"spectral estimate {rep.spectral_estimate:.6g} vs residue "
+        f"spectral estimate {rep.summary.trace_estimate:.6g} vs residue "
         f"{rep.residue_lattice:.6g} (lattice convention): relative deviation "
-        f"{rep.relative_deviation:.3%} ({rep.solver} solver)"
+        f"{rep.relative_deviation:.3%} ({rep.run.solver} solver)"
     )
     if rep.positivity_warning:
         print(
-            f"warning: minimum eigenvalue {rep.min_eigenvalue:.3e} is materially "
+            f"warning: minimum eigenvalue {rep.run.min_eigenvalue:.3e} is materially "
             "negative; positivity hypothesis violated",
             file=sys.stderr,
         )
     say(f"wrote {out_dir / 'connes.json'} and {out_dir / 'spectrum.csv'}")
     return 0
+
+
+# subcommand name -> handler, in the order of the help text
+_COMMANDS = {
+    "symbol-check": _cmd_symbol_check,
+    "quantize": _cmd_quantize,
+    "spectrum": _cmd_spectrum,
+    "dixmier": _cmd_dixmier,
+    "residue": _cmd_residue,
+    "verify-identity": _cmd_verify_identity,
+    "connes": _cmd_connes,
+}
 
 
 if __name__ == "__main__":

@@ -23,13 +23,13 @@ exactly Hermitian at finite truncation; (A + A*)/2 differs from A at
 one order lower only, so its signed eigenvalue partial sums estimate
 the same trace.  Defaults to on for x-dependent symbols.  Positivity
 is never certified, only monitored: a minimum eigenvalue below
--0.1 times the top-decile mean raises a warning flag in the report,
-never an error.
+-0.1 times the top-decile mean sets the comparison's
+positivity_warning flag, which the report carries; it is neither
+warned nor raised.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -59,12 +59,27 @@ class SpectrumRun:
     M: int
     Q: int  # 0 when the diagonal fast path skipped assembly
     symmetrized: bool
-    diagonal_path: bool
     solver: str  # diagonal, banded, dense or svd
     sequence: np.ndarray  # nonincreasing; signed for symmetrized runs
-    min_eigenvalue: float
     hermiticity_deviation: float
-    discard_default: float
+
+    @property
+    def diagonal_path(self) -> bool:
+        return self.solver == "diagonal"
+
+    @property
+    def min_eigenvalue(self) -> float:
+        return float(self.sequence[-1])
+
+    def fit(
+        self, window_fraction: tuple[float, float], discard_fraction: Optional[float]
+    ) -> SpectralSummary:
+        """The log fit of the sequence; a None discard drops nothing
+        from an exactly enumerated diagonal spectrum and the trailing
+        half (boundary modes) of an assembled one."""
+        if discard_fraction is None:
+            discard_fraction = 0.0 if self.diagonal_path else 0.5
+        return trace_estimate(self.sequence, window_fraction, discard_fraction)
 
 
 def build_spectrum(
@@ -87,9 +102,8 @@ def build_spectrum(
         vals = evaluate(sigma.func, box.points().astype(float), np.zeros(n), (box.size,))
         seq, herm_dev = diagonal_sequence(vals)
         return SpectrumRun(
-            n=n, M=M, Q=0, symmetrized=False, diagonal_path=True, solver="diagonal",
-            sequence=seq, min_eigenvalue=float(seq[-1]),
-            hermiticity_deviation=herm_dev, discard_default=0.0,
+            n=n, M=M, Q=0, symmetrized=False, solver="diagonal", sequence=seq,
+            hermiticity_deviation=herm_dev,
         )
 
     grid = QuadratureGrid.for_box(box, Q)
@@ -97,33 +111,22 @@ def build_spectrum(
     symmetrized = True if symmetrize is None else bool(symmetrize)
     seq, herm_dev, solver = matrix_sequence(A, symmetrized)
     return SpectrumRun(
-        n=n, M=M, Q=grid.q, symmetrized=symmetrized, diagonal_path=False, solver=solver,
-        sequence=seq, min_eigenvalue=float(seq[-1]),
-        hermiticity_deviation=herm_dev, discard_default=0.5,
+        n=n, M=M, Q=grid.q, symmetrized=symmetrized, solver=solver, sequence=seq,
+        hermiticity_deviation=herm_dev,
     )
 
 
 @dataclass(frozen=True)
 class ConnesComparison:
-    """Spectral trace estimate against the residue, with diagnostics."""
+    """Spectral trace estimate against the residue: the spectrum run,
+    its log fit and the residue of the same symbol."""
 
-    n: int
-    M: int
-    Q: int
-    symmetrized: bool
-    spectral_estimate: float
+    run: SpectrumRun
+    summary: SpectralSummary
     residue_lattice: float
     residue_paper: float
     relative_deviation: float
-    fit_window: tuple[int, int]
-    fit_rms: float
-    stability_span: float
-    min_eigenvalue: float
-    hermiticity_deviation: float
     positivity_warning: bool
-    diagonal_path: bool
-    solver: str
-    summary: SpectralSummary
 
 
 def run_connes_check(
@@ -142,62 +145,44 @@ def run_connes_check(
     compare (lattice convention on both sides).  Deterministic for
     fixed inputs."""
     run = build_spectrum(sigma, n, M, Q=Q, symmetrize=symmetrize)
-    d = run.discard_default if discard_fraction is None else discard_fraction
-    summary = trace_estimate(run.sequence, window_fraction, d)
+    summary = run.fit(window_fraction, discard_fraction)
 
     top = run.sequence[: max(1, len(run.sequence) // 10)]
     positivity_warning = bool(run.min_eigenvalue < -0.1 * float(np.mean(top)))
-    if positivity_warning:
-        warnings.warn(
-            f"minimum eigenvalue {run.min_eigenvalue:.3e} is materially negative "
-            f"(top-decile mean {float(np.mean(top)):.3e}); positivity hypothesis violated",
-            stacklevel=2,
-        )
 
     rep = dixmier_trace_formula(
         sigma, n, rule=sphere_rule_, torus_q=residue_q, convention=LATTICE
     )
     r = float(np.real(rep.value))
-    c = summary.trace_estimate
-    deviation = abs(c - r) / (abs(r) if abs(r) > 0 else 1.0)
+    deviation = abs(summary.trace_estimate - r) / (abs(r) if abs(r) > 0 else 1.0)
 
     return ConnesComparison(
-        n=n,
-        M=M,
-        Q=run.Q,
-        symmetrized=run.symmetrized,
-        spectral_estimate=c,
+        run=run,
+        summary=summary,
         residue_lattice=r,
         residue_paper=float(np.real(residue_value(rep.integral, n, PAPER))),
         relative_deviation=deviation,
-        fit_window=summary.fit_window,
-        fit_rms=summary.fit_rms,
-        stability_span=summary.stability_span,
-        min_eigenvalue=run.min_eigenvalue,
-        hermiticity_deviation=run.hermiticity_deviation,
         positivity_warning=positivity_warning,
-        diagonal_path=run.diagonal_path,
-        solver=run.solver,
-        summary=summary,
     )
 
 
 def connes_report_json(rep: ConnesComparison) -> dict:
+    run, summary = rep.run, rep.summary
     return {
-        "n": rep.n,
-        "M": rep.M,
-        "Q": rep.Q,
-        "symmetrized": rep.symmetrized,
-        "spectral_estimate": rep.spectral_estimate,
+        "n": run.n,
+        "M": run.M,
+        "Q": run.Q,
+        "symmetrized": run.symmetrized,
+        "spectral_estimate": summary.trace_estimate,
         "residue_lattice": rep.residue_lattice,
         "residue_paper_convention": rep.residue_paper,
         "relative_deviation": rep.relative_deviation,
-        "fit_window": list(rep.fit_window),
-        "fit_rms": rep.fit_rms,
-        "stability_span": rep.stability_span,
-        "min_eigenvalue": rep.min_eigenvalue,
-        "hermiticity_deviation": rep.hermiticity_deviation,
+        "fit_window": list(summary.fit_window),
+        "fit_rms": summary.fit_rms,
+        "stability_span": summary.stability_span,
+        "min_eigenvalue": run.min_eigenvalue,
+        "hermiticity_deviation": run.hermiticity_deviation,
         "positivity_warning": rep.positivity_warning,
-        "diagonal_path": rep.diagonal_path,
+        "diagonal_path": run.diagonal_path,
         "conventions": CONVENTIONS_STANZA,
     }

@@ -56,9 +56,6 @@ _CSV_CHUNK_ROWS = 4096
 class SpectralSummary:
     """Trace estimate and diagnostics from a log fit of partial sums."""
 
-    values: np.ndarray  # the (sorted, possibly signed) sequence used
-    partial_sums: np.ndarray
-    quotients: np.ndarray  # D_N for N = 2..len
     l1inf: float
     trace_estimate: float
     intercept: float
@@ -205,12 +202,8 @@ def trace_estimate(
         slopes.append(cj)
     span = float(max(slopes) - min(slopes))
 
-    quotients = _quotients(sums)  # len(v) >= L >= 20, so never empty
     return SpectralSummary(
-        values=v,
-        partial_sums=sums,
-        quotients=quotients,
-        l1inf=float(np.max(quotients)),
+        l1inf=float(np.max(_quotients(sums))),  # len(v) >= L >= 20, so never empty
         trace_estimate=c,
         intercept=b,
         fit_window=(N0, N1),

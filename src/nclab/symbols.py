@@ -297,9 +297,10 @@ class SeminormReport:
 
 def seminorm_estimate(sigma: Symbol, alpha, beta, window: tuple[int, int]) -> SeminormReport:
     """Scan lattice radii r_min <= |n'| <= r_max and the uniform torus
-    grid of SEMINORM_X_GRID points per axis; report the sup of the
-    weighted ratio and the least-squares decay exponent of the
-    per-shell sup against log(1+r).
+    grid of SEMINORM_X_GRID points per axis (one point, x = 0, for a
+    symbol declared x-free: its values are the same at every x);
+    report the sup of the weighted ratio and the least-squares decay
+    exponent of the per-shell sup against log(1+r).
 
     Delta^alpha d^beta sigma is evaluated on blocks of window points,
     first of shape (B, 1, n) against the X-point torus grid as x of
@@ -322,7 +323,7 @@ def seminorm_estimate(sigma: Symbol, alpha, beta, window: tuple[int, int]) -> Se
 
     pts = _window_points(n, r_min, r_max).astype(float)
     radii = np.sqrt(np.sum(pts**2, axis=-1))
-    xs = torus_grid(n, SEMINORM_X_GRID)
+    xs = torus_grid(n, SEMINORM_X_GRID if g.x_bandwidth != 0 else 1)
     per_sample = SEMINORM_DERIV_GRID ** (n - 1) if beta.any() else 1
     per_block = max(1, BLOCK_POINTS // (len(xs) * per_sample))
     sup_pointwise = np.empty(len(pts))

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -44,6 +45,18 @@ term_0 = -2 ; 1+0.5*cos(2*pi*x1)
 
 [lattice]
 M = 2000
+"""
+
+# a symbol of order -1 whose spectrum is half negative
+NEGATIVE = """\
+[symbol]
+n = 1
+main = -xi1*<xi>^(-2)
+order = -1
+term_0 = -1 ; -theta1
+
+[lattice]
+M = 400
 """
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -162,6 +175,33 @@ def test_dixmier_trace_class(tmp_path):
     assert main(["dixmier", "--config", cfg, "--out", str(out), "--quiet"]) == 0
     data = json.loads((out / "dixmier.json").read_text())
     assert abs(data["trace_estimate"]) < 0.02
+
+
+@pytest.mark.parametrize("text", [MULTIPLIER, COSINE], ids=["diagonal", "assembled"])
+def test_dixmier_and_connes_report_the_same_fit(tmp_path, text):
+    cfg = write(tmp_path, text)
+    out = tmp_path / "r"
+    for command in ("dixmier", "connes"):
+        assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    dixmier = json.loads((out / "dixmier.json").read_text())
+    connes = json.loads((out / "connes.json").read_text())
+    assert dixmier["trace_estimate"] == connes["spectral_estimate"]
+    for key in ("fit_window", "fit_rms", "stability_span", "min_eigenvalue"):
+        assert dixmier[key] == connes[key], key
+
+
+def test_positivity_warning_prints_once(tmp_path):
+    # a fresh process, so a Python warning would reach stderr as it does for a user
+    cfg = write(tmp_path, NEGATIVE)
+    env = dict(os.environ, PYTHONPATH=str(CONFIGS.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nclab.cli", "connes", "--config", cfg, "--out", str(tmp_path / "r")],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0
+    lines = [line for line in proc.stderr.splitlines() if "positivity" in line]
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("warning: minimum eigenvalue")
 
 
 def test_byte_identical_reruns(tmp_path):

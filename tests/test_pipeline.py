@@ -69,7 +69,7 @@ def test_fast_path_rejects_x_dependence():
 
 def test_multiplier_comparison():
     rep = run_connes_check(bracket_inv(), 1, 20000)
-    assert rep.diagonal_path
+    assert rep.run.diagonal_path
     assert rep.residue_lattice == pytest.approx(2.0, abs=1e-12)
     assert rep.relative_deviation < 0.05
     assert not rep.positivity_warning
@@ -79,16 +79,16 @@ def test_multiplier_accuracy_pinned_near_achieved():
     # achieved: relative deviation 6.2e-9, stability span 1.6e-8
     rep = run_connes_check(bracket_inv(), 1, 20000)
     assert rep.relative_deviation <= 2e-8
-    assert rep.stability_span <= 5e-8
+    assert rep.summary.stability_span <= 5e-8
 
 
 def test_x_dependent_comparison_symmetrized():
     rep = run_connes_check(cosine_bracket(), 1, 256)
-    assert not rep.diagonal_path
-    assert rep.symmetrized
+    assert not rep.run.diagonal_path
+    assert rep.run.symmetrized
     assert rep.residue_lattice == pytest.approx(2.0, abs=1e-12)
-    assert abs(rep.spectral_estimate - 2.0) / 2.0 < 0.10
-    assert rep.min_eigenvalue > -0.05
+    assert abs(rep.summary.trace_estimate - 2.0) / 2.0 < 0.10
+    assert rep.run.min_eigenvalue > -0.05
 
 
 def test_trace_class_symbol():
@@ -111,8 +111,8 @@ def test_symmetrization_does_not_change_residue():
 
 def test_unsymmetrized_uses_singular_values():
     rep = run_connes_check(cosine_bracket(), 1, 128, symmetrize=False)
-    assert not rep.symmetrized
-    assert rep.min_eigenvalue >= 0.0  # singular values are nonnegative
+    assert not rep.run.symmetrized
+    assert rep.run.min_eigenvalue >= 0.0  # singular values are nonnegative
 
 
 def test_deterministic():
@@ -125,15 +125,15 @@ def test_agreement_for_multiplier_at_large_box():
     # x-independent classical symbol: estimate within span + 5% of residue
     rep = run_connes_check(bracket_inv(), 1, 20000)
     r = rep.residue_lattice
-    assert abs(rep.spectral_estimate - r) <= rep.stability_span + 0.05 * abs(r)
+    assert abs(rep.summary.trace_estimate - r) <= rep.summary.stability_span + 0.05 * abs(r)
 
 
 def test_agreement_2d_multiplier():
     sigma = to_symbol("(1+|xi|^2)^(-1)", n=2, order=-2, classical_terms=[(-2, "1")])
     rep = run_connes_check(sigma, 2, 160)  # 321^2 = 103041 points
-    assert rep.diagonal_path
+    assert rep.run.diagonal_path
     assert rep.residue_lattice == pytest.approx(np.pi, abs=1e-12)
-    assert abs(rep.spectral_estimate - np.pi) <= rep.stability_span + 0.05 * np.pi
+    assert abs(rep.summary.trace_estimate - np.pi) <= rep.summary.stability_span + 0.05 * np.pi
 
 
 def test_agreement_3d_multiplier():
@@ -141,13 +141,12 @@ def test_agreement_3d_multiplier():
     rep = run_connes_check(sigma, 3, 40, residue_q=8)
     r = 4 * np.pi / 3  # (1/3) * |S^2|
     assert rep.residue_lattice == pytest.approx(r, abs=1e-12)
-    assert abs(rep.spectral_estimate - r) / r < 0.05
+    assert abs(rep.summary.trace_estimate - r) / r < 0.05
 
 
 def test_positivity_warning_fires():
     sigma = to_symbol("-xi1*<xi>^(-2)", n=1, order=-1, classical_terms=[(-1, "-theta1")])
-    with pytest.warns(UserWarning, match="positivity"):
-        rep = run_connes_check(sigma, 1, 400)
+    rep = run_connes_check(sigma, 1, 400)
     assert rep.positivity_warning
 
 
@@ -167,7 +166,7 @@ def test_x_dependent_accuracy_pinned_at_m256():
     # achieved: relative deviation 1.91e-4, stability span 4.86e-4
     rep = run_connes_check(cosine_bracket(), 1, 256)
     assert rep.relative_deviation <= 4e-4
-    assert rep.stability_span <= 1e-3
+    assert rep.summary.stability_span <= 1e-3
 
 
 def test_x_dependence_between_probe_points_takes_the_assembled_path():
@@ -177,7 +176,7 @@ def test_x_dependence_between_probe_points_takes_the_assembled_path():
     angular = "1+0.5*cos(2*pi*1000*x1)"
     sigma = to_symbol(f"({angular})*<xi>^(-1)", n=1, order=-1, classical_terms=[(-1, angular)])
     rep = run_connes_check(sigma, 1, 256)
-    assert not rep.diagonal_path
+    assert not rep.run.diagonal_path
     assert rep.residue_lattice == pytest.approx(2.0, abs=1e-12)
     assert rep.relative_deviation <= 4e-4
 
