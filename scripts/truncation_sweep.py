@@ -36,7 +36,7 @@ def main() -> int:
     cfg = load_config(args.config)
     sigma = build_symbol(cfg)
     n = cfg.symbol.n
-    rule = sphere_rule(n, cfg.sphere_order or 0)
+    rule = sphere_rule(n, cfg.sphere_order)
     ms = [int(v) for v in args.m_values.split(",")]
 
     rows = []
@@ -45,8 +45,6 @@ def main() -> int:
         rep = run_connes_check(
             sigma, n, M,
             Q=cfg.Q,
-            window_fraction=(cfg.f0, cfg.f1),
-            discard_fraction=cfg.discard,
             symmetrize=cfg.symmetrize,
             sphere_rule_=rule,
             residue_q=cfg.residue_q,

@@ -61,11 +61,11 @@ expression grammar (in `main`, `main_im` and classical terms):
 config format (strict: unknown keys are fatal):
 
     [symbol]     n, main, order          (mandatory)
-                 main_im, rho, delta, cutoff, term_0, term_1, ...
+                 main_im, rho, delta, term_0, term_1, ...
                  term_j = degree ; angular-expression   (theta1.., x1..)
     [lattice]    M                       (mandatory)
     [quadrature] Q, sphere_order, residue_q
-    [fit]        f0, f1, discard, symmetrize
+    [fit]        symmetrize
     [output]     dir, matrix_format (csv|binary|both)
 """
 
@@ -85,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
             formatter_class=argparse.RawDescriptionHelpFormatter,
         )
         p.add_argument("--config", required=True, help="path to the run config file")
-        p.add_argument("--out", default="./out", help="output directory (default ./out)")
+        p.add_argument("--out", help="output directory (default: [output] dir, else ./out)")
         if name == "residue":
             p.add_argument(
                 "--convention",
@@ -121,7 +121,7 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     cfg = load_config(args.config)
-    out_dir = Path(args.out if args.out != "./out" or cfg.out_dir is None else cfg.out_dir)
+    out_dir = Path(args.out or cfg.dir or "./out")
     out_dir.mkdir(parents=True, exist_ok=True)
     sigma = build_symbol(cfg)
     say = (lambda *a, **k: None) if args.quiet else print
@@ -197,7 +197,7 @@ def _cmd_spectrum(cfg: RunConfig, sigma: Symbol, args, out_dir: Path, say) -> in
 
 def _cmd_dixmier(cfg: RunConfig, sigma: Symbol, args, out_dir: Path, say) -> int:
     run = build_spectrum(sigma, cfg.symbol.n, cfg.M, Q=cfg.Q, symmetrize=cfg.symmetrize)
-    summary = run.fit((cfg.f0, cfg.f1), cfg.discard)
+    summary = run.fit()
     payload = {
         "n": cfg.symbol.n,
         "M": cfg.M,
@@ -222,7 +222,7 @@ def _cmd_dixmier(cfg: RunConfig, sigma: Symbol, args, out_dir: Path, say) -> int
 
 def _cmd_residue(cfg: RunConfig, sigma: Symbol, args, out_dir: Path, say) -> int:
     n = cfg.symbol.n
-    rule = sphere_rule(n, cfg.sphere_order or 0)
+    rule = sphere_rule(n, cfg.sphere_order)
     rep = dixmier_trace_formula(
         sigma, n, rule=rule, torus_q=cfg.residue_q, convention=args.convention
     )
@@ -258,14 +258,12 @@ def _cmd_verify_identity(cfg: RunConfig, sigma: Symbol, args, out_dir: Path, say
 
 def _cmd_connes(cfg: RunConfig, sigma: Symbol, args, out_dir: Path, say) -> int:
     n = cfg.symbol.n
-    rule = sphere_rule(n, cfg.sphere_order or 0)
+    rule = sphere_rule(n, cfg.sphere_order)
     rep = run_connes_check(
         sigma,
         n,
         cfg.M,
         Q=cfg.Q,
-        window_fraction=(cfg.f0, cfg.f1),
-        discard_fraction=cfg.discard,
         symmetrize=cfg.symmetrize,
         sphere_rule_=rule,
         residue_q=cfg.residue_q,

@@ -2,38 +2,28 @@
 
 Format: `[section]` headers followed by `key = value` lines; `#`
 starts a comment; blank lines ignored.  Parsing is strict: unknown
-sections, unknown keys, duplicate keys and missing mandatory keys are
-all fatal, with line numbers.  Silent typos are worse than friction in
-numeric experiments.
+sections, unknown keys, duplicate keys, missing mandatory keys and
+out-of-range values are all fatal, with line numbers.  Silent typos
+are worse than friction in numeric experiments.
 
-Sections and keys (* = mandatory):
-
-    [symbol]   n*, main*, order*, main_im, rho, delta, cutoff,
-               term_0, term_1, ...   (each `degree ; angular-expression`)
-    [lattice]  M*
-    [quadrature]  Q, sphere_order, residue_q
-    [fit]      f0, f1, discard, symmetrize
-    [output]   dir, matrix_format (csv|binary|both)
+KEYS declares each section's keys once, with their converters; [symbol]
+also takes the classical terms term_0, term_1, ... (each `degree ;
+angular-expression`).  The SymbolConfig ([symbol]) or RunConfig (every
+other section) field of the same name gives a key's default, and a
+field without a default makes the key mandatory (n, main, order, M).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
 
 from . import dsl
 from .errors import ConfigError
+from .residue import DEFAULT_TORUS_Q
 
 _TERM_KEY = re.compile(r"^term_(\d+)$")
-
-_KNOWN_KEYS = {
-    "symbol": {"n", "main", "main_im", "order", "rho", "delta", "cutoff"},
-    "lattice": {"M"},
-    "quadrature": {"Q", "sphere_order", "residue_q"},
-    "fit": {"f0", "f1", "discard", "symmetrize"},
-    "output": {"dir", "matrix_format"},
-}
 
 
 @dataclass
@@ -44,7 +34,6 @@ class SymbolConfig:
     main_im: Optional[str] = None
     rho: float = 1.0
     delta: float = 0.0
-    cutoff: float = 1.0
     terms: list[tuple[float, str]] = field(default_factory=list)
 
 
@@ -54,61 +43,24 @@ class RunConfig:
     M: int
     Q: Optional[int] = None
     sphere_order: Optional[int] = None
-    residue_q: int = 128
-    f0: float = 0.2
-    f1: float = 1.0
-    discard: Optional[float] = None
+    residue_q: int = DEFAULT_TORUS_Q
     symmetrize: Optional[bool] = None
-    out_dir: Optional[str] = None
+    dir: Optional[str] = None
     matrix_format: str = "both"
 
 
-def _parse_lines(text: str) -> dict[str, dict[str, tuple[str, int]]]:
-    sections: dict[str, dict[str, tuple[str, int]]] = {}
-    current: Optional[str] = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip()
-            if current not in _KNOWN_KEYS:
-                raise ConfigError(f"unknown section [{current}]", lineno)
-            sections.setdefault(current, {})
-            continue
-        if "=" not in line:
-            raise ConfigError(f"expected `key = value`, got {line!r}", lineno)
-        if current is None:
-            raise ConfigError("key outside any [section]", lineno)
-        key, value = (part.strip() for part in line.split("=", 1))
-        if not _is_known_key(current, key):
-            raise ConfigError(f"unknown key {key!r} in [{current}]", lineno)
-        if key in sections[current]:
-            raise ConfigError(f"duplicate key {key!r} in [{current}]", lineno)
-        sections[current][key] = (value, lineno)
-    return sections
+class _OutOfRange(ValueError):
+    """A well-formed value outside its key's range, which the message names."""
 
 
-def _is_known_key(section: str, key: str) -> bool:
-    if key in _KNOWN_KEYS[section]:
-        return True
-    return section == "symbol" and _TERM_KEY.match(key) is not None
+def _at_least(low: int):
+    def conv(value: str) -> int:
+        v = int(value)
+        if v < low:
+            raise _OutOfRange(f"must be >= {low}")
+        return v
 
-
-_REQUIRED = object()
-
-
-def _get(sections, section, key, conv, default=_REQUIRED):
-    entry = sections.get(section, {}).get(key)
-    if entry is None:
-        if default is _REQUIRED:
-            raise ConfigError(f"missing mandatory key {key!r} in [{section}]")
-        return default
-    value, lineno = entry
-    try:
-        return conv(value)
-    except (ValueError, TypeError):
-        raise ConfigError(f"bad value for {key!r}: {value!r}", lineno) from None
+    return conv
 
 
 def _to_bool(value: str) -> bool:
@@ -120,29 +72,78 @@ def _to_bool(value: str) -> bool:
     raise ValueError(value)
 
 
-def load_config(path) -> RunConfig:
-    """Read, validate and default-fill a run configuration."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    sections = _parse_lines(text)
+def _matrix_format(value: str) -> str:
+    if value not in ("csv", "binary", "both"):
+        raise _OutOfRange("must be csv|binary|both")
+    return value
 
-    n = _get(sections, "symbol", "n", int)
-    if n < 1:
-        raise ConfigError(f"dimension must be >= 1, got {n}")
-    sym = SymbolConfig(
-        n=n,
-        main=_get(sections, "symbol", "main", str),
-        order=_get(sections, "symbol", "order", float),
-        main_im=_get(sections, "symbol", "main_im", str, None),
-        rho=_get(sections, "symbol", "rho", float, 1.0),
-        delta=_get(sections, "symbol", "delta", float, 0.0),
-        cutoff=_get(sections, "symbol", "cutoff", float, 1.0),
-    )
+
+# section -> key -> converter; it raises _OutOfRange for a value out of its
+# range and ValueError or TypeError for any other bad value
+KEYS = {
+    "symbol": {"n": _at_least(1), "main": str, "order": float, "main_im": str,
+               "rho": float, "delta": float},
+    "lattice": {"M": _at_least(0)},
+    "quadrature": {"Q": int, "sphere_order": _at_least(1), "residue_q": _at_least(1)},
+    "fit": {"symmetrize": _to_bool},
+    "output": {"dir": str, "matrix_format": _matrix_format},
+}
+
+
+def _parse_lines(text: str) -> dict[str, dict[str, tuple[str, int]]]:
+    sections: dict[str, dict[str, tuple[str, int]]] = {}
+    current: Optional[str] = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            current = line[1:-1].strip()
+            if current not in KEYS:
+                raise ConfigError(f"unknown section [{current}]", lineno)
+            sections.setdefault(current, {})
+            continue
+        if "=" not in line:
+            raise ConfigError(f"expected `key = value`, got {line!r}", lineno)
+        if current is None:
+            raise ConfigError("key outside any [section]", lineno)
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in KEYS[current] and not (current == "symbol" and _TERM_KEY.match(key)):
+            raise ConfigError(f"unknown key {key!r} in [{current}]", lineno)
+        if key in sections[current]:
+            raise ConfigError(f"duplicate key {key!r} in [{current}]", lineno)
+        sections[current][key] = (value, lineno)
+    return sections
+
+
+def _section_values(sections, section: str, cls) -> dict:
+    """The converted values of the section's keys that the file sets;
+    a key it leaves out takes the default of cls's field."""
+    mandatory = {f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING}
+    given = sections.get(section, {})
+    values = {}
+    for key, conv in KEYS[section].items():
+        if key not in given:
+            if key in mandatory:
+                raise ConfigError(f"missing mandatory key {key!r} in [{section}]")
+            continue
+        value, lineno = given[key]
+        try:
+            values[key] = conv(value)
+        except _OutOfRange as exc:
+            raise ConfigError(f"{key} {exc}, got {value!r}", lineno) from None
+        except (ValueError, TypeError):
+            raise ConfigError(f"bad value for {key!r}: {value!r}", lineno) from None
+    return values
+
+
+def _terms(sections) -> list[tuple[float, str]]:
     term_entries = {
         int(_TERM_KEY.match(key).group(1)): (value, lineno)
         for key, (value, lineno) in sections.get("symbol", {}).items()
         if _TERM_KEY.match(key)
     }
+    terms = []
     for j in range(len(term_entries)):
         if j not in term_entries:
             raise ConfigError(f"classical terms must be contiguous: term_{j} is missing")
@@ -154,26 +155,21 @@ def load_config(path) -> RunConfig:
             degree = float(deg_text)
         except ValueError:
             raise ConfigError(f"bad degree {deg_text!r} in term_{j}", lineno) from None
-        sym.terms.append((degree, expr))
+        terms.append((degree, expr))
+    return terms
 
-    cfg = RunConfig(
-        symbol=sym,
-        M=_get(sections, "lattice", "M", int),
-        Q=_get(sections, "quadrature", "Q", int, None),
-        sphere_order=_get(sections, "quadrature", "sphere_order", int, None),
-        residue_q=_get(sections, "quadrature", "residue_q", int, 128),
-        f0=_get(sections, "fit", "f0", float, 0.2),
-        f1=_get(sections, "fit", "f1", float, 1.0),
-        discard=_get(sections, "fit", "discard", float, None),
-        symmetrize=_get(sections, "fit", "symmetrize", _to_bool, None),
-        out_dir=_get(sections, "output", "dir", str, None),
-        matrix_format=_get(sections, "output", "matrix_format", str, "both"),
-    )
-    if cfg.M < 0:
-        raise ConfigError(f"lattice half-width M must be >= 0, got {cfg.M}")
-    if cfg.matrix_format not in ("csv", "binary", "both"):
-        raise ConfigError(f"matrix_format must be csv|binary|both, got {cfg.matrix_format!r}")
-    return cfg
+
+def load_config(path) -> RunConfig:
+    """Read, validate and default-fill a run configuration."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    sections = _parse_lines(text)
+    sym = SymbolConfig(**_section_values(sections, "symbol", SymbolConfig), terms=_terms(sections))
+    run_values = {}
+    for section in KEYS:
+        if section != "symbol":
+            run_values.update(_section_values(sections, section, RunConfig))
+    return RunConfig(symbol=sym, **run_values)
 
 
 def build_symbol(cfg: RunConfig):
@@ -188,6 +184,5 @@ def build_symbol(cfg: RunConfig):
         delta=sym.delta,
         main_im=sym.main_im,
         classical_terms=sym.terms or None,
-        cutoff_radius=sym.cutoff,
         side="discrete",
     )

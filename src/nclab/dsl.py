@@ -459,51 +459,57 @@ def references(e: SymbolExpr, kinds: tuple[str, ...]) -> bool:
 
 
 def x_bandwidth(e: SymbolExpr) -> float:
-    """Largest x-Fourier degree per axis that the tree can carry: 0 when
-    it does not reference x; |m| for cos/sin of 2*pi*m*x_j plus an
-    x-free offset (m integer); the max over '+' and '-', the sum over
-    '*', unchanged by an x-free divisor, times k under a constant
-    power k >= 0; inf (not band-limited) for anything else that
-    references x.  A tree that references x gets at least 1, so the
-    result is 0 exactly when x is absent."""
-    if not references(e, ("x",)):
-        return 0
-    return max(1, _x_degree(e))
+    """Largest x-Fourier degree over the axes (see _x_degrees), at
+    least 1 for a tree that references x, so the result is 0 exactly
+    when x is absent."""
+    degrees = _x_degrees(e)
+    return max(1, *degrees.values()) if degrees else 0
 
 
-def _x_degree(e: SymbolExpr) -> float:
+def _x_degrees(e: SymbolExpr) -> dict[int, float]:
+    """{j: degree in x_j} over the axes j the tree references: |m_j| for
+    cos/sin of sum_j 2*pi*m_j*x_j plus an x-free offset (m_j integer);
+    per axis, the max over '+' and '-' and the sum over '*'; unchanged
+    by an x-free divisor, times k under a constant power k >= 0; inf
+    (not band-limited) on every referenced axis for anything else."""
+    axes = {node.index for node in walk(e) if isinstance(node, Var) and node.kind == "x"}
+    if not axes:
+        return {}
     if isinstance(e, Neg):
-        return x_bandwidth(e.arg)
+        return _x_degrees(e.arg)
     if isinstance(e, Call) and e.fn in ("cos", "sin"):
-        return _character_degree(e.arg)
+        degrees = _character_degrees(e.arg)
+        if degrees is not None:
+            return degrees
     if isinstance(e, BinOp):
-        left, right = x_bandwidth(e.left), x_bandwidth(e.right)
+        left, right = _x_degrees(e.left), _x_degrees(e.right)
         if e.op in "+-":
-            return max(left, right)
+            return {j: max(left.get(j, 0), right.get(j, 0)) for j in axes}
         if e.op == "*":
-            return left + right
-        if e.op == "/" and right == 0:
+            return {j: left.get(j, 0) + right.get(j, 0) for j in axes}
+        if e.op == "/" and not right:
             return left
         if e.op == "^":
             k = _constant(e.right)
             if k is not None and k >= 0 and k.is_integer():
-                return left * int(k) if k else 0
-    return math.inf  # bare x_j, exp/abs of x, x in a divisor or an exponent
+                return {j: d * int(k) if k else 0 for j, d in left.items()}
+    # bare x_j, exp/abs of x, x in a divisor or an exponent
+    return dict.fromkeys(axes, math.inf)
 
 
-def _character_degree(arg: SymbolExpr) -> float:
-    """max_j |m_j| when arg = sum_j 2*pi*m_j*x_j plus an x-free offset
-    with every m_j an integer, else inf."""
+def _character_degrees(arg: SymbolExpr) -> dict[int, int] | None:
+    """{j: |m_j|} when arg = sum_j 2*pi*m_j*x_j plus an x-free offset
+    with every m_j an integer, else None."""
     coeffs = _linear_in_x(arg)
     if coeffs is None:
-        return math.inf
-    degree = 0
-    for c in coeffs.values():
+        return None
+    degrees = {}
+    for j, c in coeffs.items():
         m = c / (2 * math.pi)
         if abs(m - round(m)) > 1e-12 * max(1.0, abs(m)):
-            return math.inf
-        degree = max(degree, abs(round(m)))
-    return degree
+            return None
+        degrees[j] = abs(round(m))
+    return degrees
 
 
 def _linear_in_x(e: SymbolExpr) -> dict[int, float] | None:
@@ -564,7 +570,6 @@ def to_symbol(
     delta: float = 0.0,
     main_im=None,
     classical_terms=None,
-    cutoff_radius: float = 1.0,
     side: str = "discrete",
 ):
     """Assemble a Symbol from expression text (or parsed trees).
@@ -601,7 +606,7 @@ def to_symbol(
             if references(ast, ("xi",)):
                 raise UsageError("angular parts must use theta, not xi")
             terms.append(sym.ClassicalTerm(float(degree), _angular_fn(ast)))
-        classical = sym.ClassicalStructure(tuple(terms), float(cutoff_radius))
+        classical = sym.ClassicalStructure(tuple(terms))
 
     bandwidth = max(x_bandwidth(ast) for ast in (main_ast, im_ast) if ast is not None)
     return sym.Symbol(func, float(order), float(rho), float(delta), side, classical, bandwidth)

@@ -23,11 +23,6 @@ import numpy as np
 from .errors import UsageError
 
 
-def torus_point(coords) -> np.ndarray:
-    """Reduce coordinates mod 1 into [0,1)^n."""
-    return np.mod(np.asarray(coords, dtype=float), 1.0)
-
-
 def torus_grid(n: int, q: int) -> np.ndarray:
     """The uniform torus grid j/q, q points per axis, as a (q^n, n)
     array in lexicographic order (last axis fastest)."""

@@ -38,8 +38,8 @@ import numpy as np
 from .errors import UsageError
 from .lattice import TruncationBox
 from .quantize import QuadratureGrid, assemble_toroidal
-from .residue import CONVENTIONS_STANZA, LATTICE, PAPER, SphereRule, dixmier_trace_formula, residue_value
-from .spectral import SpectralSummary, diagonal_sequence, matrix_sequence, trace_estimate
+from .residue import CONVENTIONS_STANZA, DEFAULT_TORUS_Q, LATTICE, PAPER, SphereRule, dixmier_trace_formula, residue_value
+from .spectral import DEFAULT_DISCARD, DEFAULT_WINDOW, SpectralSummary, diagonal_sequence, matrix_sequence, trace_estimate
 from .symbols import DISCRETE, Symbol, evaluate, flip
 
 
@@ -72,13 +72,15 @@ class SpectrumRun:
         return float(self.sequence[-1])
 
     def fit(
-        self, window_fraction: tuple[float, float], discard_fraction: Optional[float]
+        self,
+        window_fraction: tuple[float, float] = DEFAULT_WINDOW,
+        discard_fraction: Optional[float] = None,
     ) -> SpectralSummary:
         """The log fit of the sequence; a None discard drops nothing
         from an exactly enumerated diagonal spectrum and the trailing
-        half (boundary modes) of an assembled one."""
+        DEFAULT_DISCARD (boundary modes) of an assembled one."""
         if discard_fraction is None:
-            discard_fraction = 0.0 if self.diagonal_path else 0.5
+            discard_fraction = 0.0 if self.diagonal_path else DEFAULT_DISCARD
         return trace_estimate(self.sequence, window_fraction, discard_fraction)
 
 
@@ -134,18 +136,16 @@ def run_connes_check(
     n: int,
     M: int,
     Q: Optional[int] = None,
-    window_fraction: tuple[float, float] = (0.2, 1.0),
-    discard_fraction: Optional[float] = None,
     symmetrize: Optional[bool] = None,
     sphere_rule_: Optional[SphereRule] = None,
-    residue_q: int = 128,
+    residue_q: int = DEFAULT_TORUS_Q,
 ) -> ConnesComparison:
     """Build the operator at truncation M, estimate its trace from the
     log fit, evaluate the residue formula for the same symbol, and
     compare (lattice convention on both sides).  Deterministic for
     fixed inputs."""
     run = build_spectrum(sigma, n, M, Q=Q, symmetrize=symmetrize)
-    summary = run.fit(window_fraction, discard_fraction)
+    summary = run.fit()
 
     top = run.sequence[: max(1, len(run.sequence) // 10)]
     positivity_warning = bool(run.min_eigenvalue < -0.1 * float(np.mean(top)))

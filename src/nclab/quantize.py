@@ -329,7 +329,6 @@ class IdentityReport:
     full_deviation: float
     interior_deviation: float
     bandwidth: int
-    box: TruncationBox
     grid_q: int
 
 
@@ -354,7 +353,7 @@ def verify_identity(
         inner = float(dev[np.ix_(interior, interior)].max())
     else:
         inner = float("nan")
-    return IdentityReport(full, inner, b, box, grid.q)
+    return IdentityReport(full, inner, b, grid.q)
 
 
 def _band_width(A: OperatorMatrix) -> int:

@@ -50,18 +50,20 @@ class SphereRule:
         return len(self.weights)
 
 
-def sphere_rule(n: int, order: int = 0) -> SphereRule:
+def sphere_rule(n: int, order: int | None = None) -> SphereRule:
     """Build the quadrature rule for S^(n-1), 1 <= n <= 3.
 
     n=1: the two points +-1, weight 1 each.  n=2: `order` equispaced
     angles, trapezoid weights.  n=3: Gauss-Legendre in cos(polar) with
     `order` nodes times 2*order equispaced azimuths, normalized to
-    total 4*pi.
+    total 4*pi.  A None order takes DEFAULT_SPHERE_ORDER.
     """
     if not 1 <= n <= 3:
         raise UsageError(f"unsupported dimension {n}: sphere rules cover 1 <= n <= 3")
-    if order <= 0:
+    if order is None:
         order = DEFAULT_SPHERE_ORDER[n]
+    if order < 1:
+        raise UsageError(f"sphere rule order must be >= 1, got {order}")
     if n == 1:
         nodes = np.array([[1.0], [-1.0]])
         weights = np.array([1.0, 1.0])
@@ -115,6 +117,8 @@ def noncommutative_residue(
         raise UsageError("residue expects a toroidal-side symbol (flip first)")
     if convention not in (LATTICE, PAPER):
         raise UsageError(f"unknown convention {convention!r}")
+    if torus_q < 1:
+        raise UsageError(f"torus grid size must be >= 1, got {torus_q}")
     if rule is None:
         rule = sphere_rule(n)
     if rule.n != n:

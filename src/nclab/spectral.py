@@ -51,6 +51,10 @@ from .errors import NonConvergenceError, UsageError
 # spectrum length.
 _CSV_CHUNK_ROWS = 4096
 
+# Default fit window [f0*L, f1*L] of the usable length L, and default discard.
+DEFAULT_WINDOW = (0.2, 1.0)
+DEFAULT_DISCARD = 0.5
+
 
 @dataclass(frozen=True)
 class SpectralSummary:
@@ -164,8 +168,8 @@ def l1inf_norm(s) -> float:
 
 def trace_estimate(
     s,
-    window_fraction: tuple[float, float] = (0.2, 1.0),
-    discard_fraction: float = 0.5,
+    window_fraction: tuple[float, float] = DEFAULT_WINDOW,
+    discard_fraction: float = DEFAULT_DISCARD,
 ) -> SpectralSummary:
     """Fit S_N ~ c ln N + b over N in [ceil(f0*L), floor(f1*L)] where
     L = floor((1-d)*len); the slope c estimates the Dixmier trace.

@@ -55,7 +55,7 @@ class ClassicalTerm:
 
 @dataclass(frozen=True)
 class ClassicalStructure:
-    """Declared homogeneous expansion, valid for |frequency| >= cutoff_radius:
+    """Declared homogeneous expansion, valid for large |frequency|:
 
         symbol(k, x) = sum_j |k|^(d_j) * angular_j(x, k/|k|) + lower order
 
@@ -63,11 +63,8 @@ class ClassicalStructure:
     """
 
     terms: tuple[ClassicalTerm, ...]
-    cutoff_radius: float = 1.0
 
     def __post_init__(self):
-        if self.cutoff_radius <= 0:
-            raise UsageError("cutoff radius must be positive")
         degs = [t.degree for t in self.terms]
         for j in range(1, len(degs)):
             if abs(degs[j] - (degs[0] - j)) > 1e-9:
@@ -164,7 +161,7 @@ def flip(sigma: Symbol) -> Symbol:
         flipped_terms = tuple(
             ClassicalTerm(t.degree, _flip_angular(t.angular)) for t in sigma.classical.terms
         )
-        classical = ClassicalStructure(flipped_terms, sigma.classical.cutoff_radius)
+        classical = ClassicalStructure(flipped_terms)
 
     return Symbol(
         tau_func, sigma.order, sigma.rho, sigma.delta, TOROIDAL, classical, sigma.x_bandwidth
@@ -289,7 +286,6 @@ class SeminormReport:
 
     alpha: tuple[int, ...]
     beta: tuple[int, ...]
-    window: tuple[int, int]
     sup_ratio: float
     fitted_exponent: float
     residual: float
@@ -352,7 +348,6 @@ def seminorm_estimate(sigma: Symbol, alpha, beta, window: tuple[int, int]) -> Se
     return SeminormReport(
         tuple(int(a) for a in alpha),
         tuple(int(b) for b in beta),
-        (r_min, r_max),
         sup_ratio,
         fitted,
         resid,

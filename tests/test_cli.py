@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nclab.cli import main
+from nclab.cli import GRAMMAR_HELP, main
+from nclab.config import KEYS
 
 MULTIPLIER = """\
 [symbol]
@@ -124,6 +126,26 @@ def test_unparsable_expression_exits_1(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "offset" in err
+
+
+def test_grammar_help_lists_exactly_the_config_keys():
+    config_help = GRAMMAR_HELP.split("config format", 1)[1]
+    sections = dict(re.findall(r"^    \[(\w+)\]\s+(.*(?:\n {17}.*)*)", config_help, re.M))
+    assert set(sections) == set(KEYS)
+    for section, text in sections.items():
+        text = re.sub(r"\(.*?\)|term_j = .*|term_\d+|\.\.\.", " ", text)
+        assert set(re.findall(r"\w+", text)) == set(KEYS[section]), section
+
+
+@pytest.mark.parametrize("command", ["residue", "connes"])
+@pytest.mark.parametrize("setting", ["residue_q = 0", "residue_q = -2", "sphere_order = 0"])
+def test_quadrature_sizes_below_one_exit_1_without_output(tmp_path, capsys, command, setting):
+    cfg = write(tmp_path, COSINE + setting + "\n")
+    out = tmp_path / "r"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    key, value = (part.strip() for part in setting.split("="))
+    assert capsys.readouterr().err == f"error: line 12: {key} must be >= 1, got '{value}'\n"
+    assert not out.exists()
 
 
 def test_unknown_config_key_exits_1(tmp_path, capsys):

@@ -1,6 +1,8 @@
+from dataclasses import MISSING, fields
+
 import pytest
 
-from nclab.config import build_symbol, load_config
+from nclab.config import KEYS, RunConfig, SymbolConfig, build_symbol, load_config
 from nclab.errors import ConfigError, UsageError
 
 MINIMAL = """\
@@ -30,8 +32,7 @@ def test_minimal_config_defaults(tmp_path):
     assert cfg.M == 1000
     assert cfg.Q is None
     assert cfg.residue_q == 128
-    assert cfg.f0 == 0.2 and cfg.f1 == 1.0
-    assert cfg.discard is None and cfg.symmetrize is None
+    assert cfg.symmetrize is None
     sigma = build_symbol(cfg)
     assert sigma.order == -1.0
 
@@ -44,6 +45,17 @@ def test_unknown_key_is_fatal_with_line(tmp_path):
         load_config(write(tmp_path, bad))
     except ConfigError as exc:
         assert exc.line == 8
+    # keys that no run reads are gone: setting one is an unknown key
+    removed = [
+        ("cutoff", MINIMAL.replace("order = -1", "order = -1\ncutoff = 2"), 5),
+        ("f0", MINIMAL + "[fit]\nf0 = 0.3\n", 9),
+        ("f1", MINIMAL + "[fit]\nf1 = 0.9\n", 9),
+        ("discard", MINIMAL + "[fit]\nsymmetrize = true\ndiscard = 0.5\n", 10),
+    ]
+    for key, text, line in removed:
+        with pytest.raises(ConfigError, match=f"^line {line}: unknown key '{key}'") as exc:
+            load_config(write(tmp_path, text))
+        assert exc.value.line == line
 
 
 def test_unknown_section_is_fatal(tmp_path):
@@ -111,3 +123,37 @@ def test_bad_symmetrize_value(tmp_path):
     text = MINIMAL + "[fit]\nsymmetrize = maybe\n"
     with pytest.raises(ConfigError, match="bad value"):
         load_config(write(tmp_path, text))
+
+
+def test_every_key_is_a_field_and_fields_without_default_are_mandatory():
+    mandatory = set()
+    for section, keys in KEYS.items():
+        by_name = {f.name: f for f in fields(SymbolConfig if section == "symbol" else RunConfig)}
+        for key in keys:
+            assert key in by_name, f"[{section}] {key} has no field"
+            f = by_name[key]
+            if f.default is MISSING and f.default_factory is MISSING:
+                mandatory.add(key)
+    assert mandatory == {"n", "main", "order", "M"}
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        (MINIMAL.replace("n = 1", "n = 0"), 2, "n must be >= 1, got '0'"),
+        (MINIMAL.replace("M = 1000", "M = -1"), 7, "M must be >= 0, got '-1'"),
+        (MINIMAL + "[quadrature]\nresidue_q = 0\n", 9, "residue_q must be >= 1, got '0'"),
+        (MINIMAL + "[quadrature]\nresidue_q = -3\n", 9, "residue_q must be >= 1, got '-3'"),
+        (MINIMAL + "[quadrature]\nsphere_order = 0\n", 9, "sphere_order must be >= 1, got '0'"),
+        (MINIMAL + "[output]\nmatrix_format = xml\n", 9, r"matrix_format must be csv\|binary\|both, got 'xml'"),
+    ],
+    ids=["n", "M", "residue_q=0", "residue_q=-3", "sphere_order", "matrix_format"],
+)
+def test_out_of_range_values_are_fatal_with_line(tmp_path, text, line, message):
+    with pytest.raises(ConfigError, match=f"^line {line}: {message}$"):
+        load_config(write(tmp_path, text))
+
+
+def test_quadrature_sizes_of_one_are_accepted(tmp_path):
+    cfg = load_config(write(tmp_path, MINIMAL + "[quadrature]\nresidue_q = 1\nsphere_order = 1\n"))
+    assert (cfg.residue_q, cfg.sphere_order) == (1, 1)

@@ -213,7 +213,11 @@ def test_main_cannot_use_theta():
         ("cos(pi*x1)", None, math.inf),  # non-integer multiple
         ("cos(2*pi*x1)+sin(2*pi*3*x2)", None, 3),  # max
         ("cos(2*pi*x1)-sin(2*pi*3*x2)", None, 3),
-        ("cos(2*pi*x1)*sin(2*pi*2*x2)", None, 3),  # sum
+        ("cos(2*pi*x1)*sin(2*pi*2*x1)", None, 3),  # sum on one axis
+        ("cos(2*pi*x1)*sin(2*pi*2*x2)", None, 2),  # max over the axes
+        ("cos(2*pi*x1)*cos(2*pi*x2)", None, 1),
+        ("(1+0.5*cos(2*pi*x1))*(1+0.5*cos(2*pi*x2))*(1+|xi|^2)^(-1)", None, 1),
+        ("cos(2*pi*x1)^2*cos(2*pi*x2)", None, 2),
         ("(1+cos(2*pi*2*x1))/<xi>", None, 2),  # x-free divisor
         ("(1+cos(2*pi*x1))^3", None, 3),  # non-negative integer power
         ("(1+cos(2*pi*x1))^0", None, 1),

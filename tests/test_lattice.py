@@ -4,12 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nclab.errors import UsageError
-from nclab.lattice import TruncationBox, multi_index, torus_point
-
-
-def test_torus_point_reduces_mod_1():
-    assert torus_point([1.25, -0.25]).tolist() == [0.25, 0.75]
-    assert torus_point([0.0, 0.999]).tolist() == [0.0, 0.999]
+from nclab.lattice import TruncationBox, multi_index
 
 
 def test_multi_index_validation():

@@ -262,7 +262,10 @@ def test_block_size_does_not_change_the_matrices(monkeypatch, n, M, q, expr):
     [
         (1, 8, 64, "(1+0.5*cos(2*pi*x1+0.3))*<xi>^(-1)", None, 1),
         (1, 8, 64, "(1+0.5*cos(2*pi*x1))^2*<xi>^(-1)", "sin(2*pi*3*x1+xi1)*<xi>^(-2)", 3),
-        (2, 3, 16, "(1+0.5*cos(2*pi*x1)*sin(2*pi*x2+xi1))*(1+|xi|^2)^(-1)", None, 2),
+        # products across axes: exact zeros past the largest per-axis degree
+        (2, 3, 16, "(1+0.5*cos(2*pi*x1)*sin(2*pi*x2+xi1))*(1+|xi|^2)^(-1)", None, 1),
+        (2, 3, 16, "cos(2*pi*x1)*cos(2*pi*x2)*(1+|xi|^2)^(-1)", None, 1),
+        (2, 3, 16, "cos(2*pi*x1)^2*cos(2*pi*x2)*(1+|xi|^2)^(-1)", None, 2),
         (2, 3, 16, "(1+|xi|^2)^(-1)", "cos(2*pi*(x1-x2))*<xi>^(-3)", 1),
     ],
 )

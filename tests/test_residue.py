@@ -32,7 +32,7 @@ def test_sphere_total_weights():
 
 
 def test_sphere_nodes_are_unit():
-    for n, order in ((1, 0), (2, 32), (3, 16)):
+    for n, order in ((1, None), (2, 32), (3, 16)):
         rule = sphere_rule(n, order)
         norms = np.sqrt(np.sum(rule.nodes**2, axis=-1))
         assert np.max(np.abs(norms - 1.0)) < 1e-14
@@ -53,6 +53,21 @@ def test_sphere_integrates_z_squared():
 def test_sphere_unsupported_dimension():
     with pytest.raises(UsageError):
         sphere_rule(4)
+
+
+def test_sphere_rule_default_order_and_sizes_below_one():
+    assert sphere_rule(2).order == sphere_rule(2, None).order == 64
+    assert sphere_rule(3).order == 24 * 48
+    for n in (1, 2, 3):
+        with pytest.raises(UsageError, match="order must be >= 1, got 0"):
+            sphere_rule(n, 0)
+
+
+@pytest.mark.parametrize("torus_q", [0, -1])
+def test_torus_grid_below_one_is_a_usage_error(torus_q):
+    sigma = toroidal("(1+0.5*cos(2*pi*x1))*<xi>^(-1)", terms=[(-1, "1+0.5*cos(2*pi*x1)")])
+    with pytest.raises(UsageError, match=f"torus grid size must be >= 1, got {torus_q}"):
+        noncommutative_residue(sigma, 1, torus_q=torus_q)
 
 
 # ---------------------------------------------------------------------------
