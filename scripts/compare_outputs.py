@@ -59,11 +59,13 @@ THREAD_PIN = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THRE
 # Configs for the assembly branches that no shipped config reaches:
 # name -> (n, x-dependent factor, M) of (factor) * <xi>^(-n) (for n = 1)
 # or (factor) * (1+|xi|^2)^(-1) (for n = 2).  In turn: no known band
-# (b = inf), a band as wide as the box (b >= 2M, the full Q-point rule),
-# a band on the dense side of quantize.BAND_RATIO (b = M/4), a 2-D band and
-# a 2-D product across the axes (degree 1 in each axis, so b = 1).
+# (b = inf) in 1-D and in 2-D, both gathered through the reach-2M stencil
+# on the Q^n grid; a band as wide as the box (b >= 2M, the same gather);
+# a band on the dense side of quantize.BAND_RATIO (b = M/4); a 2-D band;
+# and a 2-D product across the axes (degree 1 in each axis, so b = 1).
 BRANCH_CONFIGS = {
     "band_inf_1d": (1, "exp(0.3*cos(2*pi*x1))", 64),
+    "band_inf_2d": (2, "exp(0.3*cos(2*pi*x1))", 6),
     "band_wide_1d": (1, "1+0.5*cos(2*pi*100*x1)", 32),
     "band_dense_1d": (1, "1+0.5*cos(2*pi*16*x1)", 64),
     "band_2d": (2, "1+0.5*cos(2*pi*x1)", 12),

@@ -53,11 +53,11 @@ class _OutOfRange(ValueError):
     """A well-formed value outside its key's range, which the message names."""
 
 
-def _at_least(low: int):
+def _at_least(low: int, even: bool = False):
     def conv(value: str) -> int:
         v = int(value)
-        if v < low:
-            raise _OutOfRange(f"must be >= {low}")
+        if v < low or (even and v % 2):
+            raise _OutOfRange(f"must be {'even and ' if even else ''}>= {low}")
         return v
 
     return conv
@@ -84,7 +84,7 @@ KEYS = {
     "symbol": {"n": _at_least(1), "main": str, "order": float, "main_im": str,
                "rho": float, "delta": float},
     "lattice": {"M": _at_least(0)},
-    "quadrature": {"Q": int, "sphere_order": _at_least(1), "residue_q": _at_least(1)},
+    "quadrature": {"Q": _at_least(2, even=True), "sphere_order": _at_least(1), "residue_q": _at_least(1)},
     "fit": {"symmetrize": _to_bool},
     "output": {"dir": str, "matrix_format": _matrix_format},
 }

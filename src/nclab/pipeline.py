@@ -5,7 +5,7 @@ build_spectrum is the one entry point to the spectral side.  It picks
 the path from the symbol's declared structure (Symbol.x_bandwidth),
 never from samples: a symbol declared x-free (bandwidth 0) is a
 multiplier, and its diagonal is evaluated over the box; every other
-symbol, a plain Symbol(func) of unknown bandwidth included, has the
+symbol, a plain Symbol(func) (bandwidth inf) included, has the
 toroidal operator of its flipped symbol assembled (singular values
 are shared with the discrete operator since the bases differ by a
 unitary conjugation).  Symbols derived by flip, finite_modify
@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import UsageError
 from .lattice import TruncationBox
-from .quantize import QuadratureGrid, assemble_toroidal
+from .quantize import QuadratureGrid, _check_memory, assemble_toroidal
 from .residue import CONVENTIONS_STANZA, DEFAULT_TORUS_Q, LATTICE, PAPER, SphereRule, dixmier_trace_formula, residue_value
 from .spectral import DEFAULT_DISCARD, DEFAULT_WINDOW, SpectralSummary, diagonal_sequence, matrix_sequence, trace_estimate
 from .symbols import DISCRETE, Symbol, evaluate, flip
@@ -45,9 +45,9 @@ from .symbols import DISCRETE, Symbol, evaluate, flip
 
 def depends_on_second(sigma: Symbol) -> bool:
     """Whether the spectrum of sigma must be assembled: every symbol
-    except one whose x_bandwidth declares it x-free (0).  An unknown
-    bandwidth (a plain Symbol(func)) counts as dependence, as it does
-    for assembly's reach."""
+    except one whose x_bandwidth declares it x-free (0).  No known band
+    (inf, the default of a plain Symbol(func)) counts as dependence, as
+    it does for assembly's reach."""
     return sigma.x_bandwidth != 0
 
 
@@ -81,7 +81,7 @@ class SpectrumRun:
         DEFAULT_DISCARD (boundary modes) of an assembled one."""
         if discard_fraction is None:
             discard_fraction = 0.0 if self.diagonal_path else DEFAULT_DISCARD
-        return trace_estimate(self.sequence, window_fraction, discard_fraction)
+        return trace_estimate(self.sequence, discard_fraction, window_fraction)
 
 
 def build_spectrum(
@@ -101,6 +101,8 @@ def build_spectrum(
     box = TruncationBox(n, M)
 
     if not depends_on_second(sigma):
+        # the box points as integers and floats, and the complex values
+        _check_memory(16 * (n + 1) * box.size, f"a diagonal of {box.size} lattice points")
         vals = evaluate(sigma.func, box.points().astype(float), np.zeros(n), (box.size,))
         seq, herm_dev = diagonal_sequence(vals)
         return SpectrumRun(

@@ -19,16 +19,15 @@ Torus integrals use the Q-point tensor rectangle rule per axis, i.e.
 one FFT over the grid per row (column); this is exact for trigonometric
 polynomials of degree < Q/2 and spectrally accurate otherwise.
 
-A symbol whose expression bounds its x-bandwidth by b
-(Symbol.x_bandwidth) has reach r = min(b, 2M) on the box [-M, M]^n.
-When r < 2M, assembly samples the (2r+2)^n grid instead of the Q^n
-one, reads the offsets |d|_inf <= r and writes exact zeros beyond
-them.  In exact arithmetic a Q-point rule with Q >= 4M+2 and a
+A symbol of x-bandwidth b (Symbol.x_bandwidth, inf when no band is
+known) has reach r = min(b, 2M) on the box [-M, M]^n: entry [eta, m]
+vanishes unless |eta - m|_inf <= r.  Assembly reads every symbol at
+the in-box offsets of the stencil |d|_inf <= r, sampled on the
+(2r+2)^n grid when r < 2M (a band-limited symbol) and on the Q^n grid
+when r = 2M.  In exact arithmetic a Q-point rule with Q >= 4M+2 and a
 (2r+2)-point rule give the same coefficients for a trigonometric
 polynomial of degree r, and both give zero beyond r, so Q keeps its
 meaning and its reported value; the two differ by round-off only.
-Every other symbol (r = 2M, no band, or an opaque callable) is
-sampled on the Q^n grid.
 
 With r < 2M every nonzero entry lies within index distance
 kd = r * sum_{j<n} (2M+1)^j of the diagonal (box enumeration is
@@ -47,10 +46,9 @@ points evaluates the symbol once, on first arguments of shape
 (B, 1, n) against the grid of shape (1, P, n) with P = Q^n or
 (2r+2)^n, and runs one batched FFT over the grid axes.  B * P stays
 within BLOCK_POINTS (B >= 1), so a block's temporaries stay near
-40 * BLOCK_POINTS bytes: each point reads fewer entries than P (the
-box size on the Q^n grid, (2r+1)^n offsets on the other).  Rows
-(columns) are independent, so the block size never changes a matrix
-entry.
+40 * BLOCK_POINTS bytes: each point reads at most (2r+1)^n < P
+entries.  Rows (columns) are independent, so the block size never
+changes a matrix entry.
 """
 
 from __future__ import annotations
@@ -175,9 +173,8 @@ class OperatorMatrix:
 
 def _reach(sym: Symbol, box: TruncationBox) -> int:
     """Largest Chebyshev offset with a nonzero entry: min(b, 2M) for a
-    symbol of x-bandwidth b, 2M when b is unknown."""
-    M = box.M
-    return 2 * M if sym.x_bandwidth is None else int(min(sym.x_bandwidth, 2 * M))
+    symbol of x-bandwidth b (inf when unknown)."""
+    return int(min(sym.x_bandwidth, 2 * box.M))
 
 
 def _physical_memory() -> int:
@@ -217,51 +214,45 @@ def _check_sizes(
     return grid
 
 
-def _coefficient_blocks(sym: Symbol, box: TruncationBox, grid: QuadratureGrid):
+def _coefficient_blocks(sym: Symbol, box: TruncationBox, grid: QuadratureGrid, reach: int):
     """Yield (rows, cols, values) over consecutive runs of box points
-    p_i, with values at [rows, cols] the Fourier coefficients of
-    x -> sym(p_i, x) at the offsets box_j - p_i (mod Q), i in rows and
-    j in cols: the discrete matrix, whose transpose is the toroidal
-    one.  On the Q^n grid rows is a slice of box points, cols all of
-    them and values a dense block.  A symbol whose reach
-    r = min(x_bandwidth, 2M) is below 2M is sampled on the (2r+2)^n
-    grid instead, and rows, cols and values list only the entries at
-    offsets |d|_inf <= r; every other entry is zero."""
+    p_i: values[k] is the Fourier coefficient of x -> sym(p_i, x) at
+    the offset d = p_j - p_i, i = rows[k] and j = cols[k], for every
+    in-box p_j in the stencil |d|_inf <= reach.  That is entry [i, j]
+    of the discrete matrix and [j, i] of the toroidal one; every other
+    entry is zero.  A reach below 2M (a band) is sampled on the
+    (2 reach + 2)^n grid, reach 2M on grid."""
     n, M = box.n, box.M
-    reach = _reach(sym, box)
     if reach < 2 * M:
         grid = QuadratureGrid(n, 2 * reach + 2)
-        stencil = TruncationBox(n, reach).points()
     Q = grid.q
     shape = (Q,) * n
     P = Q**n
+    axis_offsets = np.arange(-reach, reach + 1)
+    stencil = TruncationBox(n, reach).points()
+    flat = np.ravel_multi_index(tuple(np.mod(stencil, Q).T), shape)
+    # box enumeration is lexicographic: tap d moves an index by shift[d]
+    shift = stencil @ (2 * M + 1) ** np.arange(n - 1, -1, -1)
     box_pts = box.points()
-    firsts = box_pts.astype(float)[:, None, :]
     x = grid.points()[None]
     per_block = max(1, BLOCK_POINTS // P)
     for start in range(0, box.size, per_block):
-        first = firsts[start : start + per_block]
-        B = len(first)
-        if reach < 2 * M:
-            targets = box_pts[start : start + B, None, :] + stencil
-            hits, taps = np.nonzero(np.all(np.abs(targets) <= M, axis=-1))
-            flat = np.ravel_multi_index(tuple(np.mod(stencil[taps], Q).T), shape)
-            rows, cols = start + hits, box.indices_of(targets[hits, taps])
-        else:
-            offsets = np.mod(box_pts[None, :, :] - box_pts[start : start + B, None, :], Q)
-            flat = np.ravel_multi_index(tuple(np.moveaxis(offsets, -1, 0)), shape)
-            rows, cols = slice(start, start + B), slice(None)
+        pts = box_pts[start : start + per_block]
+        B = len(pts)
+        # tap d reaches a box point iff every axis stays in [-M, M]
+        axis_ok = np.abs(pts[:, :, None] + axis_offsets) <= M
+        inside = axis_ok[:, 0]
+        for j in range(1, n):
+            inside = (inside[:, :, None] & axis_ok[:, j, None, :]).reshape(B, -1)
+        rows = np.arange(start, start + B)[:, None]
         # a pole or overflow in the samples is reported once, as the
         # solve's non-finite-entry error, not as numpy warnings here
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            samples = evaluate(sym.func, first, x, (B, P))
+            samples = evaluate(sym.func, pts.astype(float)[:, None, :], x, (B, P))
             coeff = np.fft.fftn(samples.reshape((B,) + shape), axes=tuple(range(1, n + 1))).reshape(B, P)
-            if reach < 2 * M:
-                values = coeff[hits, flat] / P
-            else:
-                values = np.take_along_axis(coeff, flat, axis=1) / P
+            values = np.take(coeff, flat, axis=1)[inside] / P
         del samples, coeff  # keep one block's temporaries alive at a time
-        yield rows, cols, values
+        yield np.broadcast_to(rows, inside.shape)[inside], (rows + shift)[inside], values
 
 
 def assemble_discrete(
@@ -274,7 +265,7 @@ def assemble_discrete(
         raise UsageError("assemble_discrete expects a discrete-side symbol")
     grid = _check_sizes(box, grid)
     out = np.zeros((box.size, box.size), dtype=complex)
-    for rows, cols, values in _coefficient_blocks(sigma, box, grid):
+    for rows, cols, values in _coefficient_blocks(sigma, box, grid, _reach(sigma, box)):
         out[rows, cols] = values
     return OperatorMatrix(out, box, LATTICE_DELTA)
 
@@ -288,16 +279,17 @@ def assemble_toroidal(
     BAND_RATIO * kd < S, dense otherwise."""
     if tau.side != TOROIDAL:
         raise UsageError("assemble_toroidal expects a toroidal-side symbol")
-    kd = _reach(tau, box) * sum((2 * box.M + 1) ** j for j in range(box.n))
+    reach = _reach(tau, box)
+    kd = reach * sum((2 * box.M + 1) ** j for j in range(box.n))
     if BAND_RATIO * kd >= box.size:  # reach 2M always lands here: kd = S - 1
         grid = _check_sizes(box, grid)
         out = np.zeros((box.size, box.size), dtype=complex)
-        for rows, cols, values in _coefficient_blocks(tau, box, grid):
-            out[cols, rows] = values.T
+        for rows, cols, values in _coefficient_blocks(tau, box, grid, reach):
+            out[cols, rows] = values
         return OperatorMatrix(out, box, FOURIER_MODE)
     grid = _check_sizes(box, grid, kd)
     band = np.zeros((box.size, 2 * kd + 1), dtype=complex)
-    for rows, cols, values in _coefficient_blocks(tau, box, grid):
+    for rows, cols, values in _coefficient_blocks(tau, box, grid, reach):
         band[np.minimum(cols, rows), kd + cols - rows] = values
     return OperatorMatrix(band, box, FOURIER_MODE, kd)
 

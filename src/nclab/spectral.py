@@ -51,7 +51,8 @@ from .errors import NonConvergenceError, UsageError
 # spectrum length.
 _CSV_CHUNK_ROWS = 4096
 
-# Default fit window [f0*L, f1*L] of the usable length L, and default discard.
+# Default fit window [f0*L, f1*L] of the usable length L, and the default
+# discard of an assembled spectrum, which only SpectrumRun.fit applies.
 DEFAULT_WINDOW = (0.2, 1.0)
 DEFAULT_DISCARD = 0.5
 
@@ -168,16 +169,15 @@ def l1inf_norm(s) -> float:
 
 def trace_estimate(
     s,
+    discard_fraction: float,
     window_fraction: tuple[float, float] = DEFAULT_WINDOW,
-    discard_fraction: float = DEFAULT_DISCARD,
 ) -> SpectralSummary:
     """Fit S_N ~ c ln N + b over N in [ceil(f0*L), floor(f1*L)] where
     L = floor((1-d)*len); the slope c estimates the Dixmier trace.
 
     Also reports the fit residual RMS and a stability span: the spread
-    of c over 5 sliding half-width sub-windows.  Use discard_fraction
-    0.5 for SVD spectra of truncated operators and 0.0 for exactly
-    enumerated diagonal spectra.
+    of c over 5 sliding half-width sub-windows.  The discard has no
+    default here: pipeline.SpectrumRun.fit resolves it per path.
     """
     v = np.asarray(s, dtype=float)
     f0, f1 = window_fraction

@@ -95,14 +95,14 @@ class Symbol:
     x_bandwidth declares what func does with its second (torus)
     argument: 0 when func does not depend on it, an integer b when
     func(k, .) is a trigonometric polynomial of degree at most b per
-    axis for every k, inf when it depends on x without a known band,
-    None when unknown (a plain Symbol(func) unless the caller declares
-    it; to_symbol reads it from the expression).  flip, finite_modify,
-    difference and partial_x keep it: none of them can widen the
-    x-band.  The pipeline takes the diagonal path only for 0; assembly
-    reads the reach r = min(b, 2M) of a truncation box [-M, M]^n (2M
-    when unknown): when r < 2M it samples the (2r+2)^n grid and writes
-    exact zeros at offsets beyond r (see quantize).
+    axis for every k, and inf when no band is known (the default, so
+    a plain Symbol(func) unless the caller declares it; to_symbol reads
+    it from the expression).  flip, finite_modify, difference and
+    partial_x keep it: none of them can widen the x-band.  The pipeline
+    takes the diagonal path only for 0; assembly reads the reach
+    r = min(b, 2M) of a truncation box [-M, M]^n: when r < 2M it
+    samples the (2r+2)^n grid and writes exact zeros at offsets beyond
+    r (see quantize).
     """
 
     func: Callable
@@ -111,11 +111,14 @@ class Symbol:
     delta: float = 0.0
     side: str = DISCRETE
     classical: Optional[ClassicalStructure] = None
-    x_bandwidth: Optional[float] = None
+    x_bandwidth: float = math.inf
 
     def __post_init__(self):
         if self.side not in (DISCRETE, TOROIDAL):
             raise UsageError(f"unknown side tag {self.side!r}")
+        b = self.x_bandwidth
+        if not (isinstance(b, (int, float, np.integer)) and b >= 0 and (b == math.inf or b == int(b))):
+            raise UsageError(f"x_bandwidth must be 0, a positive integer or inf, got {b!r}")
         if not (0.0 <= self.rho <= 1.0 and 0.0 <= self.delta <= 1.0):
             raise UsageError("type parameters rho, delta must lie in [0,1]")
         if self.classical is not None and self.classical.terms:

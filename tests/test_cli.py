@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nclab.cli import GRAMMAR_HELP, main
+from nclab.cli import _COMMANDS, GRAMMAR_HELP, main
 from nclab.config import KEYS
 
 MULTIPLIER = """\
@@ -277,6 +277,42 @@ def test_banded_connes_is_sized_by_its_band(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: a dense 4097 x 4097 complex matrix needs 0.3 GiB, more than the 0.2 GiB")
     assert not (tmp_path / "q" / "matrix.csv").exists()
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+@pytest.mark.parametrize(
+    "text",
+    [MULTIPLIER + "\n[quadrature]\nQ = 7\n", COSINE.replace("Q = 256", "Q = 7")],
+    ids=["diagonal", "assembled"],
+)
+def test_odd_grid_size_is_fatal_with_its_line(tmp_path, capsys, command, text):
+    # the diagonal path never reads Q, so only the config check can refuse it
+    cfg = write(tmp_path, text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "r"), "--quiet"]) == 1
+    assert capsys.readouterr().err == "error: line 11: Q must be even and >= 2, got '7'\n"
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("command", ["spectrum", "dixmier", "connes"])
+def test_oversize_diagonal_run_is_refused_before_enumeration(tmp_path, monkeypatch, capsys, command):
+    # (2 * 10^9 + 1)^2 box points; enumerating any of them fails the test
+    import nclab.quantize as quantize
+    from nclab.lattice import TruncationBox
+
+    def refuse(box):
+        raise AssertionError("box enumerated")
+
+    monkeypatch.setattr(quantize, "_physical_memory", lambda: 4 * 2**30)
+    monkeypatch.setattr(TruncationBox, "points", refuse)
+    text = MULTIPLIER.replace("n = 1", "n = 2").replace("-1", "-2").replace("M = 1500", "M = 1000000000")
+    cfg = write(tmp_path, text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "r"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        r"error: a diagonal of 4000000004000000001 lattice points needs [\d.]+ GiB, "
+        r"more than the 4\.0 GiB of physical memory\n",
+        err,
+    )
 
 
 def test_identity_check_config_pinned_near_achieved_deviation(tmp_path):

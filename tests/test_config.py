@@ -146,8 +146,11 @@ def test_every_key_is_a_field_and_fields_without_default_are_mandatory():
         (MINIMAL + "[quadrature]\nresidue_q = -3\n", 9, "residue_q must be >= 1, got '-3'"),
         (MINIMAL + "[quadrature]\nsphere_order = 0\n", 9, "sphere_order must be >= 1, got '0'"),
         (MINIMAL + "[output]\nmatrix_format = xml\n", 9, r"matrix_format must be csv\|binary\|both, got 'xml'"),
+        (MINIMAL + "[quadrature]\nQ = 7\n", 9, "Q must be even and >= 2, got '7'"),
+        (MINIMAL + "[quadrature]\nQ = -4\n", 9, "Q must be even and >= 2, got '-4'"),
+        (MINIMAL + "[quadrature]\nQ = 0\n", 9, "Q must be even and >= 2, got '0'"),
     ],
-    ids=["n", "M", "residue_q=0", "residue_q=-3", "sphere_order", "matrix_format"],
+    ids=["n", "M", "residue_q=0", "residue_q=-3", "sphere_order", "matrix_format", "Q=7", "Q=-4", "Q=0"],
 )
 def test_out_of_range_values_are_fatal_with_line(tmp_path, text, line, message):
     with pytest.raises(ConfigError, match=f"^line {line}: {message}$"):

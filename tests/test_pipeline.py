@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -324,7 +326,7 @@ def test_pole_on_the_assembled_path_is_a_usage_error():
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("x_bandwidth", [None, 1])  # full Q-point rule, band of reach 1
+@pytest.mark.parametrize("x_bandwidth", [math.inf, 1])  # full Q-point rule, band of reach 1
 def test_pole_on_the_assembled_path_reports_only_the_usage_error(x_bandwidth):
     # no errstate in the symbol: the kernel's samples must not warn
     def func(first, x):

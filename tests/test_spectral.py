@@ -338,7 +338,7 @@ def test_trace_estimate_window_checks():
     with pytest.raises(UsageError):
         trace_estimate(np.ones(30), discard_fraction=0.9)  # usable too short
     with pytest.raises(UsageError):
-        trace_estimate(np.ones(100), window_fraction=(0.5, 0.4))
+        trace_estimate(np.ones(100), discard_fraction=0.5, window_fraction=(0.5, 0.4))
 
 
 def test_partial_sums_monotone_and_quotients_decreasing():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -447,9 +449,17 @@ def test_x_dependence_flag_from_the_expression():
     assert to_symbol("cos(2*pi*x1)*<xi>^(-1)", n=1, order=-1).x_bandwidth > 0
     assert to_symbol("<xi>^(-1)", n=1, order=-1, main_im="x1*<xi>^(-2)").x_bandwidth > 0
     assert flip(bracket_inv()).x_bandwidth == 0
-    # a new evaluation map is opaque: its dependence is unknown
-    assert Symbol(lambda first, x: 1.0, order=0).x_bandwidth is None
+    # a new evaluation map is opaque: no band is known
+    assert Symbol(lambda first, x: 1.0, order=0).x_bandwidth == math.inf
     # derived symbols keep their input's bandwidth
     assert finite_modify(bracket_inv(), {(0.0,): 2.0}).x_bandwidth == 0
     assert difference(bracket_inv(), [1]).x_bandwidth == 0
     assert partial_x(bracket_inv(), [1], 8).x_bandwidth == 0
+
+
+@pytest.mark.parametrize("b", [None, -1, 1.5, float("nan"), "1"])
+def test_x_bandwidth_is_zero_a_positive_integer_or_inf(b):
+    for ok in (0, 2, 3.0, np.int64(4), math.inf):
+        assert Symbol(lambda first, x: 1.0, order=0, x_bandwidth=ok).x_bandwidth == ok
+    with pytest.raises(UsageError, match="x_bandwidth"):
+        Symbol(lambda first, x: 1.0, order=0, x_bandwidth=b)
