@@ -62,7 +62,10 @@ THREAD_PIN = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THRE
 # (b = inf) in 1-D and in 2-D, both gathered through the reach-2M stencil
 # on the Q^n grid; a band as wide as the box (b >= 2M, the same gather);
 # a band on the dense side of quantize.BAND_RATIO (b = M/4); a 2-D band;
-# and a 2-D product across the axes (degree 1 in each axis, so b = 1).
+# a 2-D product across the axes (degree 1 in each axis, so b = 1); and a
+# dense export (b = inf at M = 256): 259,881 of its 263,169 matrix
+# entries are not exact zeros, so quantize.write_matrix_csv formats
+# nearly every entry and the quantize wall times show its dense case.
 BRANCH_CONFIGS = {
     "band_inf_1d": (1, "exp(0.3*cos(2*pi*x1))", 64),
     "band_inf_2d": (2, "exp(0.3*cos(2*pi*x1))", 6),
@@ -70,6 +73,7 @@ BRANCH_CONFIGS = {
     "band_dense_1d": (1, "1+0.5*cos(2*pi*16*x1)", 64),
     "band_2d": (2, "1+0.5*cos(2*pi*x1)", 12),
     "band_2d_cross": (2, "1+0.5*cos(2*pi*x1)*cos(2*pi*x2)", 12),
+    "dense_export_1d": (1, "exp(0.3*cos(2*pi*x1))", 256),
 }
 # (label, command, extra flags) of every run on a config
 RUNS = [(command, command, ()) for command in _COMMANDS] + [

@@ -61,7 +61,6 @@ import numpy as np
 
 from .errors import UsageError
 from .lattice import TruncationBox, torus_grid
-from .spectral import _write_csv_rows
 from .symbols import DISCRETE, TOROIDAL, Symbol, evaluate, flip
 
 LATTICE_DELTA = "lattice_delta"
@@ -331,11 +330,24 @@ def verify_identity(
     assemble sigma directly, and via flip -> toroidal -> adjoint ->
     Fourier conjugation; report max |difference| over the full matrix
     and over the interior block (indices with |index| <= M - b, where
-    b is the observed band width of the discrete matrix)."""
+    b is the observed band width of the discrete matrix).
+
+    At most three dense S x S complex arrays are alive at once: D, the
+    toroidal matrix's entries and B = conjugate_by_fourier(adjoint(T)),
+    gathered in one step and then turned into D - B in place."""
     grid = _check_sizes(box, grid)
+    S = box.size
+    _check_memory(3 * 16 * S * S, f"three dense {S} x {S} complex matrices")
     D = assemble_discrete(sigma, box, grid)
-    B = conjugate_by_fourier(adjoint(assemble_toroidal(flip(sigma), box, grid)))
-    dev = np.abs(D.entries - B.entries)
+    T = assemble_toroidal(flip(sigma), box, grid)
+    perm = box.negation_permutation()
+    # B[n', k] = conj(T[-k, -n'])
+    diff = T.entries[perm[None, :], perm[:, None]]
+    del T
+    np.conjugate(diff, out=diff)
+    np.subtract(D.entries, diff, out=diff)
+    dev = np.abs(diff)
+    del diff
     full = float(dev.max())
 
     b = _band_width(D)
@@ -366,12 +378,30 @@ def _band_width(A: OperatorMatrix) -> int:
 
 
 def write_matrix_csv(path, A: OperatorMatrix) -> None:
-    """Entries as `row,col,re,im` with a header, %.17g precision."""
+    """All S^2 entries as `row,col,re,im` with a header, %.17g precision.
+
+    Line c of a row comes from a template built once per file:
+    `,c,0,0`, the text of an entry whose parts are both +0.0, or
+    `,c,%.17g,%.17g` for any other entry (-0.0, nan and inf parts
+    included).  Joined with the row label, a row's templates make one
+    format string, and one `%` call fills in its nonzero entries."""
     S = A.box.size
+    entries = np.ascontiguousarray(A.entries, dtype=complex)
+    # an entry is +0.0 + 0.0j iff the bit patterns of both parts are 0
+    bits = entries.view(np.uint64).reshape(S, S, 2)
+    zero = [",%d,0,0" % c for c in range(S)]
+    nonzero = [",%d,%%.17g,%%.17g" % c for c in range(S)]
     with open(path, "w", newline="") as fh:
         fh.write("row,col,re,im\n")
-        for r, row in enumerate(A.entries):  # one matrix row per formatting call
-            _write_csv_rows(fh, "%d,%d,%.17g,%.17g\n", ([r] * S, range(S), row.real, row.imag))
+        for r in range(S):
+            cols = np.flatnonzero(bits[r].any(axis=1))
+            lines = zero.copy()
+            for c in cols.tolist():
+                lines[c] = nonzero[c]
+            label = str(r)
+            row_format = label + ("\n" + label).join(lines) + "\n"
+            # the parts interleave as re, im: the order of the placeholders
+            fh.write(row_format % tuple(entries[r, cols].view(np.float64).tolist()))
 
 
 def write_matrix_binary(path, A: OperatorMatrix) -> None:
@@ -381,7 +411,8 @@ def write_matrix_binary(path, A: OperatorMatrix) -> None:
     header = BINARY_MAGIC + struct.pack("<III", A.box.n, A.box.M, 0)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(A.entries, dtype="<c16").tobytes())
+        # the buffer of the contiguous array itself, not a copy of it
+        fh.write(np.ascontiguousarray(A.entries, dtype="<c16").data)
 
 
 def read_matrix_binary(path, basis: str = LATTICE_DELTA) -> OperatorMatrix:

@@ -244,9 +244,10 @@ def write_spectrum_csv(path, s) -> None:
 
 def _write_csv_rows(fh, row_format: str, columns) -> None:
     """Write one line per index i, `row_format % (c[i] for c in columns)`,
-    with a single `%` call for all lines.  Columns are equal-length
-    ranges, lists or 1-d arrays; arrays go through tolist(), so floats
-    format as Python floats (the same text as a per-value f-string)."""
+    with a single `%` call for all lines; write_spectrum_csv's chunk
+    writer, its only caller.  Columns are equal-length ranges, lists or
+    1-d arrays; arrays go through tolist(), so floats format as Python
+    floats (the same text as a per-value f-string)."""
     width, rows = len(columns), len(columns[0])
     flat = [None] * (width * rows)
     for j, col in enumerate(columns):

@@ -10,6 +10,7 @@ import pytest
 
 from nclab.cli import _COMMANDS, GRAMMAR_HELP, main
 from nclab.config import KEYS
+from nclab.quantize import read_matrix_binary
 
 MULTIPLIER = """\
 [symbol]
@@ -177,8 +178,17 @@ def test_quantize_exports(tmp_path):
     cfg = write(tmp_path, COSINE + "\n[output]\nmatrix_format = both\n")
     out = tmp_path / "r"
     assert main(["quantize", "--config", cfg, "--out", str(out), "--quiet"]) == 0
-    assert (out / "matrix.csv").exists()
     assert (out / "matrix.bin").read_bytes()[:4] == b"NCRM"
+    # every entry has its row, zeros included, and reads back as matrix.bin
+    A = read_matrix_binary(out / "matrix.bin")
+    S = A.box.size
+    lines = (out / "matrix.csv").read_text().splitlines()
+    assert lines[0] == "row,col,re,im" and len(lines) == 1 + S * S
+    rows = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
+    index = np.arange(S)
+    assert np.array_equal(rows[:, 0], np.repeat(index, S))
+    assert np.array_equal(rows[:, 1], np.tile(index, S))
+    assert np.array_equal(rows[:, 2] + 1j * rows[:, 3], A.entries.ravel())
 
 
 def test_symbol_check_runs(tmp_path):

@@ -406,6 +406,36 @@ def test_identity_2d_multiplier():
     assert rep.full_deviation < 1e-14
 
 
+@pytest.mark.parametrize("n, M", [(1, 6), (2, 2)])
+def test_identity_deviation_equals_the_public_composition(n, M):
+    # a complex, non-Hermitian symbol, so conjugate and transpose both matter
+    sigma = to_symbol(
+        "(1+0.5*cos(2*pi*x1))*(1+|xi|^2)^(-1)", main_im="sin(2*pi*x1)*(1+|xi|^2)^(-1)",
+        n=n, order=-2,
+    )
+    box, grid = TruncationBox(n, M), QuadratureGrid(n, 64)
+    D = assemble_discrete(sigma, box, grid)
+    B = conjugate_by_fourier(adjoint(assemble_toroidal(flip(sigma), box, grid)))
+    rep = verify_identity(sigma, box, grid)
+    assert rep.full_deviation == float(np.abs(D.entries - B.entries).max())
+    assert rep.full_deviation < 1e-14
+
+
+def test_identity_refuses_three_matrices_over_memory(monkeypatch):
+    # one dense 17 x 17 matrix fits, the three verify_identity holds do not
+    box = TruncationBox(1, 8)
+    one = 16 * box.size**2
+
+    def refuse(*args):
+        raise AssertionError("assembly started")
+
+    monkeypatch.setattr(quantize, "_physical_memory", lambda: 2 * one)
+    monkeypatch.setattr(quantize, "assemble_discrete", refuse)
+    monkeypatch.setattr(quantize, "assemble_toroidal", refuse)
+    with pytest.raises(UsageError, match="three dense 17 x 17 complex matrices"):
+        verify_identity(cosine_bracket(), box)
+
+
 # ---------------------------------------------------------------------------
 # exports
 
@@ -418,6 +448,7 @@ def test_binary_roundtrip(tmp_path):
     raw = path.read_bytes()
     assert raw[:4] == b"NCRM"
     assert len(raw) == 16 + 16 * 9 * 9
+    assert raw[16:] == A.entries.astype("<c16").tobytes()
     back = read_matrix_binary(path)
     assert np.array_equal(back.entries, A.entries)
     assert back.box == A.box

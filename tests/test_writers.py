@@ -1,16 +1,18 @@
-"""The chunked CSV writers against the per-row loops they replaced.
+"""The CSV writers against the per-row loops they replaced.
 
 The reference writers below format one row at a time from numpy
-scalars; the package writers format a chunk of rows in one call.  The
-files must stay byte-identical.
+scalars; the spectrum writer formats a chunk of rows in one call, and
+the matrix writer formats only the entries that are not +0.0 + 0.0j
+into per-column templates.  The files must stay byte-identical.
 """
 
 import numpy as np
 import pytest
 
 from nclab import spectral
+from nclab.dsl import to_symbol
 from nclab.lattice import TruncationBox
-from nclab.quantize import LATTICE_DELTA, OperatorMatrix, write_matrix_csv
+from nclab.quantize import LATTICE_DELTA, OperatorMatrix, assemble_discrete, write_matrix_csv
 from nclab.spectral import write_spectrum_csv
 
 CHUNK = spectral._CSV_CHUNK_ROWS
@@ -90,4 +92,61 @@ def test_matrix_csv_matches_row_loop(tmp_path, M):
         entries.real[2, 1] = -0.0
         entries[2, 2] = complex(1e-310, -1e300)
     A = OperatorMatrix(entries, box, LATTICE_DELTA)
+    assert same_bytes(tmp_path, write_matrix_csv, reference_matrix_csv, A)
+
+
+def signed_zero_band(S):
+    """A tridiagonal S x S matrix whose entries cover each way a part
+    can be zero: both +0.0 (off the band), (0.0, -0.0), (-0.0, 0.0),
+    (0.0, x), (x, -0.0), plus nan and inf parts."""
+    rng = np.random.default_rng(S)
+    entries = np.zeros((S, S), dtype=complex)
+    i = np.arange(S)
+    for d in (-1, 0, 1):
+        rows = i[max(0, -d) : S - max(0, d)]
+        entries[rows, rows + d] = rng.standard_normal(len(rows)) + 1j * rng.standard_normal(len(rows))
+    entries[0, 0] = complex(0.0, -0.0)
+    entries[1, 0] = complex(-0.0, 0.0)
+    entries[1, 1] = complex(0.0, 2.5)
+    entries[2, 3] = complex(-1e-300, -0.0)
+    entries[3, 3] = complex(np.nan, 1.0)
+    entries[4, 5] = complex(-np.inf, np.inf)
+    entries[S - 1, 0] = complex(0.0, -0.0)  # far off the band
+    return entries
+
+
+def dense_matrix(S):
+    rng = np.random.default_rng(S)
+    entries = rng.standard_normal((S, S)) + 1j * rng.standard_normal((S, S))
+    entries *= np.logspace(-8, 8, S)  # sixteen decades of magnitude
+    return entries
+
+
+@pytest.mark.parametrize(
+    "M, entries",
+    [
+        (32, signed_zero_band),
+        (32, lambda S: np.zeros((S, S), dtype=complex)),
+        (32, dense_matrix),
+        (0, lambda S: np.zeros((S, S), dtype=complex)),
+        (0, lambda S: np.full((S, S), complex(-0.0, 0.0))),
+    ],
+    ids=["signed-zero-band", "all-zero", "dense", "single-zero", "single-negative-zero"],
+)
+def test_matrix_csv_matches_row_loop_on_zero_patterns(tmp_path, M, entries):
+    box = TruncationBox(1, M)
+    A = OperatorMatrix(entries(box.size), box, LATTICE_DELTA)
+    assert same_bytes(tmp_path, write_matrix_csv, reference_matrix_csv, A)
+
+
+def test_matrix_csv_matches_row_loop_on_identity_export(tmp_path):
+    """The matrix of the identity-export benchmark workload at seed 7:
+    the discrete quantization of (1 + a cos(2 pi x1 + p)) <xi>^(-1) on
+    [-128, 128], tridiagonal, with the imaginary part +0.0 on its
+    diagonal."""
+    x_part = "1+0.6191064812546355*cos(2*pi*x1+0.7882100926471682)"
+    sigma = to_symbol(f"({x_part})*<xi>^(-1)", n=1, order=-1)
+    A = assemble_discrete(sigma, TruncationBox(1, 128))
+    bits = A.entries.view(np.uint64).reshape(257, 257, 2)
+    assert bits.any(axis=2).sum() == 769  # 3 * 257 - 2: the tridiagonal
     assert same_bytes(tmp_path, write_matrix_csv, reference_matrix_csv, A)
