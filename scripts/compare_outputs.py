@@ -15,9 +15,10 @@ Runs go one at a time, with BLAS and OpenMP pinned to one thread and
 the address space capped at ADDRESS_SPACE bytes, so an oversize run
 fails instead of exhausting the machine.  Outputs go to a temporary directory (under $TMPDIR).
 
-One line per run gives both exit codes and both wall times in seconds
-(process start to exit, so a slowdown shows next to identical
-outputs); a failed run adds the last line of its stderr.  Every
+One line per run gives both exit codes, both wall times in seconds
+(process start to exit) and both peak resident set sizes in MB (the
+child's ru_maxrss), so a slowdown or a memory change shows next to
+identical outputs; a failed run adds the last line of its stderr.  Every
 output file that is missing on one side or not byte-identical is
 listed.  For each differing .csv or .json pair
 one more line gives the largest difference between paired numbers,
@@ -42,6 +43,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -92,20 +94,29 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
 
 
-def run(tree: Path, command: str, flags: tuple, config: Path, out: Path) -> tuple[str, str, float]:
-    """Exit code (or 'timeout'), the last stderr line and the wall
-    seconds of one run."""
+def run(tree: Path, command: str, flags: tuple, config: Path,
+        out: Path) -> tuple[str, str, float, float]:
+    """Exit code (or 'timeout'), the last stderr line, the wall seconds
+    and the peak RSS in MB of one run."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), **THREAD_PIN)
     args = [sys.executable, "-m", "nclab.cli", command, *flags, "--config", str(config),
             "--out", str(out), "--quiet"]
-    start = time.perf_counter()
-    try:
-        proc = subprocess.run(args, env=env, capture_output=True, text=True,
-                              timeout=TIMEOUT_S, preexec_fn=_cap_address_space)
-    except subprocess.TimeoutExpired:
-        return "timeout", "", time.perf_counter() - start
-    lines = proc.stderr.strip().splitlines()
-    return str(proc.returncode), lines[-1] if lines else "", time.perf_counter() - start
+    # stderr goes to a file, so the child never blocks on a full pipe
+    # while this process waits in wait4 for its resource usage
+    with tempfile.TemporaryFile("w+") as err:
+        start = time.perf_counter()
+        proc = subprocess.Popen(args, env=env, stdout=subprocess.DEVNULL, stderr=err,
+                                preexec_fn=_cap_address_space)
+        timer = threading.Timer(TIMEOUT_S, proc.kill)
+        timer.start()
+        _, status, usage = os.wait4(proc.pid, 0)
+        timer.cancel()
+        wall = time.perf_counter() - start
+        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+        err.seek(0)
+        lines = err.read().strip().splitlines()
+    code = "timeout" if wall >= TIMEOUT_S else str(proc.returncode)
+    return code, lines[-1] if lines else "", wall, usage.ru_maxrss / 1024
 
 
 def differing_files(a: Path, b: Path) -> list[str]:
@@ -217,14 +228,15 @@ def main() -> int:
                 outs = [Path(tmp) / side / config.stem / label for side in "ab"]
                 for out in outs:
                     out.mkdir(parents=True)
-                (code_a, err_a, wall_a), (code_b, err_b, wall_b) = (
+                (code_a, err_a, wall_a, rss_a), (code_b, err_b, wall_b, rss_b) = (
                     run(tree, command, flags, config, out) for tree, out in zip(trees, outs)
                 )
                 diff = differing_files(*outs)
                 same = code_a == code_b and not diff
                 mismatches += not same
                 line = (f"{'same' if same else 'DIFF'}  {config.name} {label}: "
-                        f"exit {code_a}/{code_b}, {wall_a:.2f}/{wall_b:.2f} s")
+                        f"exit {code_a}/{code_b}, {wall_a:.2f}/{wall_b:.2f} s, "
+                        f"{rss_a:.1f}/{rss_b:.1f} MB peak RSS")
                 if diff:
                     line += f", files differ: {', '.join(diff)}"
                 print(line, flush=True)

@@ -9,6 +9,9 @@ Conventions, pinned once for the whole package:
 * Points are numpy arrays whose last axis is the coordinate axis.
 * Box enumeration is lexicographic (most negative coordinate first) so
   assembled matrices are bit-reproducible across runs and platforms.
+  Point p of [-M, M]^n has index (p + M) @ TruncationBox.strides, so
+  -p has index S - 1 - index(p): negating every point reverses the
+  enumeration.
 
 Everything here is immutable after construction and safe to share
 between threads.
@@ -69,6 +72,15 @@ class TruncationBox:
         grids = np.meshgrid(*([axis] * self.n), indexing="ij")
         return np.stack(grids, axis=-1).reshape(-1, self.n)
 
+    @property
+    def strides(self) -> np.ndarray:
+        """Place values (2M+1)^(n-1-j) of the enumeration: a step of d
+        lattice units along every axis moves the index by d @ strides.
+        Powers are taken in Python ints, so they are exact (int64 when
+        they fit)."""
+        w = 2 * self.M + 1
+        return np.array([w**j for j in range(self.n - 1, -1, -1)])
+
     def index_of(self, p) -> int:
         """Enumeration index of lattice point p; inverse of points()[i]."""
         p = np.asarray(p, dtype=int)
@@ -76,21 +88,4 @@ class TruncationBox:
             raise UsageError(f"point has shape {p.shape}, expected ({self.n},)")
         if np.any(np.abs(p) > self.M):
             raise UsageError(f"point {p.tolist()} outside box [-{self.M},{self.M}]^{self.n}")
-        return int(self.indices_of(p[None])[0])
-
-    def indices_of(self, pts: np.ndarray) -> np.ndarray:
-        """Vectorized index_of for an (P, n) array of in-box points."""
-        pts = np.asarray(pts, dtype=int)
-        if np.any(np.abs(pts) > self.M):
-            raise UsageError("point outside box")
-        w = 2 * self.M + 1
-        shifted = pts + self.M
-        return np.ravel_multi_index(tuple(shifted.T), (w,) * self.n)
-
-    def negation_permutation(self) -> np.ndarray:
-        """Permutation sending the index of p to the index of -p.
-
-        Involutive, and fixes the index of the origin.
-        """
-        return self.indices_of(-self.points())
-
+        return int((p + self.M) @ self.strides)

@@ -11,7 +11,8 @@ Pinned transform conventions (all 2*pi factors in exponents):
   entry [eta, m] is the (eta - m)-th x-Fourier coefficient of tau(., m).
 
 Under these conventions conjugating a Fourier-mode matrix A by the
-lattice transform is the index negation B[n', k] = A[-n', -k]; combined
+lattice transform is the index negation B[n', k] = A[-n', -k], which
+reverses both axes of the box enumeration (see lattice); combined
 with the adjoint and the flip map it reproduces the discrete matrix
 exactly (up to quadrature roundoff), which verify_identity measures.
 
@@ -30,8 +31,8 @@ polynomial of degree r, and both give zero beyond r, so Q keeps its
 meaning and its reported value; the two differ by round-off only.
 
 With r < 2M every nonzero entry lies within index distance
-kd = r * sum_{j<n} (2M+1)^j of the diagonal (box enumeration is
-lexicographic, last axis fastest).  When that band is narrow
+kd = r * sum(TruncationBox.strides) of the diagonal: a tap d of the
+stencil moves an index by d @ strides.  When that band is narrow
 (BAND_RATIO * kd < S, so never for r = 2M) assemble_toroidal writes
 the kernel's in-band entries straight into band storage of half-width
 kd (OperatorMatrix.kd) and never allocates the S x S matrix; .entries
@@ -230,8 +231,7 @@ def _coefficient_blocks(sym: Symbol, box: TruncationBox, grid: QuadratureGrid, r
     axis_offsets = np.arange(-reach, reach + 1)
     stencil = TruncationBox(n, reach).points()
     flat = np.ravel_multi_index(tuple(np.mod(stencil, Q).T), shape)
-    # box enumeration is lexicographic: tap d moves an index by shift[d]
-    shift = stencil @ (2 * M + 1) ** np.arange(n - 1, -1, -1)
+    shift = stencil @ box.strides  # tap d moves an index by shift[d]
     box_pts = box.points()
     x = grid.points()[None]
     per_block = max(1, BLOCK_POINTS // P)
@@ -279,7 +279,7 @@ def assemble_toroidal(
     if tau.side != TOROIDAL:
         raise UsageError("assemble_toroidal expects a toroidal-side symbol")
     reach = _reach(tau, box)
-    kd = reach * sum((2 * box.M + 1) ** j for j in range(box.n))
+    kd = reach * int(sum(box.strides))
     if BAND_RATIO * kd >= box.size:  # reach 2M always lands here: kd = S - 1
         grid = _check_sizes(box, grid)
         out = np.zeros((box.size, box.size), dtype=complex)
@@ -303,13 +303,12 @@ def conjugate_by_fourier(A: OperatorMatrix) -> OperatorMatrix:
 
     With the pinned conventions F maps the mode e_{-k} to the delta at
     k, so the conjugated matrix is B[n', k] = A[-n', -k]: conjugation
-    by the (unitary) negation permutation.  Singular values are
-    preserved exactly.
+    by the (unitary) negation permutation, which in the box enumeration
+    reverses both axes.  Singular values are preserved exactly.
     """
     if A.basis != FOURIER_MODE:
         raise UsageError("conjugate_by_fourier expects a Fourier-mode matrix")
-    perm = A.box.negation_permutation()
-    return OperatorMatrix(A.entries[np.ix_(perm, perm)], A.box, LATTICE_DELTA)
+    return OperatorMatrix(A.entries[::-1, ::-1].copy(), A.box, LATTICE_DELTA)
 
 
 @dataclass(frozen=True)
@@ -332,27 +331,27 @@ def verify_identity(
     and over the interior block (indices with |index| <= M - b, where
     b is the observed band width of the discrete matrix).
 
-    At most three dense S x S complex arrays are alive at once: D, the
-    toroidal matrix's entries and B = conjugate_by_fourier(adjoint(T)),
-    gathered in one step and then turned into D - B in place."""
+    At most two dense S x S complex arrays are alive at once: D and
+    the toroidal matrix's entries, conjugated in place; D - B is then
+    formed in D's own array, reading B[n', k] = conj(T[-k, -n']) as the
+    reversed transpose."""
     grid = _check_sizes(box, grid)
     S = box.size
-    _check_memory(3 * 16 * S * S, f"three dense {S} x {S} complex matrices")
+    _check_memory(2 * 16 * S * S, f"two dense {S} x {S} complex matrices")
     D = assemble_discrete(sigma, box, grid)
-    T = assemble_toroidal(flip(sigma), box, grid)
-    perm = box.negation_permutation()
-    # B[n', k] = conj(T[-k, -n'])
-    diff = T.entries[perm[None, :], perm[:, None]]
-    del T
-    np.conjugate(diff, out=diff)
-    np.subtract(D.entries, diff, out=diff)
+    b = _band_width(D)
+    B = assemble_toroidal(flip(sigma), box, grid).entries
+    np.conjugate(B, out=B)
+    diff = D.entries
+    del D
+    np.subtract(diff, B[::-1, ::-1].T, out=diff)
+    del B
     dev = np.abs(diff)
     del diff
     full = float(dev.max())
 
-    b = _band_width(D)
-    pts = D.box.points()
-    interior = np.max(np.abs(pts), axis=1) <= D.box.M - b
+    pts = box.points()
+    interior = np.max(np.abs(pts), axis=1) <= box.M - b
     if interior.any():
         inner = float(dev[np.ix_(interior, interior)].max())
     else:
@@ -424,7 +423,8 @@ def read_matrix_binary(path, basis: str = LATTICE_DELTA) -> OperatorMatrix:
         n, M, _ = struct.unpack("<III", header[4:])
         box = TruncationBox(n, M)
         S = box.size
-        data = np.frombuffer(fh.read(), dtype="<c16")
+        # read straight into the (writable) array: one copy of the payload
+        data = np.fromfile(fh, dtype="<c16")
     if data.size != S * S:
         raise UsageError(f"{path}: truncated matrix payload")
-    return OperatorMatrix(data.reshape(S, S).astype(complex), box, basis)
+    return OperatorMatrix(data.reshape(S, S), box, basis)

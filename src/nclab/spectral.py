@@ -226,7 +226,11 @@ def _affine_logfit(sums: np.ndarray, N0: int, N1: int) -> tuple[float, float, fl
 
 
 def write_spectrum_csv(path, s) -> None:
-    """Columns N, s_N, S_N, D_N (header row, %.17g; D_1 is nan)."""
+    """Columns N, s_N, S_N, D_N (header row, %.17g; D_1 is nan).
+
+    Each chunk of rows is written with a single `%` call; the arrays go
+    through tolist(), so floats format as Python floats (the same text
+    as a per-value f-string)."""
     v = np.asarray(s, dtype=float)
     sums = np.cumsum(v)
     quotients = np.full(len(v), np.nan)
@@ -235,21 +239,9 @@ def write_spectrum_csv(path, s) -> None:
         fh.write("N,s_N,S_N,D_N\n")
         for start in range(0, len(v), _CSV_CHUNK_ROWS):
             stop = min(start + _CSV_CHUNK_ROWS, len(v))
-            _write_csv_rows(
-                fh,
-                "%d,%.17g,%.17g,%.17g\n",
-                (range(start + 1, stop + 1), v[start:stop], sums[start:stop], quotients[start:stop]),
-            )
-
-
-def _write_csv_rows(fh, row_format: str, columns) -> None:
-    """Write one line per index i, `row_format % (c[i] for c in columns)`,
-    with a single `%` call for all lines; write_spectrum_csv's chunk
-    writer, its only caller.  Columns are equal-length ranges, lists or
-    1-d arrays; arrays go through tolist(), so floats format as Python
-    floats (the same text as a per-value f-string)."""
-    width, rows = len(columns), len(columns[0])
-    flat = [None] * (width * rows)
-    for j, col in enumerate(columns):
-        flat[j::width] = col.tolist() if isinstance(col, np.ndarray) else col
-    fh.write((row_format * rows) % tuple(flat))
+            flat = [None] * (4 * (stop - start))
+            flat[0::4] = range(start + 1, stop + 1)
+            flat[1::4] = v[start:stop].tolist()
+            flat[2::4] = sums[start:stop].tolist()
+            flat[3::4] = quotients[start:stop].tolist()
+            fh.write(("%d,%.17g,%.17g,%.17g\n" * (stop - start)) % tuple(flat))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -393,8 +395,7 @@ def test_identity_against_direct_summation_m8():
         for j, b in enumerate(pts):
             D[i, j] = direct_discrete_entry(sigma, a, b, Q)
             T[i, j] = direct_toroidal_entry(tau, a, b, Q)
-    perm = box.negation_permutation()
-    B = T.conj().T[np.ix_(perm, perm)]
+    B = T.conj().T[::-1, ::-1]
     assert np.max(np.abs(D - B)) < 1e-13
     rep = verify_identity(sigma, box, QuadratureGrid(1, Q))
     assert rep.full_deviation < 1e-13
@@ -406,34 +407,51 @@ def test_identity_2d_multiplier():
     assert rep.full_deviation < 1e-14
 
 
-@pytest.mark.parametrize("n, M", [(1, 6), (2, 2)])
+# (1, 6) and (2, 2) assemble T dense; (1, 40) keeps it banded (16 kd < S)
+@pytest.mark.parametrize("n, M", [(1, 6), (2, 2), (1, 40)])
 def test_identity_deviation_equals_the_public_composition(n, M):
     # a complex, non-Hermitian symbol, so conjugate and transpose both matter
     sigma = to_symbol(
         "(1+0.5*cos(2*pi*x1))*(1+|xi|^2)^(-1)", main_im="sin(2*pi*x1)*(1+|xi|^2)^(-1)",
         n=n, order=-2,
     )
-    box, grid = TruncationBox(n, M), QuadratureGrid(n, 64)
+    box = TruncationBox(n, M)
+    grid = QuadratureGrid.for_box(box)
     D = assemble_discrete(sigma, box, grid)
-    B = conjugate_by_fourier(adjoint(assemble_toroidal(flip(sigma), box, grid)))
+    T = assemble_toroidal(flip(sigma), box, grid)
+    assert (T.kd is not None) == (M == 40)
+    B = conjugate_by_fourier(adjoint(T))
     rep = verify_identity(sigma, box, grid)
     assert rep.full_deviation == float(np.abs(D.entries - B.entries).max())
     assert rep.full_deviation < 1e-14
 
 
-def test_identity_refuses_three_matrices_over_memory(monkeypatch):
-    # one dense 17 x 17 matrix fits, the three verify_identity holds do not
+def test_identity_refuses_two_matrices_over_memory(monkeypatch):
+    # one dense 17 x 17 matrix fits, the two verify_identity holds do not
     box = TruncationBox(1, 8)
     one = 16 * box.size**2
 
     def refuse(*args):
         raise AssertionError("assembly started")
 
-    monkeypatch.setattr(quantize, "_physical_memory", lambda: 2 * one)
+    monkeypatch.setattr(quantize, "_physical_memory", lambda: 3 * one // 2)
     monkeypatch.setattr(quantize, "assemble_discrete", refuse)
     monkeypatch.setattr(quantize, "assemble_toroidal", refuse)
-    with pytest.raises(UsageError, match="three dense 17 x 17 complex matrices"):
+    with pytest.raises(UsageError, match="two dense 17 x 17 complex matrices"):
         verify_identity(cosine_bracket(), box)
+
+
+def test_identity_peak_memory_within_two_matrices():
+    # D and the toroidal matrix's entries, and little else
+    box = TruncationBox(1, 200)
+    sigma = cosine_bracket()
+    tracemalloc.start()
+    try:
+        verify_identity(sigma, box)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * 16 * box.size**2
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +470,35 @@ def test_binary_roundtrip(tmp_path):
     back = read_matrix_binary(path)
     assert np.array_equal(back.entries, A.entries)
     assert back.box == A.box
+
+
+def test_binary_read_holds_one_copy_of_the_payload(tmp_path):
+    box = TruncationBox(1, 300)
+    rng = np.random.default_rng(3)
+    entries = rng.normal(size=(box.size, box.size)) + 1j * rng.normal(size=(box.size, box.size))
+    path = tmp_path / "m.bin"
+    write_matrix_binary(path, OperatorMatrix(entries, box, LATTICE_DELTA))
+    tracemalloc.start()
+    try:
+        back = read_matrix_binary(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * entries.nbytes
+    assert np.array_equal(back.entries, entries)
+    assert back.entries.flags.writeable
+
+
+def test_binary_read_refuses_bad_magic_and_short_payload(tmp_path):
+    path = tmp_path / "m.bin"
+    write_matrix_binary(path, OperatorMatrix(np.eye(3, dtype=complex), TruncationBox(1, 1), LATTICE_DELTA))
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-8])
+    with pytest.raises(UsageError, match="truncated matrix payload"):
+        read_matrix_binary(path)
+    path.write_bytes(b"NCRX" + raw[4:])
+    with pytest.raises(UsageError, match="bad magic"):
+        read_matrix_binary(path)
 
 
 def test_csv_export(tmp_path):
