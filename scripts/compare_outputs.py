@@ -58,9 +58,10 @@ ADDRESS_SPACE = 4 * 2**30
 TIMEOUT_S = 900
 WORKLOAD_SEED = 7
 THREAD_PIN = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-# Configs for the assembly branches that no shipped config reaches:
-# name -> (n, x-dependent factor, M) of (factor) * <xi>^(-n) (for n = 1)
-# or (factor) * (1+|xi|^2)^(-1) (for n = 2).  In turn: no known band
+# Configs for the assembly and residue branches that no shipped config
+# reaches: name -> (n, x-dependent factor, M, declared) of (factor) *
+# <xi>^(-n) (for n = 1) or (factor) * (1+|xi|^2)^(-1) (for n = 2), with
+# the factor as term_0 when declared is true.  In turn: no known band
 # (b = inf) in 1-D and in 2-D, both gathered through the reach-2M stencil
 # on the Q^n grid; a band as wide as the box (b >= 2M, the same gather);
 # a band on the dense side of quantize.BAND_RATIO (b = M/4); a 2-D band;
@@ -68,14 +69,17 @@ THREAD_PIN = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THRE
 # dense export (b = inf at M = 256): 259,881 of its 263,169 matrix
 # entries are not exact zeros, so quantize.write_matrix_csv formats
 # nearly every entry and the quantize wall times show its dense case.
+# Last, a 2-D x-dependent symbol without term_0, whose residue is
+# extracted numerically over the full residue_q^n torus grid.
 BRANCH_CONFIGS = {
-    "band_inf_1d": (1, "exp(0.3*cos(2*pi*x1))", 64),
-    "band_inf_2d": (2, "exp(0.3*cos(2*pi*x1))", 6),
-    "band_wide_1d": (1, "1+0.5*cos(2*pi*100*x1)", 32),
-    "band_dense_1d": (1, "1+0.5*cos(2*pi*16*x1)", 64),
-    "band_2d": (2, "1+0.5*cos(2*pi*x1)", 12),
-    "band_2d_cross": (2, "1+0.5*cos(2*pi*x1)*cos(2*pi*x2)", 12),
-    "dense_export_1d": (1, "exp(0.3*cos(2*pi*x1))", 256),
+    "band_inf_1d": (1, "exp(0.3*cos(2*pi*x1))", 64, True),
+    "band_inf_2d": (2, "exp(0.3*cos(2*pi*x1))", 6, True),
+    "band_wide_1d": (1, "1+0.5*cos(2*pi*100*x1)", 32, True),
+    "band_dense_1d": (1, "1+0.5*cos(2*pi*16*x1)", 64, True),
+    "band_2d": (2, "1+0.5*cos(2*pi*x1)", 12, True),
+    "band_2d_cross": (2, "1+0.5*cos(2*pi*x1)*cos(2*pi*x2)", 12, True),
+    "dense_export_1d": (1, "exp(0.3*cos(2*pi*x1))", 256, True),
+    "no_term_2d": (2, "1+0.5*cos(2*pi*x1)", 8, False),
 }
 # (label, command, extra flags) of every run on a config
 RUNS = [(command, command, ()) for command in _COMMANDS] + [
@@ -83,11 +87,12 @@ RUNS = [(command, command, ()) for command in _COMMANDS] + [
 ]
 
 
-def branch_config(n: int, factor: str, M: int) -> str:
+def branch_config(n: int, factor: str, M: int, declared: bool) -> str:
     """The config text of one BRANCH_CONFIGS entry."""
     decay = "<xi>^(-1)" if n == 1 else "(1+|xi|^2)^(-1)"
+    term = f"term_0 = {-n} ; {factor}\n" if declared else ""
     return (f"[symbol]\nn = {n}\nmain = ({factor})*{decay}\norder = {-n}\n"
-            f"term_0 = {-n} ; {factor}\n[lattice]\nM = {M}\n")
+            f"{term}[lattice]\nM = {M}\n")
 
 
 def _cap_address_space():

@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import UsageError
 from .lattice import torus_grid
+from .quantize import BLOCK_POINTS
 from .symbols import DISCRETE, TOROIDAL, Symbol, flip, homogeneous_component
 
 LATTICE = "lattice"
@@ -111,8 +112,13 @@ def noncommutative_residue(
     """Residue of a toroidal-side symbol: prefactor times the integral
     of its degree-(-n) homogeneous component over S^(n-1) x T^n.
 
-    Uses the declared component when available, otherwise numeric
-    extraction (Richardson probe along rays)."""
+    The component is the declared term when there is one, otherwise
+    extracted numerically (Richardson probe along rays); see
+    symbols.homogeneous_component.  It is evaluated on blocks of sphere
+    nodes, as theta of shape (B, 1, n) against the torus grid as x of
+    shape (1, X, n), with B * X within quantize.BLOCK_POINTS.  A symbol
+    declared x-free is evaluated at x = 0 only (X = 1): its mean over
+    the torus is its value there.  The report still names torus_q."""
     if a.side != TOROIDAL:
         raise UsageError("residue expects a toroidal-side symbol (flip first)")
     if convention not in (LATTICE, PAPER):
@@ -124,16 +130,20 @@ def noncommutative_residue(
     if rule.n != n:
         raise UsageError("sphere rule dimension mismatch")
 
-    declared = a.classical.component(-float(n)) if a.classical is not None else None
+    declared = a.classical is not None and a.classical.component(-float(n)) is not None
 
-    xs = torus_grid(n, torus_q)
+    xs = torus_grid(n, torus_q if a.x_bandwidth != 0 else 1)
+    per_block = max(1, BLOCK_POINTS // len(xs))
+    means = np.empty(rule.order, dtype=complex)
+    for start in range(0, rule.order, per_block):
+        nodes = rule.nodes[start : start + per_block, None, :]
+        vals = np.asarray(homogeneous_component(a, -float(n), xs[None], nodes))
+        # a value that ignores x (or theta) keeps a length-1 axis: its
+        # mean over that axis is the value itself
+        vals = vals.reshape((1,) * (2 - vals.ndim) + vals.shape)
+        means[start : start + len(nodes)] = vals.mean(axis=1)
     total = 0.0 + 0.0j
-    for node, w in zip(rule.nodes, rule.weights):
-        if declared is not None:
-            vals = np.asarray(declared.angular(xs, node))
-        else:
-            vals = np.asarray(homogeneous_component(a, -float(n), xs, node))
-        mean = complex(vals if vals.ndim == 0 else vals.mean())
+    for w, mean in zip(rule.weights, means.tolist()):
         total += w * mean
 
     return ResidueReport(
@@ -142,7 +152,7 @@ def noncommutative_residue(
         n=n,
         sphere_order=rule.order,
         torus_q=torus_q,
-        component_source="declared" if declared is not None else "extracted",
+        component_source="declared" if declared else "extracted",
         integral=total,
     )
 

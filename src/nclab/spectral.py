@@ -230,7 +230,9 @@ def write_spectrum_csv(path, s) -> None:
 
     Each chunk of rows is written with a single `%` call; the arrays go
     through tolist(), so floats format as Python floats (the same text
-    as a per-value f-string)."""
+    as a per-value f-string).  A sorted spectrum repeats its values, so
+    s_N is formatted once per run of adjacent values with the same bit
+    pattern (0.0 and -0.0 format apart) and the text reused for the run."""
     v = np.asarray(s, dtype=float)
     sums = np.cumsum(v)
     quotients = np.full(len(v), np.nan)
@@ -239,9 +241,13 @@ def write_spectrum_csv(path, s) -> None:
         fh.write("N,s_N,S_N,D_N\n")
         for start in range(0, len(v), _CSV_CHUNK_ROWS):
             stop = min(start + _CSV_CHUNK_ROWS, len(v))
+            chunk = v[start:stop]
+            bits = chunk.view(np.int64)
+            run_start = np.r_[True, bits[1:] != bits[:-1]]
+            texts = np.array(["%.17g" % x for x in chunk[run_start].tolist()], dtype=object)
             flat = [None] * (4 * (stop - start))
             flat[0::4] = range(start + 1, stop + 1)
-            flat[1::4] = v[start:stop].tolist()
+            flat[1::4] = texts[np.cumsum(run_start) - 1].tolist()
             flat[2::4] = sums[start:stop].tolist()
             flat[3::4] = quotients[start:stop].tolist()
-            fh.write(("%d,%.17g,%.17g,%.17g\n" * (stop - start)) % tuple(flat))
+            fh.write(("%d,%s,%.17g,%.17g\n" * (stop - start)) % tuple(flat))

@@ -375,36 +375,36 @@ def homogeneous_component(sigma: Symbol, degree: float, x, theta):
 
     Prefers a declared term of that degree; otherwise extracts it
     numerically from t^(-degree) * sigma(t*theta, x) at t = T, 2T, 4T,
-    8T with Richardson extrapolation in 1/t.  x may be a batch.
+    8T with Richardson extrapolation in 1/t.  theta and x broadcast as
+    a symbol's arguments do: theta of shape (K, 1, n) against x of
+    shape (1, X, n) gives the component at K directions at once.  Every
+    direction must be a unit vector, and the extraction must settle at
+    every one of them.
     """
     theta = np.asarray(theta, dtype=float)
-    if abs(np.sqrt(np.sum(theta**2)) - 1.0) > 1e-12:
-        raise UsageError(f"theta must be a unit vector, |theta| = {np.linalg.norm(theta)}")
+    norms = np.sqrt(np.sum(theta**2, axis=-1))
+    off = np.ravel(np.abs(norms - 1.0) > 1e-12)
+    if off.any():
+        raise UsageError(f"theta must be a unit vector, |theta| = {np.ravel(norms)[off][0]}")
 
     if sigma.classical is not None:
         term = sigma.classical.component(degree)
         if term is not None:
             return term.angular(x, theta)
 
-    estimates = []
-    for k in range(EXTRACTION_LEVELS):
-        t = EXTRACTION_BASE_T * 2.0**k
-        v = np.asarray(sigma.func(t * theta, x), dtype=complex)
-        estimates.append(t ** (-degree) * v)
-
-    # Richardson tableau for an expansion in powers of 1/t
-    rows = [np.asarray(e) for e in estimates]
-    diag = [rows[0]]
-    prev = rows
+    radii = [EXTRACTION_BASE_T * 2.0**k for k in range(EXTRACTION_LEVELS)]
+    prev = [
+        np.asarray(t ** (-degree) * np.asarray(sigma.func(t * theta, x), dtype=complex))
+        for t in radii
+    ]
+    # Richardson tableau for an expansion in powers of 1/t, kept one
+    # column at a time; the drift compares its last two diagonal entries
     for j in range(1, EXTRACTION_LEVELS):
-        nxt = []
-        for k in range(len(prev) - 1):
-            nxt.append((2.0**j * prev[k + 1] - prev[k]) / (2.0**j - 1.0))
-        diag.append(nxt[0])
-        prev = nxt
+        before = prev[0]
+        prev = [(2.0**j * prev[k + 1] - prev[k]) / (2.0**j - 1.0) for k in range(len(prev) - 1)]
     result = prev[0]
 
-    drift = float(np.max(np.abs(result - diag[-2])))
+    drift = float(np.max(np.abs(result - before)))
     if drift > 10.0 * EXTRACTION_TOL:
         raise NonConvergenceError(
             f"homogeneous extraction did not settle: drift {drift:.3e} > {10 * EXTRACTION_TOL:.1e}"

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from nclab import residue
 from nclab.dsl import to_symbol
 from nclab.errors import UsageError
 from nclab.residue import (
@@ -14,7 +15,8 @@ from nclab.residue import (
     residue_report_json,
     sphere_rule,
 )
-from nclab.symbols import TOROIDAL, Symbol, flip
+from nclab.lattice import torus_grid
+from nclab.symbols import TOROIDAL, Symbol, flip, homogeneous_component
 
 
 def toroidal(main, n=1, order=-1, terms=None):
@@ -103,6 +105,47 @@ def test_residue_by_extraction():
     rep = noncommutative_residue(a, 1)
     assert rep.component_source == "extracted"
     assert rep.value == pytest.approx(2.0, abs=1e-6)
+
+
+def reference_residue_integral(a, n, rule, torus_q):
+    """The sphere x torus integral by one homogeneous_component call
+    per sphere node over the whole torus grid, summed in node order."""
+    xs = torus_grid(n, torus_q)
+    total = 0.0 + 0.0j
+    for node, w in zip(rule.nodes, rule.weights):
+        vals = np.asarray(homogeneous_component(a, -float(n), xs, node))
+        total += w * complex(vals if vals.ndim == 0 else vals.mean())
+    return total
+
+
+@pytest.mark.parametrize("block_nodes", [None, 3])  # default blocks; blocks of 3 nodes
+def test_extracted_residue_equals_per_node_loop(monkeypatch, block_nodes):
+    a = toroidal("(1+0.5*cos(2*pi*x1)*sin(2*pi*x2))*(2+xi1*xi2/(1+|xi|^2))*(1+|xi|^2)^(-1)",
+                 n=2, order=-2)
+    rule = sphere_rule(2, 16)
+    if block_nodes is not None:
+        monkeypatch.setattr(residue, "BLOCK_POINTS", block_nodes * 6**2)
+    rep = noncommutative_residue(a, 2, rule=rule, torus_q=6)
+    assert rep.component_source == "extracted"
+    assert rep.torus_q == 6
+    assert rep.integral == reference_residue_integral(a, 2, rule, 6)
+    assert rep.value == pytest.approx(2 * math.pi, abs=1e-9)  # (1/2) * 4 pi * 1
+
+
+def test_x_free_residue_reads_x_at_zero_only():
+    torus_points = []
+
+    def func(k, x):
+        torus_points.append(np.asarray(x).shape[-2])
+        return (1.3 + np.sum(np.asarray(k) ** 2, axis=-1)) ** -1.0
+
+    free = Symbol(func, order=-2, side=TOROIDAL, x_bandwidth=0)
+    unknown = Symbol(func, order=-2, side=TOROIDAL)
+    rep = noncommutative_residue(free, 2, torus_q=32)
+    assert set(torus_points) == {1}
+    assert rep.torus_q == 32
+    assert rep.integral == noncommutative_residue(unknown, 2, torus_q=32).integral
+    assert rep.value == pytest.approx(math.pi, abs=1e-9)
 
 
 def test_residue_requires_toroidal():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from nclab.dsl import to_symbol
 from nclab.errors import NonConvergenceError, UsageError
+from nclab.lattice import torus_grid
 from nclab.symbols import (
     TOROIDAL,
     Symbol,
@@ -383,6 +384,48 @@ def test_extraction_divergence():
     )
     with pytest.raises(NonConvergenceError):
         homogeneous_component(s, 0.0, np.zeros(1), np.array([1.0]))
+
+
+def unit_directions(K):
+    ang = 2.0 * np.pi * np.arange(K) / K
+    return np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [None, [(-2, "(1+0.5*cos(2*pi*x1))*(2+theta1*theta2)")]],
+    ids=["extracted", "declared"],
+)
+def test_batched_component_equals_per_node_calls(terms):
+    s = to_symbol(
+        "(1+0.5*cos(2*pi*x1))*(2+xi1*xi2/(1+|xi|^2))*(1+|xi|^2)^(-1)",
+        n=2, order=-2, classical_terms=terms, side=TOROIDAL,
+    )
+    xs = torus_grid(2, 8)
+    nodes = unit_directions(12)
+    batch = np.asarray(homogeneous_component(s, -2.0, xs[None], nodes[:, None, :]))
+    assert batch.shape == (12, 64)
+    for node, row in zip(nodes, batch):
+        single = np.asarray(homogeneous_component(s, -2.0, xs, node))
+        assert single.shape == (64,)
+        assert row.dtype == single.dtype and row.tobytes() == single.tobytes()
+
+
+def test_batch_with_one_non_unit_direction_rejected():
+    nodes = unit_directions(5)
+    nodes[3] *= 1.0 + 1e-9
+    with pytest.raises(UsageError, match="unit vector"):
+        homogeneous_component(flip(bracket_inv(2)), -1.0, np.zeros((1, 1, 2)), nodes[:, None, :])
+
+
+def test_batch_with_one_unsettled_direction_raises():
+    # k1 grows along every direction but those with theta1 = 0
+    s = Symbol(lambda first, x: np.asarray(first, dtype=float)[..., 0], order=1, side=TOROIDAL)
+    settled = np.array([[0.0, 1.0], [0.0, -1.0]])
+    got = homogeneous_component(s, 0.0, np.zeros((1, 1, 2)), settled[:, None, :])
+    assert np.array_equal(got, np.zeros((2, 1)))
+    with pytest.raises(NonConvergenceError):
+        homogeneous_component(s, 0.0, np.zeros((1, 1, 2)), np.r_[settled, [[1.0, 0.0]]][:, None, :])
 
 
 # ---------------------------------------------------------------------------

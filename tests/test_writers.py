@@ -1,9 +1,10 @@
 """The CSV writers against the per-row loops they replaced.
 
 The reference writers below format one row at a time from numpy
-scalars; the spectrum writer formats a chunk of rows in one call, and
-the matrix writer formats only the entries that are not +0.0 + 0.0j
-into per-column templates.  The files must stay byte-identical.
+scalars; the spectrum writer formats a chunk of rows in one call and
+each run of repeated values once, and the matrix writer formats only
+the entries that are not +0.0 + 0.0j into per-column templates.  The
+files must stay byte-identical.
 """
 
 import numpy as np
@@ -67,6 +68,19 @@ def test_spectrum_csv_matches_row_loop_on_non_finite_values(tmp_path):
     v = np.array([np.inf, 1.0, -0.0, -2.5, 1e-300, -1e300])
     assert same_bytes(tmp_path, write_spectrum_csv, reference_spectrum_csv, v)
     v = np.array([3.0, np.nan, 0.5, -0.0, 5e-324])
+    assert same_bytes(tmp_path, write_spectrum_csv, reference_spectrum_csv, v)
+
+
+@pytest.mark.parametrize(
+    "v",
+    [
+        np.array([1.0, 0.0, -0.0, -0.0, 0.0, 0.0, -0.0, -1.0]),
+        np.r_[np.full(CHUNK - 3, 2.0), np.full(7, 0.5), np.full(CHUNK, 0.25)],
+        np.full(2 * CHUNK + 5, 1.0 / 3.0),
+    ],
+    ids=["signed-zeros", "run-across-chunks", "one-value"],
+)
+def test_spectrum_csv_matches_row_loop_on_repeated_values(tmp_path, v):
     assert same_bytes(tmp_path, write_spectrum_csv, reference_spectrum_csv, v)
 
 
