@@ -26,13 +26,14 @@ S_N is the N-th partial sum of that sequence.  Natural logarithm
 throughout.
 
 Rather than reading off the raw quotient D_N = S_N / ln N, the
-estimator fits S_N ~ c ln N + b by least squares: the affine fit
-cancels the O(1) intercept (Euler-Mascheroni-type constants), so c
-converges one log-order faster than D_N.  For spectra obtained from
-box-truncated operators only the head of the spectrum is reliable
-(boundary modes corrupt the small singular values), hence the default
-discard of the trailing half; exactly enumerated diagonal spectra need
-no discard.
+estimator fits the least-squares line S_N ~ c ln N + b over N in
+[0.2 L, L] of the usable length L, in closed form (affine_fit): the
+affine fit cancels the O(1) intercept (Euler-Mascheroni-type
+constants), so c converges one log-order faster than D_N.  For
+spectra obtained from box-truncated operators only the head of the
+spectrum is reliable (boundary modes corrupt the small singular
+values), hence the default discard of the trailing half; exactly
+enumerated diagonal spectra need no discard.
 """
 
 from __future__ import annotations
@@ -194,7 +195,12 @@ def trace_estimate(
         raise UsageError(f"fit window [{N0}, {N1}] too small")
 
     sums = np.cumsum(v)
-    c, b, rms = _affine_logfit(sums, N0, N1)
+    logs = np.log(np.arange(1, N1 + 1))  # logs[N - 1] = ln N
+
+    def fit(a0: int, a1: int) -> tuple[float, float, float]:
+        return affine_fit(logs[a0 - 1 : a1], sums[a0 - 1 : a1])
+
+    c, b, rms = fit(N0, N1)
 
     # stability: 5 half-width windows sliding across [N0, N1]
     W = N1 - N0
@@ -202,8 +208,7 @@ def trace_estimate(
     slopes = []
     for j in range(5):
         a0 = N0 + (j * (W - Ws)) // 4
-        cj, _, _ = _affine_logfit(sums, a0, a0 + Ws)
-        slopes.append(cj)
+        slopes.append(fit(a0, a0 + Ws)[0])
     span = float(max(slopes) - min(slopes))
 
     return SpectralSummary(
@@ -216,38 +221,46 @@ def trace_estimate(
     )
 
 
-def _affine_logfit(sums: np.ndarray, N0: int, N1: int) -> tuple[float, float, float]:
-    N = np.arange(N0, N1 + 1)
-    x = np.log(N)
-    y = sums[N - 1]
-    c, b = np.polyfit(x, y, 1)
-    rms = float(np.sqrt(np.mean((y - (c * x + b)) ** 2)))
-    return float(c), float(b), rms
+def affine_fit(x, y) -> tuple[float, float, float]:
+    """Least-squares line y ~ slope * x + intercept over paired samples
+    (at least 2, not all x equal), in closed form about the means:
+    slope = sum(dx dy) / sum(dx^2) with dx = x - mean(x),
+    dy = y - mean(y), intercept = mean(y) - slope * mean(x).  Returns
+    (slope, intercept, rms of the residuals y - (slope x + intercept))."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    x_mean, y_mean = x.mean(), y.mean()
+    dx = x - x_mean
+    slope = float(dx @ (y - y_mean) / (dx @ dx))
+    intercept = float(y_mean - slope * x_mean)
+    rms = float(np.sqrt(np.mean((y - (slope * x + intercept)) ** 2)))
+    return slope, intercept, rms
 
 
 def write_spectrum_csv(path, s) -> None:
     """Columns N, s_N, S_N, D_N (header row, %.17g; D_1 is nan).
 
-    Each chunk of rows is written with a single `%` call; the arrays go
-    through tolist(), so floats format as Python floats (the same text
-    as a per-value f-string).  A sorted spectrum repeats its values, so
-    s_N is formatted once per run of adjacent values with the same bit
-    pattern (0.0 and -0.0 format apart) and the text reused for the run."""
+    Each chunk of rows is written with a single bytes `%` call; the
+    arrays go through tolist(), so floats format as Python floats (the
+    same ASCII text as a per-value f-string).  A sorted spectrum repeats
+    its values, so s_N is formatted once per run of adjacent values with
+    the same bit pattern (0.0 and -0.0 format apart) and the text reused
+    for the run."""
     v = np.asarray(s, dtype=float)
     sums = np.cumsum(v)
     quotients = np.full(len(v), np.nan)
     quotients[1:] = _quotients(sums)
-    with open(path, "w", newline="") as fh:
-        fh.write("N,s_N,S_N,D_N\n")
+    with open(path, "wb") as fh:
+        fh.write(b"N,s_N,S_N,D_N\n")
         for start in range(0, len(v), _CSV_CHUNK_ROWS):
             stop = min(start + _CSV_CHUNK_ROWS, len(v))
             chunk = v[start:stop]
             bits = chunk.view(np.int64)
             run_start = np.r_[True, bits[1:] != bits[:-1]]
-            texts = np.array(["%.17g" % x for x in chunk[run_start].tolist()], dtype=object)
+            texts = np.array([b"%.17g" % x for x in chunk[run_start].tolist()], dtype=object)
             flat = [None] * (4 * (stop - start))
             flat[0::4] = range(start + 1, stop + 1)
             flat[1::4] = texts[np.cumsum(run_start) - 1].tolist()
             flat[2::4] = sums[start:stop].tolist()
             flat[3::4] = quotients[start:stop].tolist()
-            fh.write(("%d,%s,%.17g,%.17g\n" * (stop - start)) % tuple(flat))
+            fh.write((b"%d,%s,%.17g,%.17g\n" * (stop - start)) % tuple(flat))

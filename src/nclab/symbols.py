@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import NonConvergenceError, UsageError
 from .lattice import TruncationBox, multi_index, torus_grid
+from .spectral import affine_fit
 
 DISCRETE = "discrete"
 TOROIDAL = "toroidal"
@@ -342,9 +343,7 @@ def seminorm_estimate(sigma: Symbol, alpha, beta, window: tuple[int, int]) -> Se
     if np.count_nonzero(keep) >= 2:
         lx = np.log1p(shell_ids[keep].astype(float))
         ly = np.log(shell_sup[keep])
-        slope, intercept = np.polyfit(lx, ly, 1)
-        resid = float(np.sqrt(np.mean((ly - (slope * lx + intercept)) ** 2)))
-        fitted = float(slope)
+        fitted, _, resid = affine_fit(lx, ly)
     else:
         fitted, resid = float("nan"), float("nan")
 

@@ -14,6 +14,7 @@ from nclab.spectral import (
     trace_estimate,
     write_spectrum_csv,
 )
+from test_writers import diag_2d_spectrum
 
 
 def harmonic(N):
@@ -339,6 +340,57 @@ def test_trace_estimate_window_checks():
         trace_estimate(np.ones(30), discard_fraction=0.9)  # usable too short
     with pytest.raises(UsageError):
         trace_estimate(np.ones(100), discard_fraction=0.5, window_fraction=(0.5, 0.4))
+
+
+def polyfit_trace_estimate(s, discard_fraction, window_fraction=(0.2, 1.0)):
+    """(slope, intercept, fit_rms, stability_span) with np.polyfit on
+    each window, over the window trace_estimate picked."""
+    N0, N1 = trace_estimate(s, discard_fraction, window_fraction).fit_window
+    sums = np.cumsum(s)
+
+    def fit(a0, a1):
+        N = np.arange(a0, a1 + 1)
+        x, y = np.log(N), sums[N - 1]
+        c, b = np.polyfit(x, y, 1)
+        return c, b, np.sqrt(np.mean((y - (c * x + b)) ** 2))
+
+    c, b, rms = fit(N0, N1)
+    W = N1 - N0
+    Ws = max(2, W // 2)
+    starts = [N0 + (j * (W - Ws)) // 4 for j in range(5)]
+    slopes = [fit(a0, a0 + Ws)[0] for a0 in starts]
+    return c, b, rms, max(slopes) - min(slopes)
+
+
+def band_1d_spectrum():
+    """The eigenvalues of the band-1d benchmark workload's operator:
+    (1 + 0.6 cos(2 pi x1 + 0.8)) <xi>^(-1) at M = 256 (513 values)."""
+    from nclab.dsl import to_symbol
+    from nclab.pipeline import build_spectrum
+
+    sigma = to_symbol("(1+0.6*cos(2*pi*x1+0.8))*<xi>^(-1)", n=1, order=-1)
+    return build_spectrum(sigma, 1, 256).sequence
+
+
+@pytest.mark.parametrize(
+    "spectrum, discard, window",
+    [
+        (lambda: 2.0 / np.arange(1, 10001), 0.0, (0.2, 1.0)),
+        (diag_2d_spectrum, 0.0, (0.2, 1.0)),
+        (band_1d_spectrum, 0.5, (0.2, 1.0)),
+        (lambda: 2.0 / np.arange(1, 21), 0.0, (0.8, 1.0)),  # [16, 20]: N1 - N0 = 4
+    ],
+    ids=["harmonic", "diag-2d", "band-1d", "shortest-window"],
+)
+def test_trace_estimate_matches_polyfit(spectrum, discard, window):
+    s = spectrum()
+    summary = trace_estimate(s, discard, window)
+    c, b, rms, span = polyfit_trace_estimate(s, discard, window)
+    scale = np.max(np.abs(np.cumsum(s)))
+    assert summary.trace_estimate == pytest.approx(c, rel=1e-12)
+    assert summary.intercept == pytest.approx(b, rel=1e-12)
+    assert summary.fit_rms == pytest.approx(rms, rel=0, abs=1e-12 * scale)
+    assert summary.stability_span == pytest.approx(span, rel=0, abs=1e-12 * scale)
 
 
 def test_partial_sums_monotone_and_quotients_decreasing():

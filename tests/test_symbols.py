@@ -300,9 +300,10 @@ def _reference_seminorm(sigma, alpha, beta, window):
 def test_seminorm_matches_the_pointwise_reference():
     s = to_symbol("(1+0.5*cos(2*pi*x1))*cos(2*pi*x2)*(1+|xi|^2)^(-1)", n=2, order=-2)
     rep = seminorm_estimate(s, [1, 0], [0, 0], (0, 24))
-    assert (rep.sup_ratio, rep.fitted_exponent, rep.residual) == _reference_seminorm(
-        s, [1, 0], [0, 0], (0, 24)
-    )
+    want = _reference_seminorm(s, [1, 0], [0, 0], (0, 24))
+    assert rep.sup_ratio == want[0]
+    # the closed-form line and np.polyfit's lstsq round differently
+    assert (rep.fitted_exponent, rep.residual) == pytest.approx(want[1:], rel=1e-12)
 
 
 def test_seminorm_x_derivative_matches_the_pointwise_reference():
@@ -310,6 +311,17 @@ def test_seminorm_x_derivative_matches_the_pointwise_reference():
     rep = seminorm_estimate(s, [1], [1], (0, 64))
     want = _reference_seminorm(s, [1], [1], (0, 64))
     assert (rep.sup_ratio, rep.fitted_exponent, rep.residual) == pytest.approx(want, rel=1e-12)
+
+
+def test_seminorm_two_shell_fit_matches_the_pointwise_reference():
+    # the window [0, 1] holds shells 0 and 1: the line through two points
+    s = to_symbol("(1+0.5*cos(2*pi*x1))*<xi>^(-1)", n=1, order=-1)
+    rep = seminorm_estimate(s, [0], [0], (0, 1))
+    sup_ratio, slope, resid = _reference_seminorm(s, [0], [0], (0, 1))
+    assert rep.sup_ratio == sup_ratio
+    assert rep.fitted_exponent == pytest.approx(slope, rel=1e-12)
+    # the largest |ln sup| is ln 1.5, at shell 0
+    assert rep.residual == pytest.approx(resid, rel=0, abs=1e-12 * np.log(1.5))
 
 
 def test_seminorm_empty_window():

@@ -1,11 +1,14 @@
 """The CSV writers against the per-row loops they replaced.
 
 The reference writers below format one row at a time from numpy
-scalars; the spectrum writer formats a chunk of rows in one call and
-each run of repeated values once, and the matrix writer formats only
-the entries that are not +0.0 + 0.0j into per-column templates.  The
-files must stay byte-identical.
+scalars into a text-mode file; the spectrum writer formats a chunk of
+rows in one bytes `%` call into a binary file and each run of repeated
+values once, and the matrix writer formats only the entries that are
+not +0.0 + 0.0j into per-column templates.  The files must stay
+byte-identical.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,6 +95,14 @@ def test_spectrum_csv_matches_row_loop_on_diag_2d(tmp_path):
     quotients = spectral._quotients(sums)
     per_row = np.array([sums[i - 1] / np.log(i) for i in range(2, len(v) + 1)])
     assert np.array_equal(quotients, per_row)
+
+
+def test_spectrum_csv_takes_a_str_or_a_path(tmp_path):
+    v = diag_2d_spectrum()[: CHUNK + 1]
+    reference_spectrum_csv(tmp_path / "ref.csv", v)
+    for path in (str(tmp_path / "str.csv"), tmp_path / "path.csv"):
+        write_spectrum_csv(path, v)
+        assert Path(path).read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 @pytest.mark.parametrize("M", [0, 1])  # S = 1 and S = 3
