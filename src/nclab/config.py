@@ -16,29 +16,27 @@ field without a default makes the key mandatory (n, main, order, M).
 from __future__ import annotations
 
 import re
-from dataclasses import MISSING, dataclass, field, fields
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import dsl
 from .errors import ConfigError
+from .record import Record
 from .residue import DEFAULT_TORUS_Q
 
 _TERM_KEY = re.compile(r"^term_(\d+)$")
 
 
-@dataclass
-class SymbolConfig:
+class SymbolConfig(Record):
     n: int
     main: str
     order: float
     main_im: Optional[str] = None
     rho: float = 1.0
     delta: float = 0.0
-    terms: list[tuple[float, str]] = field(default_factory=list)
+    terms: Sequence[tuple[float, str]] = ()
 
 
-@dataclass
-class RunConfig:
+class RunConfig(Record):
     symbol: SymbolConfig
     M: int
     Q: Optional[int] = None
@@ -119,7 +117,7 @@ def _parse_lines(text: str) -> dict[str, dict[str, tuple[str, int]]]:
 def _section_values(sections, section: str, cls) -> dict:
     """The converted values of the section's keys that the file sets;
     a key it leaves out takes the default of cls's field."""
-    mandatory = {f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING}
+    mandatory = set(cls._fields) - cls._field_defaults.keys()
     given = sections.get(section, {})
     values = {}
     for key, conv in KEYS[section].items():

@@ -27,12 +27,12 @@ not by the grammar.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
 from .errors import UsageError
+from .record import Record
 
 FUNCTIONS = {"cos": np.cos, "sin": np.sin, "exp": np.exp, "abs": np.abs}
 VAR_KINDS = ("x", "xi", "theta")
@@ -70,46 +70,38 @@ class EvalError(ArithmeticError):
 # AST
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(Record):
     value: float
 
 
-@dataclass(frozen=True)
-class Pi:
+class Pi(Record):
     pass
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Record):
     kind: str  # "x", "xi" or "theta"
     index: int  # 1-based
 
 
-@dataclass(frozen=True)
-class FreqNorm:
+class FreqNorm(Record):
     """|xi|"""
 
 
-@dataclass(frozen=True)
-class Bracket:
+class Bracket(Record):
     """<xi> = (1+|xi|^2)^(1/2)"""
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(Record):
     arg: "SymbolExpr"
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(Record):
     op: str  # one of + - * / ^
     left: "SymbolExpr"
     right: "SymbolExpr"
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(Record):
     fn: str
     arg: "SymbolExpr"
 
@@ -135,8 +127,7 @@ def walk(e: SymbolExpr):
 _MINUS = {"-", "−"}  # ASCII hyphen and unicode minus
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(Record):
     kind: str  # NUM NAME OP NORM BRACKET EOF
     text: str
     pos: int

@@ -19,11 +19,10 @@ between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import UsageError
+from .record import Record
 
 
 def torus_grid(n: int, q: int) -> np.ndarray:
@@ -44,8 +43,7 @@ def multi_index(entries) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class TruncationBox:
+class TruncationBox(Record):
     """Cubic lattice window [-M, M]^n with a pinned enumeration.
 
     The enumeration is the lexicographic order on coordinates, -M first,

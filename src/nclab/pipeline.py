@@ -30,7 +30,6 @@ warned nor raised.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -38,6 +37,7 @@ import numpy as np
 from .errors import UsageError
 from .lattice import TruncationBox
 from .quantize import QuadratureGrid, _check_memory, assemble_toroidal
+from .record import Record
 from .residue import CONVENTIONS_STANZA, DEFAULT_TORUS_Q, LATTICE, PAPER, SphereRule, dixmier_trace_formula, residue_value
 from .spectral import DEFAULT_DISCARD, DEFAULT_WINDOW, SpectralSummary, diagonal_sequence, matrix_sequence, trace_estimate
 from .symbols import DISCRETE, Symbol, evaluate, flip
@@ -51,8 +51,7 @@ def depends_on_second(sigma: Symbol) -> bool:
     return sigma.x_bandwidth != 0
 
 
-@dataclass(frozen=True)
-class SpectrumRun:
+class SpectrumRun(Record):
     """The sorted sequence feeding the trace fit, plus how it was made."""
 
     n: int
@@ -120,8 +119,7 @@ def build_spectrum(
     )
 
 
-@dataclass(frozen=True)
-class ConnesComparison:
+class ConnesComparison(Record):
     """Spectral trace estimate against the residue: the spectrum run,
     its log fit and the residue of the same symbol."""
 

@@ -56,12 +56,12 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import UsageError
 from .lattice import TruncationBox, torus_grid
+from .record import Record
 from .symbols import DISCRETE, TOROIDAL, Symbol, evaluate, flip
 
 LATTICE_DELTA = "lattice_delta"
@@ -88,8 +88,7 @@ BAND_RATIO = 16
 BAND_REL_TOL = 1e-13
 
 
-@dataclass(frozen=True)
-class QuadratureGrid:
+class QuadratureGrid(Record):
     """Uniform torus grid: Q points per axis at j/Q, weight Q^-n."""
 
     n: int
@@ -119,8 +118,7 @@ def default_grid_size(M: int) -> int:
     return q
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
+class OperatorMatrix(Record):
     """Complex S x S matrix plus the index maps tying rows/columns to
     the box enumeration, in either basis.
 
@@ -311,8 +309,7 @@ def conjugate_by_fourier(A: OperatorMatrix) -> OperatorMatrix:
     return OperatorMatrix(A.entries[::-1, ::-1].copy(), A.box, LATTICE_DELTA)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(Record):
     """Entrywise deviation between the directly assembled discrete
     matrix and the Fourier-conjugated adjoint of the toroidal one."""
 

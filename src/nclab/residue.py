@@ -21,13 +21,12 @@ Node evaluations are summed in pinned node order for reproducibility.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
 from .errors import UsageError
 from .lattice import torus_grid
 from .quantize import BLOCK_POINTS
+from .record import Record, replace
 from .symbols import DISCRETE, TOROIDAL, Symbol, flip, homogeneous_component
 
 LATTICE = "lattice"
@@ -37,8 +36,7 @@ DEFAULT_TORUS_Q = 128
 DEFAULT_SPHERE_ORDER = {1: 2, 2: 64, 3: 24}
 
 
-@dataclass(frozen=True)
-class SphereRule:
+class SphereRule(Record):
     """Quadrature nodes/weights on the unit sphere S^(n-1) in R^n;
     weights sum to the surface measure (2, 2*pi, 4*pi for n=1,2,3)."""
 
@@ -90,8 +88,7 @@ def sphere_rule(n: int, order: int | None = None) -> SphereRule:
     return SphereRule(n, nodes, weights)
 
 
-@dataclass(frozen=True)
-class ResidueReport:
+class ResidueReport(Record):
     value: complex | float
     convention: str
     n: int

@@ -41,11 +41,11 @@ from __future__ import annotations
 import ctypes
 import functools
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonConvergenceError, UsageError
+from .record import Record
 
 # Spectrum rows per formatting call of write_spectrum_csv: one chunk's
 # text and values are alive at a time, so memory stays flat in the
@@ -58,8 +58,7 @@ DEFAULT_WINDOW = (0.2, 1.0)
 DEFAULT_DISCARD = 0.5
 
 
-@dataclass(frozen=True)
-class SpectralSummary:
+class SpectralSummary(Record):
     """Trace estimate and diagnostics from a log fit of partial sums."""
 
     l1inf: float

@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import NonConvergenceError, UsageError
 from .lattice import TruncationBox, multi_index, torus_grid
+from .record import Record, replace
 from .spectral import affine_fit
 
 DISCRETE = "discrete"
@@ -45,8 +45,7 @@ SEMINORM_X_GRID = 16
 SEMINORM_DERIV_GRID = 32
 
 
-@dataclass(frozen=True)
-class ClassicalTerm:
+class ClassicalTerm(Record):
     """One homogeneous term: degree d and angular part a_d(x, theta),
     defined for |theta| = 1."""
 
@@ -54,8 +53,7 @@ class ClassicalTerm:
     angular: Callable  # (x, theta) -> complex, broadcasting
 
 
-@dataclass(frozen=True)
-class ClassicalStructure:
+class ClassicalStructure(Record):
     """Declared homogeneous expansion, valid for large |frequency|:
 
         symbol(k, x) = sum_j |k|^(d_j) * angular_j(x, k/|k|) + lower order
@@ -80,8 +78,7 @@ class ClassicalStructure:
         return None
 
 
-@dataclass(frozen=True)
-class Symbol:
+class Symbol(Record):
     """Evaluable symbol with order/type metadata.
 
     func(first, second) must be pure, total on its domain, and accept
@@ -283,8 +280,7 @@ def partial_x(sigma: Symbol, beta, grid_size: int) -> Symbol:
 # Decay-class (seminorm) estimation
 
 
-@dataclass(frozen=True)
-class SeminormReport:
+class SeminormReport(Record):
     """Observed decay of |Delta^alpha d^beta sigma| against the weight
     (1+|n'|)^(m - rho|alpha| + delta|beta|)."""
 

@@ -1,5 +1,3 @@
-from dataclasses import MISSING, fields
-
 import pytest
 
 from nclab.config import KEYS, RunConfig, SymbolConfig, build_symbol, load_config
@@ -128,11 +126,10 @@ def test_bad_symmetrize_value(tmp_path):
 def test_every_key_is_a_field_and_fields_without_default_are_mandatory():
     mandatory = set()
     for section, keys in KEYS.items():
-        by_name = {f.name: f for f in fields(SymbolConfig if section == "symbol" else RunConfig)}
+        cls = SymbolConfig if section == "symbol" else RunConfig
         for key in keys:
-            assert key in by_name, f"[{section}] {key} has no field"
-            f = by_name[key]
-            if f.default is MISSING and f.default_factory is MISSING:
+            assert key in cls._fields, f"[{section}] {key} has no field"
+            if key not in cls._field_defaults:
                 mandatory.add(key)
     assert mandatory == {"n", "main", "order", "M"}
 
