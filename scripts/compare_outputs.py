@@ -27,8 +27,10 @@ every other token is identical: JSON keys, strings, booleans and
 integers (such as Q or fit_window), and CSV headers, row counts and
 integer columns (a column is numeric when any of its cells is not an
 integer literal).  Round-off moves thus read apart from real changes.
-Exits 0 when every run has the same exit code and byte-identical
-outputs on both trees, 1 otherwise.
+The FRONT_END command lines (help, version and usage errors) then run
+once per tree, and only their exit codes are compared.  Exits 0 when
+every run has the same exit code and byte-identical outputs on both
+trees, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -85,6 +87,16 @@ BRANCH_CONFIGS = {
 RUNS = [(command, command, ()) for command in _COMMANDS] + [
     ("residue-paper", "residue", ("--convention", "paper")),
 ]
+# label -> command line of a front-end run, made once per tree with
+# {cfg} a shipped config and {out} a fresh directory; only the exit
+# codes are compared, since help text may be laid out differently
+FRONT_END = {
+    "help": ["--help"],
+    "version": ["--version"],
+    "missing-config": ["residue", "--out", "{out}"],
+    "unknown-flag": ["residue", "--config", "{cfg}", "--out", "{out}", "--bogus"],
+    "connes-convention": ["connes", "--config", "{cfg}", "--out", "{out}", "--convention", "paper"],
+}
 
 
 def branch_config(n: int, factor: str, M: int, declared: bool) -> str:
@@ -99,13 +111,11 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
 
 
-def run(tree: Path, command: str, flags: tuple, config: Path,
-        out: Path) -> tuple[str, str, float, float]:
+def run(tree: Path, argv: list[str]) -> tuple[str, str, float, float]:
     """Exit code (or 'timeout'), the last stderr line, the wall seconds
-    and the peak RSS in MB of one run."""
+    and the peak RSS in MB of one `nclab` run."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), **THREAD_PIN)
-    args = [sys.executable, "-m", "nclab.cli", command, *flags, "--config", str(config),
-            "--out", str(out), "--quiet"]
+    args = [sys.executable, "-m", "nclab.cli", *argv]
     # stderr goes to a file, so the child never blocks on a full pipe
     # while this process waits in wait4 for its resource usage
     with tempfile.TemporaryFile("w+") as err:
@@ -234,7 +244,8 @@ def main() -> int:
                 for out in outs:
                     out.mkdir(parents=True)
                 (code_a, err_a, wall_a, rss_a), (code_b, err_b, wall_b, rss_b) = (
-                    run(tree, command, flags, config, out) for tree, out in zip(trees, outs)
+                    run(tree, [command, *flags, "--config", str(config), "--out", str(out), "--quiet"])
+                    for tree, out in zip(trees, outs)
                 )
                 diff = differing_files(*outs)
                 same = code_a == code_b and not diff
@@ -252,6 +263,16 @@ def main() -> int:
                 for side, code, err in (("a", code_a, err_a), ("b", code_b, err_b)):
                     if code != "0":
                         print(f"      {side}: {err}", flush=True)
+        for label, argv in FRONT_END.items():
+            codes = [
+                run(tree, [word.format(cfg=configs[0], out=Path(tmp) / side / "front-end" / label)
+                           for word in argv])[0]
+                for side, tree in zip("ab", trees)
+            ]
+            same = codes[0] == codes[1]
+            mismatches += not same
+            print(f"{'same' if same else 'DIFF'}  front-end {label}: exit {codes[0]}/{codes[1]}",
+                  flush=True)
     print(f"{mismatches} run(s) differ")
     return 1 if mismatches else 0
 

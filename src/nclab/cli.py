@@ -1,6 +1,8 @@
 """Command-line frontend: config-driven, reproducible runs.
 
-Subcommands:
+    nclab COMMAND --config PATH [--out DIR] [--quiet] [--convention lattice|paper]
+
+Commands:
 
     symbol-check     decay/seminorm report        -> symbol_check.json
     quantize         assemble + export the matrix -> matrix.csv / matrix.bin
@@ -10,14 +12,19 @@ Subcommands:
     verify-identity  conjugation-identity check   -> identity.json (+ stdout)
     connes           full comparison              -> connes.json + spectrum.csv
 
-Exit codes: 0 success, 1 config/usage error, 2 numerical failure,
-3 I/O error.  Outputs are byte-identical for identical config and
-binary: fixed field order, %.17g floats, no timestamps.
+Options follow the command in any order, as `--opt VALUE` or
+`--opt=VALUE`, and may be shortened to any unique prefix (`--conf`);
+a repeated option keeps its last value.  `--convention` is residue's
+alone.  `-h`/`--help`, alone or after a command, prints help;
+`--version` prints the version.
+
+Exit codes: 0 success (and help), 1 config/usage error, 2 numerical
+failure, 3 I/O error.  Outputs are byte-identical for identical config
+and binary: fixed field order, %.17g floats, no timestamps.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from pathlib import Path
@@ -69,45 +76,130 @@ config format (strict: unknown keys are fatal):
     [output]     dir, matrix_format (csv|binary|both)
 """
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="nclab",
-        description=__doc__,
-        epilog=GRAMMAR_HELP,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    parser.add_argument("--version", action="version", version=f"nclab {__version__}")
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    for name in _COMMANDS:
-        p = sub.add_parser(
-            name,
-            epilog=GRAMMAR_HELP,
-            formatter_class=argparse.RawDescriptionHelpFormatter,
-        )
-        p.add_argument("--config", required=True, help="path to the run config file")
-        p.add_argument("--out", help="output directory (default: [output] dir, else ./out)")
-        if name == "residue":
-            p.add_argument(
-                "--convention",
-                choices=("lattice", "paper"),
-                default="lattice",
-                help="residue prefactor convention (default lattice)",
-            )
-        p.add_argument("--quiet", action="store_true", help="suppress progress output")
-    return parser
+_PROG = "nclab"
+
+# option -> (name of its value, None for a flag; the values it allows,
+# the first being the default; help); --config is required, and
+# --convention is residue's alone
+_OPTIONS = {
+    "--config": ("PATH", None, "path to the run config file"),
+    "--out": ("DIR", None, "output directory (default: [output] dir, else ./out)"),
+    "--quiet": (None, None, "suppress progress output"),
+    "--convention": ("lattice|paper", ("lattice", "paper"), "residue prefactor convention (default lattice)"),
+}
+
+
+class _ArgvError(Exception):
+    """A malformed command line: the command it names (or None) and what is wrong."""
+
+    def __init__(self, command, message):
+        super().__init__(message)
+        self.command = command
+
+
+def _options(command) -> list:
+    return [name for name in _OPTIONS if name != "--convention" or command == "residue"]
+
+
+def _spelled(name: str) -> str:
+    """An option as usage and help show it: `--out DIR`, `--quiet`."""
+    metavar = _OPTIONS[name][0]
+    return f"{name} {metavar}" if metavar else name
+
+
+def _usage(command) -> str:
+    if command is None:
+        return f"usage: {_PROG} [-h] [--version] COMMAND ..."
+    words = [_spelled(name) if name == "--config" else f"[{_spelled(name)}]" for name in _options(command)]
+    return f"usage: {_PROG} {command} [-h] {' '.join(words)}"
+
+
+def _help(command) -> str:
+    if command is None:
+        return f"{_usage(None)}\n\n{__doc__}\n{GRAMMAR_HELP}"
+    rows = [("-h, --help", "show this help and exit")] + [
+        (_spelled(name), _OPTIONS[name][2]) for name in _options(command)
+    ]
+    width = max(len(flag) for flag, _ in rows) + 2
+    table = "".join(f"  {flag:<{width}}{text}\n" for flag, text in rows)
+    return f"{_usage(command)}\n\noptions:\n{table}\n{GRAMMAR_HELP}"
+
+
+def _match(command, word: str, names) -> str | None:
+    """The one name in `names` that `word` spells or abbreviates, or None;
+    `-h` spells `--help`."""
+    if word == "-h":
+        word = "--help"
+    if word in names:
+        return word
+    if not word.startswith("--") or word == "--":
+        return None
+    hits = [name for name in names if name.startswith(word)]
+    if len(hits) > 1:
+        raise _ArgvError(command, f"ambiguous option: {word} could match {', '.join(hits)}")
+    return hits[0] if hits else None
+
+
+def _read_argv(argv: list):
+    """(command, option -> value) of a command line, or the text that
+    -h/--help or --version asks for; raises _ArgvError."""
+    if not argv:
+        return _help(None)
+    command = argv[0]
+    if command.startswith("-"):
+        name = _match(None, command, ("--help", "--version"))
+        if name == "--help":
+            return _help(None)
+        if name == "--version":
+            return f"{_PROG} {__version__}"
+        raise _ArgvError(None, f"unrecognized arguments: {' '.join(argv)}")
+    if command not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        raise _ArgvError(None, f"argument COMMAND: invalid choice: {command!r} (choose from {choices})")
+    names = _options(command)
+    values = {name: choices and choices[0] for name, (_, choices, _) in _OPTIONS.items()}
+    extras = []
+    words = iter(argv[1:])
+    for word in words:
+        key, eq, value = word.partition("=") if word.startswith("--") else (word, "", "")
+        name = _match(command, key, [*names, "--help"])
+        if name is None:
+            extras.append(word)
+            continue
+        if name == "--help":
+            return _help(command)
+        metavar, choices, _ = _OPTIONS[name]
+        if metavar is None:
+            if eq:
+                raise _ArgvError(command, f"argument {name}: ignored explicit argument {value!r}")
+            value = True
+        elif not eq:
+            value = next(words, None)
+            if value is None or (value.startswith("-") and value != "-"):
+                raise _ArgvError(command, f"argument {name}: expected one argument")
+        if choices and value not in choices:
+            allowed = ", ".join(map(repr, choices))
+            raise _ArgvError(command, f"argument {name}: invalid choice: {value!r} (choose from {allowed})")
+        values[name] = value
+    if values["--config"] is None:
+        raise _ArgvError(command, "the following arguments are required: --config")
+    if extras:
+        raise _ArgvError(command, f"unrecognized arguments: {' '.join(extras)}")
+    return command, values
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
-        return 0 if exc.code == 0 else 1
-    if args.command is None:
-        parser.print_help()
+        parsed = _read_argv(sys.argv[1:] if argv is None else argv)
+    except _ArgvError as exc:
+        prog = _PROG if exc.command is None else f"{_PROG} {exc.command}"
+        print(f"{_usage(exc.command)}\n{prog}: error: {exc}", file=sys.stderr)
+        return 1
+    if isinstance(parsed, str):
+        sys.stdout.write(parsed + "\n")  # one write: a reader such as `head` may close early
         return 0
     try:
-        return _dispatch(args)
+        return _dispatch(*parsed)
     except (ConfigError, UsageError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -119,13 +211,13 @@ def main(argv=None) -> int:
         return 3
 
 
-def _dispatch(args) -> int:
-    cfg = load_config(args.config)
-    out_dir = Path(args.out or cfg.dir or "./out")
+def _dispatch(command: str, opts: dict) -> int:
+    cfg = load_config(opts["--config"])
+    out_dir = Path(opts["--out"] or cfg.dir or "./out")
     out_dir.mkdir(parents=True, exist_ok=True)
     sigma = build_symbol(cfg)
-    say = (lambda *a, **k: None) if args.quiet else print
-    return _COMMANDS[args.command](cfg, sigma, args, out_dir, say)
+    say = (lambda *a, **k: None) if opts["--quiet"] else print
+    return _COMMANDS[command](cfg, sigma, opts, out_dir, say)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -134,7 +226,7 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _cmd_symbol_check(cfg: RunConfig, sigma: Symbol, args, out_dir: Path, say) -> int:
+def _cmd_symbol_check(cfg: RunConfig, sigma: Symbol, opts: dict, out_dir: Path, say) -> int:
     n, M = cfg.symbol.n, cfg.M
     r_min = 16 if M >= 64 else 0
     combos = [np.zeros(n, dtype=int)]
@@ -175,7 +267,7 @@ def _cmd_symbol_check(cfg: RunConfig, sigma: Symbol, args, out_dir: Path, say) -
     return 0
 
 
-def _cmd_quantize(cfg: RunConfig, sigma: Symbol, args, out_dir: Path, say) -> int:
+def _cmd_quantize(cfg: RunConfig, sigma: Symbol, opts: dict, out_dir: Path, say) -> int:
     box = TruncationBox(cfg.symbol.n, cfg.M)
     A = assemble_discrete(sigma, box, QuadratureGrid.for_box(box, cfg.Q))
     if cfg.matrix_format in ("csv", "both"):
@@ -187,7 +279,7 @@ def _cmd_quantize(cfg: RunConfig, sigma: Symbol, args, out_dir: Path, say) -> in
     return 0
 
 
-def _cmd_spectrum(cfg: RunConfig, sigma: Symbol, args, out_dir: Path, say) -> int:
+def _cmd_spectrum(cfg: RunConfig, sigma: Symbol, opts: dict, out_dir: Path, say) -> int:
     run = build_spectrum(sigma, cfg.symbol.n, cfg.M, Q=cfg.Q, symmetrize=cfg.symmetrize)
     write_spectrum_csv(out_dir / "spectrum.csv", run.sequence)
     say(f"wrote {out_dir / 'spectrum.csv'} ({len(run.sequence)} values, "
@@ -195,7 +287,7 @@ def _cmd_spectrum(cfg: RunConfig, sigma: Symbol, args, out_dir: Path, say) -> in
     return 0
 
 
-def _cmd_dixmier(cfg: RunConfig, sigma: Symbol, args, out_dir: Path, say) -> int:
+def _cmd_dixmier(cfg: RunConfig, sigma: Symbol, opts: dict, out_dir: Path, say) -> int:
     run = build_spectrum(sigma, cfg.symbol.n, cfg.M, Q=cfg.Q, symmetrize=cfg.symmetrize)
     summary = run.fit()
     payload = {
@@ -220,11 +312,11 @@ def _cmd_dixmier(cfg: RunConfig, sigma: Symbol, args, out_dir: Path, say) -> int
     return 0
 
 
-def _cmd_residue(cfg: RunConfig, sigma: Symbol, args, out_dir: Path, say) -> int:
+def _cmd_residue(cfg: RunConfig, sigma: Symbol, opts: dict, out_dir: Path, say) -> int:
     n = cfg.symbol.n
     rule = sphere_rule(n, cfg.sphere_order)
     rep = dixmier_trace_formula(
-        sigma, n, rule=rule, torus_q=cfg.residue_q, convention=args.convention
+        sigma, n, rule=rule, torus_q=cfg.residue_q, convention=opts["--convention"]
     )
     write_json_path = out_dir / "residue.json"
     _write_json(write_json_path, residue_report_json(rep))
@@ -233,7 +325,7 @@ def _cmd_residue(cfg: RunConfig, sigma: Symbol, args, out_dir: Path, say) -> int
     return 0
 
 
-def _cmd_verify_identity(cfg: RunConfig, sigma: Symbol, args, out_dir: Path, say) -> int:
+def _cmd_verify_identity(cfg: RunConfig, sigma: Symbol, opts: dict, out_dir: Path, say) -> int:
     box = TruncationBox(cfg.symbol.n, cfg.M)
     rep = verify_identity(sigma, box, QuadratureGrid.for_box(box, cfg.Q))
     print(
@@ -256,7 +348,7 @@ def _cmd_verify_identity(cfg: RunConfig, sigma: Symbol, args, out_dir: Path, say
     return 0
 
 
-def _cmd_connes(cfg: RunConfig, sigma: Symbol, args, out_dir: Path, say) -> int:
+def _cmd_connes(cfg: RunConfig, sigma: Symbol, opts: dict, out_dir: Path, say) -> int:
     n = cfg.symbol.n
     rule = sphere_rule(n, cfg.sphere_order)
     rep = run_connes_check(

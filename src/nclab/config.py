@@ -15,6 +15,7 @@ field without a default makes the key mandatory (n, main, order, M).
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Optional, Sequence
 
@@ -61,6 +62,13 @@ def _at_least(low: int, even: bool = False):
     return conv
 
 
+def _finite(value: str) -> float:
+    v = float(value)
+    if not math.isfinite(v):
+        raise _OutOfRange("must be finite")
+    return v
+
+
 def _to_bool(value: str) -> bool:
     v = value.lower()
     if v in ("true", "on", "yes", "1"):
@@ -79,7 +87,7 @@ def _matrix_format(value: str) -> str:
 # section -> key -> converter; it raises _OutOfRange for a value out of its
 # range and ValueError or TypeError for any other bad value
 KEYS = {
-    "symbol": {"n": _at_least(1), "main": str, "order": float, "main_im": str,
+    "symbol": {"n": _at_least(1), "main": str, "order": _finite, "main_im": str,
                "rho": float, "delta": float},
     "lattice": {"M": _at_least(0)},
     "quadrature": {"Q": _at_least(2, even=True), "sphere_order": _at_least(1), "residue_q": _at_least(1)},
@@ -150,7 +158,9 @@ def _terms(sections) -> list[tuple[float, str]]:
             raise ConfigError("classical term must be `degree ; expression`", lineno)
         deg_text, expr = (part.strip() for part in value.split(";", 1))
         try:
-            degree = float(deg_text)
+            degree = _finite(deg_text)
+        except _OutOfRange as exc:
+            raise ConfigError(f"term_{j} degree {exc}, got {deg_text!r}", lineno) from None
         except ValueError:
             raise ConfigError(f"bad degree {deg_text!r} in term_{j}", lineno) from None
         terms.append((degree, expr))

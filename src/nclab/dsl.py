@@ -588,7 +588,7 @@ def to_symbol(
     if classical_terms:
         terms = []
         for j, (degree, angular_expr) in enumerate(classical_terms):
-            if abs(float(degree) - (order - j)) > 1e-9:
+            if not abs(float(degree) - (order - j)) <= 1e-9:  # refuses nan too
                 raise UsageError(
                     f"classical degree ladder violated: term {j} has degree "
                     f"{degree}, expected {order - j}"

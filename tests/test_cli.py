@@ -89,6 +89,69 @@ def test_subcommand_help(command, capsys):
     assert "expression grammar" in out
 
 
+# Command lines that the argv reader accepts or refuses: (argv, exit code,
+# stream, phrase in that stream, whether residue.json is written).
+# {cfg} is the config and {out} and {tmp} are directories under tmp_path.
+ARGV_FORMS = {
+    "config-equals": (["residue", "--config={cfg}", "--out", "{out}", "--quiet"], 0, "out", "", True),
+    "abbreviations": (["residue", "--conf", "{cfg}", "--ou={out}", "--qu"], 0, "out", "", True),
+    "repeated-out": (["residue", "--config", "{cfg}", "--out", "{tmp}/first", "--out", "{out}",
+                      "--quiet"], 0, "out", "", True),
+    "quiet-twice": (["residue", "--quiet", "--config", "{cfg}", "--out", "{out}", "--quiet"],
+                    0, "out", "", True),
+    "help-after-options": (["residue", "--config", "{cfg}", "--out", "{out}", "-h"],
+                           0, "out", "expression grammar", False),
+    "version": (["--version"], 0, "out", "nclab 0.1.0\n", False),
+    "missing-config": (["residue", "--out", "{out}"], 1, "err",
+                       "the following arguments are required: --config", False),
+    "missing-value": (["residue", "--config", "{cfg}", "--out"], 1, "err",
+                      "argument --out: expected one argument", False),
+    "unknown-command": (["bogus", "--config", "{cfg}", "--out", "{out}"], 1, "err",
+                        "invalid choice: 'bogus'", False),
+    "bad-choice": (["residue", "--config", "{cfg}", "--out", "{out}", "--convention", "bogus"],
+                   1, "err", "argument --convention: invalid choice: 'bogus'", False),
+    "ambiguous-prefix": (["residue", "--c", "{cfg}", "--out", "{out}"], 1, "err",
+                         "ambiguous option: --c could match --config, --convention", False),
+    "unknown-flag": (["residue", "--config", "{cfg}", "--out", "{out}", "--bogus", "x"], 1, "err",
+                     "unrecognized arguments: --bogus x", False),
+}
+
+
+@pytest.mark.parametrize("form", list(ARGV_FORMS))
+def test_argv_forms(tmp_path, capsys, form):
+    argv, code, stream, phrase, writes = ARGV_FORMS[form]
+    cfg = write(tmp_path, MULTIPLIER)
+    out = tmp_path / "r"
+    argv = [word.format(cfg=cfg, out=out, tmp=tmp_path) for word in argv]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert phrase in getattr(captured, stream)
+    if code == 0:
+        assert captured.err == ""
+    else:
+        assert captured.err.startswith("usage: nclab")
+        assert "error: " in captured.err
+    if writes:  # every writing form is --quiet
+        assert captured.out == ""
+    assert (out / "residue.json").exists() == writes
+    assert out.exists() == writes
+    assert not (tmp_path / "first").exists()
+
+
+def test_cli_imports_no_argparse_gettext_or_locale(tmp_path):
+    cfg = write(tmp_path, MULTIPLIER)
+    argv = ["residue", "--config", cfg, "--out", str(tmp_path / "r"), "--quiet"]
+    code = (
+        "import sys\n"
+        "from nclab.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+        "sys.exit(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)) or None)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(CONFIGS.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_connes_happy_path(tmp_path, capsys):
     cfg = write(tmp_path, MULTIPLIER)
     out = tmp_path / "r"

@@ -146,8 +146,16 @@ def test_every_key_is_a_field_and_fields_without_default_are_mandatory():
         (MINIMAL + "[quadrature]\nQ = 7\n", 9, "Q must be even and >= 2, got '7'"),
         (MINIMAL + "[quadrature]\nQ = -4\n", 9, "Q must be even and >= 2, got '-4'"),
         (MINIMAL + "[quadrature]\nQ = 0\n", 9, "Q must be even and >= 2, got '0'"),
+        (MINIMAL.replace("order = -1", "order = nan"), 4, "order must be finite, got 'nan'"),
+        (MINIMAL.replace("order = -1", "order = -inf"), 4, "order must be finite, got '-inf'"),
+        (MINIMAL.replace("order = -1", "order = 1e400"), 4, "order must be finite, got '1e400'"),
+        (MINIMAL.replace("order = -1", "order = -1\nterm_0 = nan ; 1"), 5,
+         "term_0 degree must be finite, got 'nan'"),
+        (MINIMAL.replace("order = -1", "order = -1\nterm_0 = -1 ; 1\nterm_1 = inf ; 1"), 6,
+         "term_1 degree must be finite, got 'inf'"),
     ],
-    ids=["n", "M", "residue_q=0", "residue_q=-3", "sphere_order", "matrix_format", "Q=7", "Q=-4", "Q=0"],
+    ids=["n", "M", "residue_q=0", "residue_q=-3", "sphere_order", "matrix_format", "Q=7", "Q=-4", "Q=0",
+         "order=nan", "order=-inf", "order=1e400", "term_0=nan", "term_1=inf"],
 )
 def test_out_of_range_values_are_fatal_with_line(tmp_path, text, line, message):
     with pytest.raises(ConfigError, match=f"^line {line}: {message}$"):

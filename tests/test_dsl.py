@@ -185,6 +185,13 @@ def test_to_symbol_ladder_violation():
         to_symbol("<xi>^(-1)", n=1, order=-1, classical_terms=[(-1, "1"), (-3, "1")])
 
 
+@pytest.mark.parametrize("order, degree", [(-1, math.nan), (math.nan, -1)], ids=["degree", "order"])
+def test_to_symbol_ladder_refuses_nan(order, degree):
+    # every comparison with nan is false, so `abs(d - e) > tol` let it through
+    with pytest.raises(UsageError, match="ladder"):
+        to_symbol("<xi>^(-1)", n=1, order=order, classical_terms=[(degree, "1")])
+
+
 def test_to_symbol_complex_pair():
     s = to_symbol("cos(2*pi*x1)", main_im="-xi1", n=1, order=1)
     got = s(np.array([2.0]), np.array([0.25]))
