@@ -61,9 +61,10 @@ TIMEOUT_S = 900
 WORKLOAD_SEED = 7
 THREAD_PIN = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 # Configs for the assembly and residue branches that no shipped config
-# reaches: name -> (n, x-dependent factor, M, declared) of (factor) *
+# reaches: name -> (n, factor, M, declared[, main_im]) of (factor) *
 # <xi>^(-n) (for n = 1) or (factor) * (1+|xi|^2)^(-1) (for n = 2), with
-# the factor as term_0 when declared is true.  In turn: no known band
+# the factor as term_0 when declared is true and main_im as the
+# imaginary part when given.  In turn: no known band
 # (b = inf) in 1-D and in 2-D, both gathered through the reach-2M stencil
 # on the Q^n grid; a band as wide as the box (b >= 2M, the same gather);
 # a band on the dense side of quantize.BAND_RATIO (b = M/4); a 2-D band;
@@ -71,8 +72,10 @@ THREAD_PIN = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THRE
 # dense export (b = inf at M = 256): 259,881 of its 263,169 matrix
 # entries are not exact zeros, so quantize.write_matrix_csv formats
 # nearly every entry and the quantize wall times show its dense case.
-# Last, a 2-D x-dependent symbol without term_0, whose residue is
-# extracted numerically over the full residue_q^n torus grid.
+# Then a 2-D x-dependent symbol without term_0, whose residue is
+# extracted numerically over the full residue_q^n torus grid.  Last, a
+# complex x-free multiplier, exp(0.3 i) <xi>^(-1): the diagonal path
+# with imaginary parts, symmetrized to its real parts by default.
 BRANCH_CONFIGS = {
     "band_inf_1d": (1, "exp(0.3*cos(2*pi*x1))", 64, True),
     "band_inf_2d": (2, "exp(0.3*cos(2*pi*x1))", 6, True),
@@ -82,6 +85,7 @@ BRANCH_CONFIGS = {
     "band_2d_cross": (2, "1+0.5*cos(2*pi*x1)*cos(2*pi*x2)", 12, True),
     "dense_export_1d": (1, "exp(0.3*cos(2*pi*x1))", 256, True),
     "no_term_2d": (2, "1+0.5*cos(2*pi*x1)", 8, False),
+    "complex_diag_1d": (1, "cos(0.3)", 64, False, "sin(0.3)*<xi>^(-1)"),
 }
 # (label, command, extra flags) of every run on a config
 RUNS = [(command, command, ()) for command in _COMMANDS] + [
@@ -99,11 +103,12 @@ FRONT_END = {
 }
 
 
-def branch_config(n: int, factor: str, M: int, declared: bool) -> str:
+def branch_config(n: int, factor: str, M: int, declared: bool, main_im: str | None = None) -> str:
     """The config text of one BRANCH_CONFIGS entry."""
     decay = "<xi>^(-1)" if n == 1 else "(1+|xi|^2)^(-1)"
     term = f"term_0 = {-n} ; {factor}\n" if declared else ""
-    return (f"[symbol]\nn = {n}\nmain = ({factor})*{decay}\norder = {-n}\n"
+    im = f"main_im = {main_im}\n" if main_im is not None else ""
+    return (f"[symbol]\nn = {n}\nmain = ({factor})*{decay}\n{im}order = {-n}\n"
             f"{term}[lattice]\nM = {M}\n")
 
 

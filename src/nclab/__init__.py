@@ -33,7 +33,6 @@ from .spectral import (
     trace_estimate,
 )
 from .symbols import (
-    ClassicalStructure,
     ClassicalTerm,
     SeminormReport,
     Symbol,

@@ -43,7 +43,7 @@ class RunConfig(Record):
     Q: Optional[int] = None
     sphere_order: Optional[int] = None
     residue_q: int = DEFAULT_TORUS_Q
-    symmetrize: Optional[bool] = None
+    symmetrize: bool = True
     dir: Optional[str] = None
     matrix_format: str = "both"
 
@@ -191,6 +191,6 @@ def build_symbol(cfg: RunConfig):
         rho=sym.rho,
         delta=sym.delta,
         main_im=sym.main_im,
-        classical_terms=sym.terms or None,
+        classical_terms=sym.terms,
         side="discrete",
     )

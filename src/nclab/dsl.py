@@ -293,7 +293,7 @@ class _Parser:
             self.expect_op(")")
             return Call(name, arg)
         for kind in ("theta", "xi", "x"):  # longest prefix first
-            if name.startswith(kind) and name[len(kind) :].isdigit():
+            if name.startswith(kind) and name[len(kind) :].isdecimal():  # int() reads these
                 idx = int(name[len(kind) :])
                 if not 1 <= idx <= self.n:
                     raise DimensionError(t.pos, f"variable index <= {self.n}", self.text)
@@ -560,14 +560,15 @@ def to_symbol(
     rho: float = 1.0,
     delta: float = 0.0,
     main_im=None,
-    classical_terms=None,
+    classical_terms=(),
     side: str = "discrete",
 ):
     """Assemble a Symbol from expression text (or parsed trees).
 
-    classical_terms is a list of (degree, angular_expr) pairs whose
-    degrees must descend by exactly 1 from `order`; angular expressions
-    use theta1..thetan and x1..xn (no xi).  The main expression may be
+    classical_terms is a sequence of (degree, angular_expr) pairs, ()
+    when none is declared; Symbol checks that term j has degree
+    order - j and that the order is finite.  Angular expressions use
+    theta1..thetan and x1..xn (no xi).  The main expression may be
     complex-valued via the optional imaginary part main_im.
     """
     from . import symbols as sym  # local import keeps dsl importable standalone
@@ -584,23 +585,15 @@ def to_symbol(
             return re
         return re + 1j * eval_expr(im_ast, first, x)
 
-    classical = None
-    if classical_terms:
-        terms = []
-        for j, (degree, angular_expr) in enumerate(classical_terms):
-            if not abs(float(degree) - (order - j)) <= 1e-9:  # refuses nan too
-                raise UsageError(
-                    f"classical degree ladder violated: term {j} has degree "
-                    f"{degree}, expected {order - j}"
-                )
-            ast = _as_ast(angular_expr, n)
-            if references(ast, ("xi",)):
-                raise UsageError("angular parts must use theta, not xi")
-            terms.append(sym.ClassicalTerm(float(degree), _angular_fn(ast)))
-        classical = sym.ClassicalStructure(tuple(terms))
+    terms = []
+    for degree, angular_expr in classical_terms:
+        ast = _as_ast(angular_expr, n)
+        if references(ast, ("xi",)):
+            raise UsageError("angular parts must use theta, not xi")
+        terms.append(sym.ClassicalTerm(float(degree), _angular_fn(ast)))
 
     bandwidth = max(x_bandwidth(ast) for ast in (main_ast, im_ast) if ast is not None)
-    return sym.Symbol(func, float(order), float(rho), float(delta), side, classical, bandwidth)
+    return sym.Symbol(func, float(order), float(rho), float(delta), side, tuple(terms), bandwidth)
 
 
 def _angular_fn(ast: SymbolExpr):

@@ -21,7 +21,9 @@ only chooses between them and reports the solver that ran.
 Symmetrization: a toroidal operator built from a real symbol is not
 exactly Hermitian at finite truncation; (A + A*)/2 differs from A at
 one order lower only, so its signed eigenvalue partial sums estimate
-the same trace.  Defaults to on for x-dependent symbols.  Positivity
+the same trace.  Defaults to on, on both paths: a diagonal's
+Hermitian part is its real parts, so a complex multiplier gives the
+same sequence on the diagonal path as assembled.  Positivity
 is never certified, only monitored: a minimum eigenvalue below
 -0.1 times the top-decile mean sets the comparison's
 positivity_warning flag, which the report carries; it is neither
@@ -88,13 +90,14 @@ def build_spectrum(
     n: int,
     M: int,
     Q: Optional[int] = None,
-    symmetrize: Optional[bool] = None,
+    symmetrize: bool = True,
 ) -> SpectrumRun:
     """Diagonal fast path for multipliers; otherwise assemble the
     toroidal operator of the flipped symbol (as a band when that band
-    is narrow) and take eigenvalues of its Hermitian part (symmetrize
-    on, the default for x-dependent symbols) or singular values
-    (symmetrize off)."""
+    is narrow).  Either way the sequence is the eigenvalues of the
+    Hermitian part (symmetrize on, the default; on a diagonal the real
+    parts) or the singular values (symmetrize off; on a diagonal the
+    moduli)."""
     if sigma.side != DISCRETE:
         raise UsageError("spectrum runs start from a discrete-side symbol")
     box = TruncationBox(n, M)
@@ -103,18 +106,17 @@ def build_spectrum(
         # the box points as integers and floats, and the complex values
         _check_memory(16 * (n + 1) * box.size, f"a diagonal of {box.size} lattice points")
         vals = evaluate(sigma.func, box.points().astype(float), np.zeros(n), (box.size,))
-        seq, herm_dev = diagonal_sequence(vals)
+        seq, herm_dev = diagonal_sequence(vals, symmetrize)
         return SpectrumRun(
-            n=n, M=M, Q=0, symmetrized=False, solver="diagonal", sequence=seq,
+            n=n, M=M, Q=0, symmetrized=symmetrize, solver="diagonal", sequence=seq,
             hermiticity_deviation=herm_dev,
         )
 
     grid = QuadratureGrid.for_box(box, Q)
     A = assemble_toroidal(flip(sigma), box, grid)
-    symmetrized = True if symmetrize is None else bool(symmetrize)
-    seq, herm_dev, solver = matrix_sequence(A, symmetrized)
+    seq, herm_dev, solver = matrix_sequence(A, symmetrize)
     return SpectrumRun(
-        n=n, M=M, Q=grid.q, symmetrized=symmetrized, solver=solver, sequence=seq,
+        n=n, M=M, Q=grid.q, symmetrized=symmetrize, solver=solver, sequence=seq,
         hermiticity_deviation=herm_dev,
     )
 
@@ -136,7 +138,7 @@ def run_connes_check(
     n: int,
     M: int,
     Q: Optional[int] = None,
-    symmetrize: Optional[bool] = None,
+    symmetrize: bool = True,
     sphere_rule_: Optional[SphereRule] = None,
     residue_q: int = DEFAULT_TORUS_Q,
 ) -> ConnesComparison:

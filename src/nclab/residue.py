@@ -127,7 +127,7 @@ def noncommutative_residue(
     if rule.n != n:
         raise UsageError("sphere rule dimension mismatch")
 
-    declared = a.classical is not None and a.classical.component(-float(n)) is not None
+    declared = a.term(-float(n)) is not None
 
     xs = torus_grid(n, torus_q if a.x_bandwidth != 0 else 1)
     per_block = max(1, BLOCK_POINTS // len(xs))

@@ -14,8 +14,8 @@ scaling, and the O(S^2) tridiagonal QR dominates).  zhbevd comes from
 the OpenBLAS that numpy's wheel bundles (numpy.libs), bound through
 ctypes at the first banded solve; a numpy build without that library
 falls back to dense eigvalsh.
-diagonal_sequence takes the values of a diagonal operator: their real
-parts when the imaginary parts are round-off, their moduli otherwise.
+diagonal_sequence takes the values of a diagonal operator and follows
+the same flag: their real parts when symmetrize, their moduli otherwise.
 Both sort NONINCREASING (largest first; the partial sums only capture
 the logarithmic divergence that way) and raise UsageError on a
 non-finite entry or value instead of returning a sequence built from
@@ -131,21 +131,18 @@ def _zhbevd():
     return zhbevd
 
 
-def diagonal_sequence(values) -> tuple[np.ndarray, float]:
+def diagonal_sequence(values, symmetrize: bool) -> tuple[np.ndarray, float]:
     """The nonincreasing sequence of a diagonal operator from its
-    diagonal values, and its Hermiticity deviation: the real parts,
-    reported with deviation 0, when every imaginary part is within
-    1e-12 * max(1, max|v|); otherwise the moduli, with
-    max|A - A*| = 2 max|Im v| as matrix_sequence reports it.  A
+    diagonal values v, read as matrix_sequence reads an assembled
+    matrix: the real parts (the eigenvalues of the Hermitian part) when
+    symmetrize, the moduli (the singular values) otherwise.  Also
+    returns the Hermiticity deviation max|A - A*| = 2 max|Im v|.  A
     non-finite value raises UsageError."""
     values = np.asarray(values)
-    top = float(np.max(np.abs(values)))
-    if not np.isfinite(top):
+    if not np.isfinite(float(np.max(np.abs(values)))):
         raise UsageError("diagonal has non-finite values")
-    imag = float(np.max(np.abs(values.imag)))
-    if imag <= 1e-12 * max(1.0, top):
-        return np.sort(values.real)[::-1].copy(), 0.0
-    return np.sort(np.abs(values))[::-1].copy(), 2.0 * imag
+    seq = values.real if symmetrize else np.abs(values)
+    return np.sort(seq)[::-1].copy(), 2.0 * float(np.max(np.abs(values.imag)))
 
 
 def dixmier_quotients(s) -> np.ndarray:

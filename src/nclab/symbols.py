@@ -53,31 +53,6 @@ class ClassicalTerm(Record):
     angular: Callable  # (x, theta) -> complex, broadcasting
 
 
-class ClassicalStructure(Record):
-    """Declared homogeneous expansion, valid for large |frequency|:
-
-        symbol(k, x) = sum_j |k|^(d_j) * angular_j(x, k/|k|) + lower order
-
-    with degrees strictly descending by one.
-    """
-
-    terms: tuple[ClassicalTerm, ...]
-
-    def __post_init__(self):
-        degs = [t.degree for t in self.terms]
-        for j in range(1, len(degs)):
-            if abs(degs[j] - (degs[0] - j)) > 1e-9:
-                raise UsageError(
-                    f"homogeneous degrees must descend by 1: got {degs}"
-                )
-
-    def component(self, degree: float) -> Optional[ClassicalTerm]:
-        for t in self.terms:
-            if abs(t.degree - degree) <= 1e-9:
-                return t
-        return None
-
-
 class Symbol(Record):
     """Evaluable symbol with order/type metadata.
 
@@ -90,17 +65,30 @@ class Symbol(Record):
     second of shape (1, P, n), P = Q^n or (2r+2)^n, for blocks of at
     most quantize.BLOCK_POINTS samples.
 
+    classical declares the homogeneous expansion, valid for large
+    |frequency|:
+
+        func(k, x) = sum_j |k|^(d_j) * angular_j(x, k/|k|) + lower order
+
+    as a tuple of ClassicalTerm, () (the default) when none is declared.
+    Term j must have degree order - j, and the order must be finite;
+    this is the one place either is checked.  term(d) reads the
+    declared term of degree d.
+
     x_bandwidth declares what func does with its second (torus)
     argument: 0 when func does not depend on it, an integer b when
     func(k, .) is a trigonometric polynomial of degree at most b per
     axis for every k, and inf when no band is known (the default, so
     a plain Symbol(func) unless the caller declares it; to_symbol reads
-    it from the expression).  flip, finite_modify, difference and
-    partial_x keep it: none of them can widen the x-band.  The pipeline
-    takes the diagonal path only for 0; assembly reads the reach
-    r = min(b, 2M) of a truncation box [-M, M]^n: when r < 2M it
-    samples the (2r+2)^n grid and writes exact zeros at offsets beyond
-    r (see quantize).
+    it from the expression).  The pipeline takes the diagonal path only
+    for 0; assembly reads the reach r = min(b, 2M) of a truncation box
+    [-M, M]^n: when r < 2M it samples the (2r+2)^n grid and writes exact
+    zeros at offsets beyond r (see quantize).
+
+    flip, finite_modify, difference and partial_x build their result
+    with record.replace, so it keeps every field they do not change:
+    none of them can widen the x-band, and difference and partial_x
+    drop the declared terms, whose degrees they would shift.
     """
 
     func: Callable
@@ -108,7 +96,7 @@ class Symbol(Record):
     rho: float = 1.0
     delta: float = 0.0
     side: str = DISCRETE
-    classical: Optional[ClassicalStructure] = None
+    classical: tuple[ClassicalTerm, ...] = ()
     x_bandwidth: float = math.inf
 
     def __post_init__(self):
@@ -119,15 +107,24 @@ class Symbol(Record):
             raise UsageError(f"x_bandwidth must be 0, a positive integer or inf, got {b!r}")
         if not (0.0 <= self.rho <= 1.0 and 0.0 <= self.delta <= 1.0):
             raise UsageError("type parameters rho, delta must lie in [0,1]")
-        if self.classical is not None and self.classical.terms:
-            lead = self.classical.terms[0].degree
-            if abs(lead - self.order) > 1e-9:
+        for j, t in enumerate(self.classical):
+            if not abs(t.degree - (self.order - j)) <= 1e-9:  # refuses nan too
                 raise UsageError(
-                    f"leading declared degree {lead} differs from order {self.order}"
+                    f"classical degree ladder violated: term {j} has degree "
+                    f"{t.degree}, expected {self.order - j}"
                 )
+        if not math.isfinite(self.order):
+            raise UsageError(f"order must be finite, got {self.order!r}")
 
     def __call__(self, first, second):
         return self.func(first, second)
+
+    def term(self, degree: float) -> Optional[ClassicalTerm]:
+        """The declared term of that degree, None when there is none."""
+        for t in self.classical:
+            if abs(t.degree - degree) <= 1e-9:
+                return t
+        return None
 
 
 def evaluate(func: Callable, first, second, shape) -> np.ndarray:
@@ -146,8 +143,8 @@ def flip(sigma: Symbol) -> Symbol:
 
         tau(x, k) = conj(sigma(-k, x))
 
-    Order and (rho, delta) are copied; declared homogeneous terms are
-    conjugated with theta -> -theta.
+    The result is on the toroidal side and keeps every other field;
+    declared homogeneous terms are conjugated with theta -> -theta.
     """
     if sigma.side != DISCRETE:
         raise UsageError("flip expects a discrete-side symbol")
@@ -157,16 +154,8 @@ def flip(sigma: Symbol) -> Symbol:
     def tau_func(k, x):
         return np.conj(base(-np.asarray(k, dtype=float), x))
 
-    classical = None
-    if sigma.classical is not None:
-        flipped_terms = tuple(
-            ClassicalTerm(t.degree, _flip_angular(t.angular)) for t in sigma.classical.terms
-        )
-        classical = ClassicalStructure(flipped_terms)
-
-    return Symbol(
-        tau_func, sigma.order, sigma.rho, sigma.delta, TOROIDAL, classical, sigma.x_bandwidth
-    )
+    classical = tuple(ClassicalTerm(t.degree, _flip_angular(t.angular)) for t in sigma.classical)
+    return replace(sigma, func=tau_func, side=TOROIDAL, classical=classical)
 
 
 def _flip_angular(angular: Callable) -> Callable:
@@ -213,7 +202,7 @@ def difference(sigma: Symbol, alpha) -> Symbol:
         return acc
 
     new_order = sigma.order - sigma.rho * float(np.sum(alpha))
-    return Symbol(diff_func, new_order, sigma.rho, sigma.delta, sigma.side, None, sigma.x_bandwidth)
+    return replace(sigma, func=diff_func, order=new_order, classical=())
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +262,7 @@ def partial_x(sigma: Symbol, beta, grid_size: int) -> Symbol:
         return cur[..., 0]
 
     new_order = sigma.order + sigma.delta * float(np.sum(beta))
-    return Symbol(deriv_func, new_order, sigma.rho, sigma.delta, sigma.side, None, sigma.x_bandwidth)
+    return replace(sigma, func=deriv_func, order=new_order, classical=())
 
 
 # ---------------------------------------------------------------------------
@@ -382,10 +371,9 @@ def homogeneous_component(sigma: Symbol, degree: float, x, theta):
     if off.any():
         raise UsageError(f"theta must be a unit vector, |theta| = {np.ravel(norms)[off][0]}")
 
-    if sigma.classical is not None:
-        term = sigma.classical.component(degree)
-        if term is not None:
-            return term.angular(x, theta)
+    term = sigma.term(degree)
+    if term is not None:
+        return term.angular(x, theta)
 
     radii = [EXTRACTION_BASE_T * 2.0**k for k in range(EXTRACTION_LEVELS)]
     prev = [
@@ -415,7 +403,7 @@ def finite_modify(sigma: Symbol, patch: dict) -> Symbol:
     """Override the symbol at finitely many lattice points (first
     variable); a finite-rank change, invisible to the Dixmier trace.
     Keys are lattice points (tuples or ints), values the new constants.
-    The classical structure and the x-bandwidth are unchanged."""
+    Every other field is kept."""
     if not patch:
         return sigma
 
@@ -458,9 +446,9 @@ def regularize_at_origin(sigma: Symbol, n: int) -> Symbol:
     the Dixmier trace and the residue are unaffected."""
     from .residue import sphere_rule  # local import: residue imports this module
 
-    if sigma.classical is None or not sigma.classical.terms:
+    if not sigma.classical:
         raise UsageError("origin regularization needs a declared leading term")
-    lead = sigma.classical.terms[0]
+    lead = sigma.classical[0]
     rule = sphere_rule(n)
     x0 = np.zeros(n)
     vals = [complex(np.asarray(lead.angular(x0, th)).reshape(())) for th in rule.nodes]

@@ -30,7 +30,7 @@ def test_minimal_config_defaults(tmp_path):
     assert cfg.M == 1000
     assert cfg.Q is None
     assert cfg.residue_q == 128
-    assert cfg.symmetrize is None
+    assert cfg.symmetrize is True
     sigma = build_symbol(cfg)
     assert sigma.order == -1.0
 
@@ -90,7 +90,7 @@ def test_classical_terms_parsed(tmp_path):
     assert cfg.Q == 512
     assert cfg.symmetrize is True
     sigma = build_symbol(cfg)
-    assert len(sigma.classical.terms) == 2
+    assert len(sigma.classical) == 2
 
 
 def test_wrong_degree_ladder_propagates(tmp_path):

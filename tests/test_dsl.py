@@ -146,6 +146,13 @@ def test_parser_never_panics(text):
         assert 0 <= err.offset <= len(text)
 
 
+@pytest.mark.parametrize("text", ["x\u00b2", "xi1\u00b2", "theta\u00b9"])
+def test_superscript_digit_index_is_a_parse_error(text):
+    # str.isdigit() accepts superscripts, which int() refuses
+    with pytest.raises(ParseError):
+        parse(text, 2)
+
+
 def test_zero_to_negative_power_is_eval_error():
     with pytest.raises(EvalError, match="power"):
         ev("0^(-1)")
@@ -163,8 +170,8 @@ def test_parser_survives_bytes(data):
 
 def test_to_symbol_with_declared_term():
     s = to_symbol("<xi>^(-1)", n=1, order=-1, classical_terms=[(-1, "1")])
-    assert s.classical is not None
-    term = s.classical.component(-1.0)
+    assert s.classical
+    term = s.term(-1.0)
     assert term is not None
     assert term.angular(np.array([0.3]), np.array([1.0])) == pytest.approx(1.0)
 
@@ -176,7 +183,7 @@ def test_to_symbol_x_dependent_term():
         order=-1,
         classical_terms=[(-1, "1+0.5*cos(2*pi*x1)")],
     )
-    got = s.classical.terms[0].angular(np.array([0.0]), np.array([-1.0]))
+    got = s.classical[0].angular(np.array([0.0]), np.array([-1.0]))
     assert got == pytest.approx(1.5)
 
 
@@ -190,6 +197,13 @@ def test_to_symbol_ladder_refuses_nan(order, degree):
     # every comparison with nan is false, so `abs(d - e) > tol` let it through
     with pytest.raises(UsageError, match="ladder"):
         to_symbol("<xi>^(-1)", n=1, order=order, classical_terms=[(degree, "1")])
+
+
+@pytest.mark.parametrize("order", [math.nan, math.inf])
+def test_to_symbol_refuses_a_non_finite_order_without_terms(order):
+    # without declared terms no ladder comparison sees the order
+    with pytest.raises(UsageError, match="order must be finite"):
+        to_symbol("<xi>^(-1)", n=1, order=order)
 
 
 def test_to_symbol_complex_pair():

@@ -255,12 +255,11 @@ def _inline_solve(sigma, n, M, symmetrize):
     before spectral owned the step: the reference the owner must match
     bit for bit."""
     box = TruncationBox(n, M)
-    if symmetrize is None and not depends_on_second(sigma):
+    if not depends_on_second(sigma):
+        # the diagonal's Hermitian part is its real parts, its singular values the moduli
         vals = evaluate(sigma.func, box.points().astype(float), np.zeros(n), (box.size,))
-        scale = max(1.0, float(np.max(np.abs(vals))))
-        real_diag = float(np.max(np.abs(vals.imag))) <= 1e-12 * scale
-        seq = np.sort(vals.real if real_diag else np.abs(vals))[::-1].copy()
-        return seq, 0.0 if real_diag else float(np.max(np.abs(vals - vals.conj())))
+        seq = np.sort(vals.real if symmetrize else np.abs(vals))[::-1].copy()
+        return seq, float(np.max(np.abs(vals - vals.conj())))
     A = assemble_toroidal(flip(sigma), box, QuadratureGrid.for_box(box))
     herm_dev = float(np.max(np.abs(A.entries - A.entries.conj().T)))
     if symmetrize:
@@ -276,7 +275,10 @@ def _phased_bracket(first, x):
 
 @pytest.mark.parametrize(
     "case",
-    ["symmetrized", "unsymmetrized", "real diagonal", "complex diagonal"],
+    [
+        "symmetrized", "unsymmetrized", "real diagonal", "complex diagonal",
+        "real diagonal unsymmetrized", "complex diagonal unsymmetrized",
+    ],
 )
 def test_build_spectrum_matches_the_inline_solve(case):
     # the phase makes the assembled matrix complex, so A* is not A^T
@@ -285,11 +287,14 @@ def test_build_spectrum_matches_the_inline_solve(case):
     sigma, symmetrize = {
         "symmetrized": (phased, True),
         "unsymmetrized": (phased, False),
-        "real diagonal": (bracket_inv(), None),
-        "complex diagonal": (Symbol(_phased_bracket, order=-1, x_bandwidth=0), None),
+        "real diagonal": (bracket_inv(), True),
+        "complex diagonal": (Symbol(_phased_bracket, order=-1, x_bandwidth=0), True),
+        "real diagonal unsymmetrized": (bracket_inv(), False),
+        "complex diagonal unsymmetrized": (Symbol(_phased_bracket, order=-1, x_bandwidth=0), False),
     }[case]
     run = build_spectrum(sigma, 1, 24, symmetrize=symmetrize)
-    assert run.diagonal_path == (symmetrize is None)
+    assert run.diagonal_path == ("diagonal" in case)
+    assert run.symmetrized == symmetrize
     seq, deviation = _inline_solve(sigma, 1, 24, symmetrize)
     if case == "symmetrized":  # the band's zhbevd against dense eigvalsh
         assert run.solver == "banded"
@@ -297,8 +302,37 @@ def test_build_spectrum_matches_the_inline_solve(case):
     else:
         assert np.array_equal(run.sequence, seq)
     assert run.hermiticity_deviation == deviation
-    if case == "complex diagonal":
-        assert deviation > 0.5  # moduli, not real parts
+    if case.startswith("complex diagonal"):
+        assert deviation > 0.5
+        # real parts change sign with the phase; moduli do not
+        assert (run.sequence[-1] < 0) == symmetrize
+
+
+@pytest.mark.parametrize("M, diag_bound, band_bound", [(64, 1.2e-3, 5e-3), (256, 8e-5, 3e-4)])
+def test_complex_multiplier_obeys_symmetrize_on_the_diagonal_path(M, diag_bound, band_bound):
+    # exp(0.3 i) <xi>^(-1): the Hermitian part is cos(0.3) <xi>^(-1),
+    # whose trace is the residue's real part 2 cos(0.3), on either path
+    # (the real factor 1 + 0*cos(2 pi x1) forces assembly).  The diagonal
+    # path used to take moduli here, 4.6 % off.  Achieved relative
+    # deviations: 5.9e-4 diagonal and 2.5e-3 assembled at M = 64, 3.8e-5
+    # and 1.5e-4 at M = 256.
+    x_free = to_symbol("cos(0.3)*<xi>^(-1)", main_im="sin(0.3)*<xi>^(-1)", n=1, order=-1)
+    assembled = to_symbol(
+        "cos(0.3)*<xi>^(-1)*(1+0*cos(2*pi*x1))", main_im="sin(0.3)*<xi>^(-1)", n=1, order=-1
+    )
+    diag = run_connes_check(x_free, 1, M)
+    band = run_connes_check(assembled, 1, M)
+    assert diag.run.diagonal_path and diag.run.symmetrized
+    assert not band.run.diagonal_path and band.run.symmetrized
+    assert diag.residue_lattice == pytest.approx(2 * math.cos(0.3), abs=1e-12)
+    assert diag.relative_deviation <= diag_bound
+    assert band.relative_deviation <= band_bound
+    # unsymmetrized, both paths take singular values, the moduli, near 2
+    diag_off = run_connes_check(x_free, 1, M, symmetrize=False)
+    band_off = run_connes_check(assembled, 1, M, symmetrize=False)
+    assert diag_off.run.diagonal_path and not diag_off.run.symmetrized
+    assert band_off.run.solver == "svd"
+    assert abs(diag_off.summary.trace_estimate - band_off.summary.trace_estimate) <= 5e-3
 
 
 def _pole_at_3(first, x):

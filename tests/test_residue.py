@@ -19,7 +19,7 @@ from nclab.lattice import torus_grid
 from nclab.symbols import TOROIDAL, Symbol, flip, homogeneous_component
 
 
-def toroidal(main, n=1, order=-1, terms=None):
+def toroidal(main, n=1, order=-1, terms=()):
     return to_symbol(main, n=n, order=order, classical_terms=terms, side=TOROIDAL)
 
 
@@ -164,21 +164,19 @@ def test_residue_linearity_declared():
         return a.func(f, x) + b.func(f, x)
 
     def sum_angular(x, theta):
-        return a.classical.terms[0].angular(x, theta) + b.classical.terms[0].angular(x, theta)
+        return a.classical[0].angular(x, theta) + b.classical[0].angular(x, theta)
 
-    from nclab.symbols import ClassicalStructure, ClassicalTerm
+    from nclab.symbols import ClassicalTerm
 
     s = Symbol(
         sum_func, order=-1, side=TOROIDAL,
-        classical=ClassicalStructure((ClassicalTerm(-1.0, sum_angular),)),
+        classical=(ClassicalTerm(-1.0, sum_angular),),
     )
     assert noncommutative_residue(s, 1).value == pytest.approx(ra + rb, abs=1e-12)
 
     scaled = Symbol(
         lambda f, x: 2.5 * a.func(f, x), order=-1, side=TOROIDAL,
-        classical=ClassicalStructure(
-            (ClassicalTerm(-1.0, lambda x, t: 2.5 * a.classical.terms[0].angular(x, t)),)
-        ),
+        classical=(ClassicalTerm(-1.0, lambda x, t: 2.5 * a.classical[0].angular(x, t)),),
     )
     assert noncommutative_residue(scaled, 1).value == pytest.approx(2.5 * ra, abs=1e-12)
 

@@ -214,25 +214,34 @@ def test_banded_solve_rejects_non_finite(case, bad):
 
 
 def test_diagonal_round_off_imaginary_parts_keep_the_sign():
-    # 1e-10 is within 1e-12 * max|v| = 2e-9: real parts, not moduli
-    seq, deviation = diagonal_sequence(np.array([0.5, -2000.0, 3.0 + 1e-10j]))
+    # symmetrized: the real parts, signed, however small Im v is
+    seq, deviation = diagonal_sequence(np.array([0.5, -2000.0, 3.0 + 1e-10j]), symmetrize=True)
     assert seq.tolist() == [3.0, 0.5, -2000.0]
+    assert deviation == 2e-10
+
+
+def test_unsymmetrized_diagonal_takes_moduli_even_of_real_values():
+    # the flag alone picks moduli, as the svd does for an assembled matrix
+    seq, deviation = diagonal_sequence(np.array([0.5, -2000.0, 3.0 + 0j]), symmetrize=False)
+    assert seq.tolist() == [2000.0, 3.0, 0.5]
     assert deviation == 0.0
 
 
 def test_diagonal_deviation_is_the_matrix_deviation_of_the_diagonal():
     k = np.arange(-8.0, 9.0)
     v = np.exp(1j * k) / np.sqrt(1 + k**2)
-    seq, deviation = diagonal_sequence(v)
-    dense_seq, dense_deviation, _ = matrix_sequence(np.diag(v), False)
-    assert deviation == dense_deviation  # max|A - A*| = 2 max|Im v|
-    assert np.max(np.abs(seq - dense_seq)) <= 1e-15
+    for symmetrize in (True, False):
+        seq, deviation = diagonal_sequence(v, symmetrize)
+        dense_seq, dense_deviation, _ = matrix_sequence(np.diag(v), symmetrize)
+        assert deviation == dense_deviation  # max|A - A*| = 2 max|Im v|
+        assert np.max(np.abs(seq - dense_seq)) <= 1e-15
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.nan)])
 def test_diagonal_rejects_non_finite(bad):
-    with pytest.raises(UsageError, match="non-finite"):
-        diagonal_sequence(np.array([1.0, bad, 0.5], dtype=complex))
+    for symmetrize in (True, False):
+        with pytest.raises(UsageError, match="non-finite"):
+            diagonal_sequence(np.array([1.0, bad, 0.5], dtype=complex), symmetrize)
 
 
 def test_symmetrized_tridiagonal_example():

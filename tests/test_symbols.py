@@ -10,6 +10,7 @@ from nclab.errors import NonConvergenceError, UsageError
 from nclab.lattice import torus_grid
 from nclab.symbols import (
     TOROIDAL,
+    ClassicalTerm,
     Symbol,
     difference,
     finite_modify,
@@ -70,7 +71,7 @@ def test_flip_angular_reflection():
     sigma = to_symbol("xi1*<xi>^(-2)", n=1, order=-1, classical_terms=[(-1, "theta1")])
     tau = flip(sigma)
     x = np.array([0.0])
-    assert tau.classical.terms[0].angular(x, np.array([1.0])) == pytest.approx(-1.0)
+    assert tau.classical[0].angular(x, np.array([1.0])) == pytest.approx(-1.0)
 
 
 def test_flip_involution_pointwise():
@@ -405,7 +406,7 @@ def unit_directions(K):
 
 @pytest.mark.parametrize(
     "terms",
-    [None, [(-2, "(1+0.5*cos(2*pi*x1))*(2+theta1*theta2)")]],
+    [(), [(-2, "(1+0.5*cos(2*pi*x1))*(2+theta1*theta2)")]],
     ids=["extracted", "declared"],
 )
 def test_batched_component_equals_per_node_calls(terms):
@@ -448,7 +449,7 @@ def inv_norm_symbol():
     return Symbol(
         lambda first, x: np.abs(np.asarray(first, dtype=float)[..., 0]) ** -1.0,
         order=-1,
-        classical=None,
+        classical=(),
     )
 
 
@@ -510,6 +511,46 @@ def test_x_dependence_flag_from_the_expression():
     assert finite_modify(bracket_inv(), {(0.0,): 2.0}).x_bandwidth == 0
     assert difference(bracket_inv(), [1]).x_bandwidth == 0
     assert partial_x(bracket_inv(), [1], 8).x_bandwidth == 0
+    # and every other field they do not change, non-default ones included
+    angular = "1+0.5*cos(2*pi*x1)"
+    s = to_symbol(
+        f"({angular})/|xi|", n=1, order=-1, rho=0.75, delta=0.25, classical_terms=[(-1, angular)]
+    )
+    assert (s.rho, s.delta, s.x_bandwidth) == (0.75, 0.25, 1)
+    derived = {
+        "flip": flip(s),
+        "difference": difference(s, [1]),
+        "partial_x": partial_x(s, [1], 8),
+        "finite_modify": finite_modify(s, {(0.0,): 2.0}),
+        "regularize_at_origin": regularize_at_origin(s, 1),
+    }
+    for name, d in derived.items():
+        assert (d.rho, d.delta, d.x_bandwidth) == (0.75, 0.25, 1), name
+    assert derived["flip"].side == TOROIDAL and derived["flip"].order == -1
+    assert [t.degree for t in derived["flip"].classical] == [-1.0]
+    assert derived["difference"].order == -1.75 and derived["difference"].classical == ()
+    assert derived["partial_x"].order == -0.75 and derived["partial_x"].classical == ()
+    for name in ("finite_modify", "regularize_at_origin"):
+        assert derived[name].order == -1 and derived[name].classical is s.classical
+        assert derived[name].side == s.side
+
+
+def test_symbol_checks_the_degree_ladder():
+    # the one home of the rule: a Symbol built directly is checked too
+    f = lambda first, x: 1.0  # noqa: E731
+    with pytest.raises(UsageError, match="ladder"):
+        Symbol(f, order=-1, classical=(ClassicalTerm(-2.0, f),))
+    with pytest.raises(UsageError, match="ladder"):
+        Symbol(f, order=-1, classical=(ClassicalTerm(-1.0, f), ClassicalTerm(-3.0, f)))
+    ok = Symbol(f, order=-1, classical=(ClassicalTerm(-1.0, f), ClassicalTerm(-2.0, f)))
+    assert ok.term(-2.0) is ok.classical[1] and ok.term(-3.0) is None
+    assert Symbol(f, order=-1).classical == () and Symbol(f, order=-1).term(-1.0) is None
+
+
+@pytest.mark.parametrize("order", [math.nan, math.inf, -math.inf])
+def test_symbol_refuses_a_non_finite_order(order):
+    with pytest.raises(UsageError, match="order must be finite"):
+        Symbol(lambda first, x: 1.0, order=order)
 
 
 @pytest.mark.parametrize("b", [None, -1, 1.5, float("nan"), "1"])
