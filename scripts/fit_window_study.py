@@ -21,6 +21,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from nclab.config import build_symbol, load_config
 from nclab.errors import UsageError
 from nclab.pipeline import build_spectrum
+from nclab.spectral import trace_estimate
 
 F0_GRID = (0.05, 0.1, 0.2, 0.4)
 DISCARD_GRID = (0.0, 0.25, 0.5, 0.75)
@@ -44,7 +45,7 @@ def main() -> int:
         cells = []
         for d in DISCARD_GRID:
             try:
-                c = run.fit((f0, 1.0), d).trace_estimate
+                c = trace_estimate(run.sequence, d, (f0, 1.0)).trace_estimate
                 cells.append(f"{c:>12.5f}")
             except UsageError:
                 cells.append(f"{'n/a':>12}")

@@ -20,7 +20,8 @@ alone.  `-h`/`--help`, alone or after a command, prints help;
 
 Exit codes: 0 success (and help), 1 config/usage error, 2 numerical
 failure, 3 I/O error.  Outputs are byte-identical for identical config
-and binary: fixed field order, %.17g floats, no timestamps.
+and binary: fixed field order, no timestamps; JSON floats are Python's
+shortest round-trip repr, and the CSV files use %.17g.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .residue import (
     residue_report_json,
     sphere_rule,
 )
-from .spectral import write_spectrum_csv
+from .spectral import l1inf_norm, write_spectrum_csv
 from .symbols import Symbol, seminorm_estimate
 
 GRAMMAR_HELP = """\
@@ -213,9 +214,9 @@ def main(argv=None) -> int:
 
 def _dispatch(command: str, opts: dict) -> int:
     cfg = load_config(opts["--config"])
+    sigma = build_symbol(cfg)  # before mkdir: a config error leaves no output directory
     out_dir = Path(opts["--out"] or cfg.dir or "./out")
     out_dir.mkdir(parents=True, exist_ok=True)
-    sigma = build_symbol(cfg)
     say = (lambda *a, **k: None) if opts["--quiet"] else print
     return _COMMANDS[command](cfg, sigma, opts, out_dir, say)
 
@@ -298,7 +299,7 @@ def _cmd_dixmier(cfg: RunConfig, sigma: Symbol, opts: dict, out_dir: Path, say) 
         "diagonal_path": run.diagonal_path,
         "trace_estimate": summary.trace_estimate,
         "intercept": summary.intercept,
-        "l1inf_norm": summary.l1inf,
+        "l1inf_norm": l1inf_norm(run.sequence),
         "fit_window": list(summary.fit_window),
         "fit_rms": summary.fit_rms,
         "stability_span": summary.stability_span,
@@ -367,7 +368,7 @@ def _cmd_connes(cfg: RunConfig, sigma: Symbol, opts: dict, out_dir: Path, say) -
         f"{rep.residue_lattice:.6g} (lattice convention): relative deviation "
         f"{rep.relative_deviation:.3%} ({rep.run.solver} solver)"
     )
-    if rep.positivity_warning:
+    if rep.run.positivity_warning:
         print(
             f"warning: minimum eigenvalue {rep.run.min_eigenvalue:.3e} is materially "
             "negative; positivity hypothesis violated",

@@ -69,6 +69,13 @@ def _finite(value: str) -> float:
     return v
 
 
+def _unit_interval(value: str) -> float:
+    v = float(value)
+    if not 0.0 <= v <= 1.0:
+        raise _OutOfRange("must be in [0, 1]")
+    return v
+
+
 def _to_bool(value: str) -> bool:
     v = value.lower()
     if v in ("true", "on", "yes", "1"):
@@ -88,7 +95,7 @@ def _matrix_format(value: str) -> str:
 # range and ValueError or TypeError for any other bad value
 KEYS = {
     "symbol": {"n": _at_least(1), "main": str, "order": _finite, "main_im": str,
-               "rho": float, "delta": float},
+               "rho": _unit_interval, "delta": _unit_interval},
     "lattice": {"M": _at_least(0)},
     "quadrature": {"Q": _at_least(2, even=True), "sphere_order": _at_least(1), "residue_q": _at_least(1)},
     "fit": {"symmetrize": _to_bool},

@@ -23,11 +23,7 @@ exactly Hermitian at finite truncation; (A + A*)/2 differs from A at
 one order lower only, so its signed eigenvalue partial sums estimate
 the same trace.  Defaults to on, on both paths: a diagonal's
 Hermitian part is its real parts, so a complex multiplier gives the
-same sequence on the diagonal path as assembled.  Positivity
-is never certified, only monitored: a minimum eigenvalue below
--0.1 times the top-decile mean sets the comparison's
-positivity_warning flag, which the report carries; it is neither
-warned nor raised.
+same sequence on the diagonal path as assembled.
 """
 
 from __future__ import annotations
@@ -40,9 +36,11 @@ from .errors import UsageError
 from .lattice import TruncationBox
 from .quantize import QuadratureGrid, _check_memory, assemble_toroidal
 from .record import Record
-from .residue import CONVENTIONS_STANZA, DEFAULT_TORUS_Q, LATTICE, PAPER, SphereRule, dixmier_trace_formula, residue_value
-from .spectral import DEFAULT_DISCARD, DEFAULT_WINDOW, SpectralSummary, diagonal_sequence, matrix_sequence, trace_estimate
+from .residue import CONVENTIONS_STANZA, DEFAULT_TORUS_Q, LATTICE, PAPER, SphereRule, check_trace_formula_applies, dixmier_trace_formula, residue_value
+from .spectral import SpectralSummary, diagonal_sequence, matrix_sequence, trace_estimate
 from .symbols import DISCRETE, Symbol, evaluate, flip
+
+DEFAULT_DISCARD = 0.5
 
 
 def depends_on_second(sigma: Symbol) -> bool:
@@ -72,17 +70,18 @@ class SpectrumRun(Record):
     def min_eigenvalue(self) -> float:
         return float(self.sequence[-1])
 
-    def fit(
-        self,
-        window_fraction: tuple[float, float] = DEFAULT_WINDOW,
-        discard_fraction: Optional[float] = None,
-    ) -> SpectralSummary:
-        """The log fit of the sequence; a None discard drops nothing
-        from an exactly enumerated diagonal spectrum and the trailing
-        DEFAULT_DISCARD (boundary modes) of an assembled one."""
-        if discard_fraction is None:
-            discard_fraction = 0.0 if self.diagonal_path else DEFAULT_DISCARD
-        return trace_estimate(self.sequence, discard_fraction, window_fraction)
+    @property
+    def positivity_warning(self) -> bool:
+        """Positivity is monitored, never certified: the minimum eigenvalue lies below
+        -0.1 times the top-decile mean.  `nclab connes` reports it and warns once."""
+        top = self.sequence[: max(1, len(self.sequence) // 10)]
+        return bool(self.min_eigenvalue < -0.1 * float(np.mean(top)))
+
+    def fit(self) -> SpectralSummary:
+        """The log fit over the default window: it drops nothing of an exactly
+        enumerated diagonal spectrum and the trailing DEFAULT_DISCARD
+        (boundary modes) of an assembled one."""
+        return trace_estimate(self.sequence, 0.0 if self.diagonal_path else DEFAULT_DISCARD)
 
 
 def build_spectrum(
@@ -130,7 +129,6 @@ class ConnesComparison(Record):
     residue_lattice: float
     residue_paper: float
     relative_deviation: float
-    positivity_warning: bool
 
 
 def run_connes_check(
@@ -144,14 +142,11 @@ def run_connes_check(
 ) -> ConnesComparison:
     """Build the operator at truncation M, estimate its trace from the
     log fit, evaluate the residue formula for the same symbol, and
-    compare (lattice convention on both sides).  Deterministic for
-    fixed inputs."""
+    compare (lattice convention on both sides); a symbol the formula does
+    not cover is refused first.  Deterministic for fixed inputs."""
+    check_trace_formula_applies(sigma, n)
     run = build_spectrum(sigma, n, M, Q=Q, symmetrize=symmetrize)
     summary = run.fit()
-
-    top = run.sequence[: max(1, len(run.sequence) // 10)]
-    positivity_warning = bool(run.min_eigenvalue < -0.1 * float(np.mean(top)))
-
     rep = dixmier_trace_formula(
         sigma, n, rule=sphere_rule_, torus_q=residue_q, convention=LATTICE
     )
@@ -164,7 +159,6 @@ def run_connes_check(
         residue_lattice=r,
         residue_paper=float(np.real(residue_value(rep.integral, n, PAPER))),
         relative_deviation=deviation,
-        positivity_warning=positivity_warning,
     )
 
 
@@ -184,7 +178,7 @@ def connes_report_json(rep: ConnesComparison) -> dict:
         "stability_span": summary.stability_span,
         "min_eigenvalue": run.min_eigenvalue,
         "hermiticity_deviation": run.hermiticity_deviation,
-        "positivity_warning": rep.positivity_warning,
+        "positivity_warning": run.positivity_warning,
         "diagonal_path": run.diagonal_path,
         "conventions": CONVENTIONS_STANZA,
     }

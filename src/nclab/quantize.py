@@ -334,7 +334,7 @@ def verify_identity(
     reversed transpose."""
     grid = _check_sizes(box, grid)
     S = box.size
-    _check_memory(2 * 16 * S * S, f"two dense {S} x {S} complex matrices")
+    _check_memory(2 * 16 * S * S, f"holding two dense {S} x {S} complex matrices")
     D = assemble_discrete(sigma, box, grid)
     b = _band_width(D)
     B = assemble_toroidal(flip(sigma), box, grid).entries

@@ -165,6 +165,15 @@ def residue_value(integral: complex, n: int, convention: str) -> complex | float
     return value
 
 
+def check_trace_formula_applies(sigma: Symbol, n: int) -> None:
+    """Raise UsageError unless sigma is a discrete-side symbol of order
+    exactly -n, the only case dixmier_trace_formula covers (cheap)."""
+    if sigma.side != DISCRETE:
+        raise UsageError("trace formula expects a discrete-side symbol")
+    if abs(sigma.order + n) > 1e-12:
+        raise UsageError(f"trace formula needs order exactly -{n}, got {sigma.order}")
+
+
 def dixmier_trace_formula(
     sigma: Symbol,
     n: int,
@@ -174,13 +183,8 @@ def dixmier_trace_formula(
 ) -> ResidueReport:
     """Dixmier trace of the discrete quantization of a classical
     order-(-n) symbol, computed as the residue of its flip.  Valid
-    only at the critical order -n."""
-    if sigma.side != DISCRETE:
-        raise UsageError("trace formula expects a discrete-side symbol")
-    if abs(sigma.order + n) > 1e-12:
-        raise UsageError(
-            f"trace formula needs order exactly -{n}, got {sigma.order}"
-        )
+    only at the critical order -n (check_trace_formula_applies)."""
+    check_trace_formula_applies(sigma, n)
     rep = noncommutative_residue(
         flip(sigma), n, rule=rule, torus_q=torus_q, convention=convention
     )

@@ -32,8 +32,8 @@ affine fit cancels the O(1) intercept (Euler-Mascheroni-type
 constants), so c converges one log-order faster than D_N.  For
 spectra obtained from box-truncated operators only the head of the
 spectrum is reliable (boundary modes corrupt the small singular
-values), hence the default discard of the trailing half; exactly
-enumerated diagonal spectra need no discard.
+values), hence pipeline.SpectrumRun.fit's discard of the trailing
+half; exactly enumerated diagonal spectra need no discard.
 """
 
 from __future__ import annotations
@@ -52,16 +52,10 @@ from .record import Record
 # spectrum length.
 _CSV_CHUNK_ROWS = 4096
 
-# Default fit window [f0*L, f1*L] of the usable length L, and the default
-# discard of an assembled spectrum, which only SpectrumRun.fit applies.
-DEFAULT_WINDOW = (0.2, 1.0)
-DEFAULT_DISCARD = 0.5
-
 
 class SpectralSummary(Record):
     """Trace estimate and diagnostics from a log fit of partial sums."""
 
-    l1inf: float
     trace_estimate: float
     intercept: float
     fit_window: tuple[int, int]
@@ -167,7 +161,7 @@ def l1inf_norm(s) -> float:
 def trace_estimate(
     s,
     discard_fraction: float,
-    window_fraction: tuple[float, float] = DEFAULT_WINDOW,
+    window_fraction: tuple[float, float] = (0.2, 1.0),
 ) -> SpectralSummary:
     """Fit S_N ~ c ln N + b over N in [ceil(f0*L), floor(f1*L)] where
     L = floor((1-d)*len); the slope c estimates the Dixmier trace.
@@ -208,7 +202,6 @@ def trace_estimate(
     span = float(max(slopes) - min(slopes))
 
     return SpectralSummary(
-        l1inf=float(np.max(_quotients(sums))),  # len(v) >= L >= 20, so never empty
         trace_estimate=c,
         intercept=b,
         fit_window=(N0, N1),

@@ -190,6 +190,7 @@ def test_unparsable_expression_exits_1(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "offset" in err
+    assert not (tmp_path / "r").exists()
 
 
 def test_grammar_help_lists_exactly_the_config_keys():
@@ -429,3 +430,21 @@ def test_truncation_sweep_uses_the_configured_sphere_rule(tmp_path):
     got = float(row.split(",")[header.split(",").index("residue_lattice")])
     assert got == want
     assert got == pytest.approx(4.712389, abs=1e-6)
+
+
+@pytest.mark.parametrize("text, discard", [(MULTIPLIER, 0.0), (COSINE, 0.5)], ids=["diagonal", "assembled"])
+def test_fit_window_study_reports_the_connes_fit(tmp_path, text, discard):
+    # the f0 = 0.20 row in the column of the path's own discard is connes's fit
+    cfg = write(tmp_path, text)
+    out = tmp_path / "r"
+    assert main(["connes", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    want = json.loads((out / "connes.json").read_text())["spectral_estimate"]
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "fit_window_study.py"), "--config", cfg],
+        check=True, capture_output=True, text=True,
+    )
+    lines = proc.stdout.splitlines()
+    discards = lines[1].split()[3:]  # after "f0 \ discard"
+    row = next(line for line in lines if line.startswith("0.20 "))
+    cells = [row[13 + 12 * j : 25 + 12 * j] for j in range(len(discards))]
+    assert cells[discards.index(f"{discard:.2f}")] == f"{want:>12.5f}"

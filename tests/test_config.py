@@ -153,9 +153,12 @@ def test_every_key_is_a_field_and_fields_without_default_are_mandatory():
          "term_0 degree must be finite, got 'nan'"),
         (MINIMAL.replace("order = -1", "order = -1\nterm_0 = -1 ; 1\nterm_1 = inf ; 1"), 6,
          "term_1 degree must be finite, got 'inf'"),
+        (MINIMAL.replace("order = -1", "order = -1\nrho = 2"), 5, r"rho must be in \[0, 1\], got '2'"),
+        (MINIMAL.replace("order = -1", "order = -1\ndelta = -0.5"), 5, r"delta must be in \[0, 1\], got '-0.5'"),
+        (MINIMAL.replace("order = -1", "order = -1\ndelta = nan"), 5, r"delta must be in \[0, 1\], got 'nan'"),
     ],
     ids=["n", "M", "residue_q=0", "residue_q=-3", "sphere_order", "matrix_format", "Q=7", "Q=-4", "Q=0",
-         "order=nan", "order=-inf", "order=1e400", "term_0=nan", "term_1=inf"],
+         "order=nan", "order=-inf", "order=1e400", "term_0=nan", "term_1=inf", "rho=2", "delta=-0.5", "delta=nan"],
 )
 def test_out_of_range_values_are_fatal_with_line(tmp_path, text, line, message):
     with pytest.raises(ConfigError, match=f"^line {line}: {message}$"):

@@ -231,6 +231,10 @@ def test_main_cannot_use_theta():
         ("cos(2*pi*(x1-3*x2))", None, 3),
         ("-cos(2*pi*x1)", None, 1),
         ("cos(0*x1)", None, 1),  # floor of 1 for a tree that references x
+        ("cos(-(2*pi*x1))", None, 1),  # negated, scaled on the right, divided by a constant
+        ("cos(x1*2*pi)", None, 1),
+        ("cos(2*pi*x1/1)", None, 1),
+        ("cos(x1/(1/(2*pi)))", None, 1),
         ("cos(pi*x1)", None, math.inf),  # non-integer multiple
         ("cos(2*pi*x1)+sin(2*pi*3*x2)", None, 3),  # max
         ("cos(2*pi*x1)-sin(2*pi*3*x2)", None, 3),
@@ -250,6 +254,11 @@ def test_main_cannot_use_theta():
         ("abs(cos(2*pi*x1))", None, math.inf),
         ("1/(2+cos(2*pi*x1))", None, math.inf),  # x-dependent divisor
         ("cos(2*pi*xi1*x1)", None, math.inf),  # coefficient on x depends on xi
+        ("cos(2*pi*x1/0)", None, math.inf),  # division by zero
+        ("cos(x1^2)", None, math.inf),  # x under a power or abs is not linear
+        ("cos(abs(x1))", None, math.inf),
+        ("cos(2*pi*x1+x1^2)", None, math.inf),
+        ("(1+cos(2*pi*x1))^(1/0)", None, math.inf),  # exponent that is not a finite constant
         ("cos(1e400*x1)", None, math.inf),  # non-finite constants
         ("(1+cos(2*pi*x1))^1e400", None, math.inf),
         ("<xi>^(-1)", "cos(2*pi*2*x1)*<xi>^(-2)", 2),  # main_im counts

@@ -74,7 +74,7 @@ def test_multiplier_comparison():
     assert rep.run.diagonal_path
     assert rep.residue_lattice == pytest.approx(2.0, abs=1e-12)
     assert rep.relative_deviation < 0.05
-    assert not rep.positivity_warning
+    assert not rep.run.positivity_warning
 
 
 def test_multiplier_accuracy_pinned_near_achieved():
@@ -102,6 +102,18 @@ def test_trace_class_symbol():
 
     c = trace_estimate(run.sequence, discard_fraction=0.0).trace_estimate
     assert abs(c) < 0.02
+
+
+def test_order_is_refused_before_the_spectrum_is_built(monkeypatch):
+    from nclab import pipeline
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("spectrum built")
+
+    monkeypatch.setattr(pipeline, "build_spectrum", refuse)
+    sigma = to_symbol("(1+0.5*cos(2*pi*x1))*<xi>^(-1)", n=1, order=-2)
+    with pytest.raises(UsageError, match="needs order exactly -1, got -2"):
+        run_connes_check(sigma, 1, 4096)
 
 
 def test_symmetrization_does_not_change_residue():
@@ -149,7 +161,7 @@ def test_agreement_3d_multiplier():
 def test_positivity_warning_fires():
     sigma = to_symbol("-xi1*<xi>^(-2)", n=1, order=-1, classical_terms=[(-1, "-theta1")])
     rep = run_connes_check(sigma, 1, 400)
-    assert rep.positivity_warning
+    assert rep.run.positivity_warning
 
 
 def test_report_fields():
