@@ -75,7 +75,10 @@ THREAD_PIN = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THRE
 # Then a 2-D x-dependent symbol without term_0, whose residue is
 # extracted numerically over the full residue_q^n torus grid.  Last, a
 # complex x-free multiplier, exp(0.3 i) <xi>^(-1): the diagonal path
-# with imaginary parts, symmetrized to its real parts by default.
+# with imaginary parts, symmetrized to its real parts by default.  Then
+# the two bands whose tap products (quantize._stencil_taps) differ most
+# from an FFT: b = 40 on the q = 82 grid in 1-D, on the dense side of
+# quantize.BAND_RATIO, and a 2-D product of degree 3 per axis (q = 8).
 BRANCH_CONFIGS = {
     "band_inf_1d": (1, "exp(0.3*cos(2*pi*x1))", 64, True),
     "band_inf_2d": (2, "exp(0.3*cos(2*pi*x1))", 6, True),
@@ -86,6 +89,8 @@ BRANCH_CONFIGS = {
     "dense_export_1d": (1, "exp(0.3*cos(2*pi*x1))", 256, True),
     "no_term_2d": (2, "1+0.5*cos(2*pi*x1)", 8, False),
     "complex_diag_1d": (1, "cos(0.3)", 64, False, "sin(0.3)*<xi>^(-1)"),
+    "band_taps_1d": (1, "1+0.5*cos(2*pi*40*x1)", 100, True),
+    "band_taps_2d": (2, "1+0.5*cos(2*pi*3*x1)*cos(2*pi*3*x2)", 8, True),
 }
 # (label, command, extra flags) of every run on a config
 RUNS = [(command, command, ()) for command in _COMMANDS] + [

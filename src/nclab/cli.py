@@ -329,10 +329,11 @@ def _cmd_residue(cfg: RunConfig, sigma: Symbol, opts: dict, out_dir: Path, say) 
 def _cmd_verify_identity(cfg: RunConfig, sigma: Symbol, opts: dict, out_dir: Path, say) -> int:
     box = TruncationBox(cfg.symbol.n, cfg.M)
     rep = verify_identity(sigma, box, QuadratureGrid.for_box(box, cfg.Q))
+    inner = "n/a" if rep.interior_deviation is None else f"{rep.interior_deviation:.6e}"
     print(
         f"conjugation identity at M={cfg.M}, Q={rep.grid_q}: "
         f"full deviation {rep.full_deviation:.6e}, "
-        f"interior deviation {rep.interior_deviation:.6e} "
+        f"interior deviation {inner} "
         f"(bandwidth {rep.bandwidth})"
     )
     payload = {

@@ -16,9 +16,10 @@ reverses both axes of the box enumeration (see lattice); combined
 with the adjoint and the flip map it reproduces the discrete matrix
 exactly (up to quadrature roundoff), which verify_identity measures.
 
-Torus integrals use the Q-point tensor rectangle rule per axis, i.e.
-one FFT over the grid per row (column); this is exact for trigonometric
-polynomials of degree < Q/2 and spectrally accurate otherwise.
+Torus integrals use the tensor rectangle rule per axis, i.e. the DFT of
+each row's (column's) samples over the grid, read at the offsets that
+reach the box; this is exact for trigonometric polynomials of degree
+< Q/2 and spectrally accurate otherwise.
 
 A symbol of x-bandwidth b (Symbol.x_bandwidth, inf when no band is
 known) has reach r = min(b, 2M) on the box [-M, M]^n: entry [eta, m]
@@ -45,11 +46,17 @@ export or compare the dense matrix, always assembles it dense.
 Both quantizations assemble block-wise: a block of B consecutive box
 points evaluates the symbol once, on first arguments of shape
 (B, 1, n) against the grid of shape (1, P, n) with P = Q^n or
-(2r+2)^n, and runs one batched FFT over the grid axes.  B * P stays
-within BLOCK_POINTS (B >= 1), so a block's temporaries stay near
-40 * BLOCK_POINTS bytes: each point reads at most (2r+1)^n < P
-entries.  Rows (columns) are independent, so the block size never
-changes a matrix entry.
+(2r+2)^n.  A band (r < 2M) whose (P, T) tap matrix, T = (2r+1)^n, has
+at most TAP_PRODUCT_ENTRIES entries multiplies each point's P samples
+by it: one small DFT product per point, evaluated only at the T taps
+and with no numpy.fft.  Reach 2M, and a band past that bound, run one
+batched FFT over the grid axes and read the taps.  B * P stays within
+BLOCK_POINTS (B >= 1), so a block's temporaries stay near
+40 * BLOCK_POINTS bytes: the real samples, their complex copy and the
+B * T < B * P coefficients (or the FFT's B * P).  Rows (columns) are
+independent and each point's product is its own, so the block size
+never changes a matrix entry (one (B, P) @ (P, T) product for the
+whole block would: BLAS partitions it by B).
 """
 
 from __future__ import annotations
@@ -72,7 +79,7 @@ BINARY_MAGIC = b"NCRM"
 # Symbol samples (lattice points times grid points) per assembly block,
 # chosen by measurement: larger blocks gained little time and raised
 # peak memory (about 40 bytes per sample: the real samples, their
-# complex copy and its transform).
+# complex copy and its transform or tap product).
 BLOCK_POINTS = 2**15
 
 # A toroidal operator of band half-width kd is kept in band storage only
@@ -82,6 +89,17 @@ BLOCK_POINTS = 2**15
 # took 2 to 4 times as long.  Past 2kd + 1 = S the band would also
 # outgrow the dense matrix.
 BAND_RATIO = 16
+
+# A band's coefficients come from a product with its (P, T) tap matrix
+# (P = (2r+2)^n grid points, T = (2r+1)^n taps) when P * T is at most
+# this many entries, and from the FFT past it.  The product takes
+# P * T multiply-adds a point against the FFT's O(P log P).  Per point,
+# on one BLAS thread (2-CPU x86-64), it took 0.15 to 0.5 times the warm
+# FFT's time up to P * T = 1728, about as long at 8100 (2-D, r = 4),
+# 1.5 times as long (+0.9 us) at 6642 (1-D, r = 40) and 3 to 7 times
+# as long past 30,000.  Below the bound a call imports no numpy.fft,
+# which costs 1 to 2.4 ms a process.
+TAP_PRODUCT_ENTRIES = 2**13
 
 # verify_identity's observed band width counts an entry as significant
 # above this fraction of the largest |entry|.
@@ -212,6 +230,22 @@ def _check_sizes(
     return grid
 
 
+def _stencil_taps(q: int, stencil: np.ndarray) -> np.ndarray:
+    """The (q^n, T) matrix exp(-2 pi i j.d / q) / q^n that reads the
+    q^n-point DFT of grid samples at the T stencil taps d.  Phases come
+    from the integer residues j.d mod q: float phases (j/q).d lose an
+    order of magnitude in accuracy by q = 82.  The q-th roots of unity
+    are mirrored, roots[q - m] = conj(roots[m]) with roots[q/2] = -1, so
+    the taps d and -d weigh the samples by exact conjugates, as the
+    FFT's twiddle factors do."""
+    n = stencil.shape[1]
+    j = np.indices((q,) * n).reshape(n, -1).T  # grid indices, lexicographic
+    half = np.exp(-2j * np.pi * np.arange(q // 2 + 1) / q)
+    half[-1] = -1.0
+    roots = np.concatenate([half, half[-2:0:-1].conj()])
+    return roots[(j @ stencil.T) % q] / q**n
+
+
 def _coefficient_blocks(sym: Symbol, box: TruncationBox, grid: QuadratureGrid, reach: int):
     """Yield (rows, cols, values) over consecutive runs of box points
     p_i: values[k] is the Fourier coefficient of x -> sym(p_i, x) at
@@ -219,7 +253,10 @@ def _coefficient_blocks(sym: Symbol, box: TruncationBox, grid: QuadratureGrid, r
     in-box p_j in the stencil |d|_inf <= reach.  That is entry [i, j]
     of the discrete matrix and [j, i] of the toroidal one; every other
     entry is zero.  A reach below 2M (a band) is sampled on the
-    (2 reach + 2)^n grid, reach 2M on grid."""
+    (2 reach + 2)^n grid, reach 2M on grid.  A band whose tap matrix
+    (_stencil_taps) holds at most TAP_PRODUCT_ENTRIES entries
+    multiplies each point's samples by it; any other reach runs a
+    batched FFT per block and reads it at the taps."""
     n, M = box.n, box.M
     if reach < 2 * M:
         grid = QuadratureGrid(n, 2 * reach + 2)
@@ -228,7 +265,20 @@ def _coefficient_blocks(sym: Symbol, box: TruncationBox, grid: QuadratureGrid, r
     P = Q**n
     axis_offsets = np.arange(-reach, reach + 1)
     stencil = TruncationBox(n, reach).points()
-    flat = np.ravel_multi_index(tuple(np.mod(stencil, Q).T), shape)
+    if reach < 2 * M and P * len(stencil) <= TAP_PRODUCT_ENTRIES:
+        taps = _stencil_taps(Q, stencil)
+
+        def transform(samples):
+            # one product per point: no entry depends on the block size
+            return (samples[:, None, :] @ taps)[:, 0]
+
+    else:
+        flat = np.ravel_multi_index(tuple(np.mod(stencil, Q).T), shape)
+
+        def transform(samples):
+            coeff = np.fft.fftn(samples.reshape((-1,) + shape), axes=tuple(range(1, n + 1)))
+            return np.take(coeff.reshape(-1, P), flat, axis=1) / P
+
     shift = stencil @ box.strides  # tap d moves an index by shift[d]
     box_pts = box.points()
     x = grid.points()[None]
@@ -246,9 +296,8 @@ def _coefficient_blocks(sym: Symbol, box: TruncationBox, grid: QuadratureGrid, r
         # solve's non-finite-entry error, not as numpy warnings here
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             samples = evaluate(sym.func, pts.astype(float)[:, None, :], x, (B, P))
-            coeff = np.fft.fftn(samples.reshape((B,) + shape), axes=tuple(range(1, n + 1))).reshape(B, P)
-            values = np.take(coeff, flat, axis=1)[inside] / P
-        del samples, coeff  # keep one block's temporaries alive at a time
+            values = transform(samples)[inside]
+        del samples  # keep one block's temporaries alive at a time
         yield np.broadcast_to(rows, inside.shape)[inside], (rows + shift)[inside], values
 
 
@@ -256,7 +305,7 @@ def assemble_discrete(
     sigma: Symbol, box: TruncationBox, grid: QuadratureGrid | None = None
 ) -> OperatorMatrix:
     """Matrix of the discrete quantization of sigma(n', xi) in the
-    standard l2 basis: row n' is the FFT of xi -> sigma(n', xi), read
+    standard l2 basis: row n' is the DFT of xi -> sigma(n', xi), read
     at offsets k - n'."""
     if sigma.side != DISCRETE:
         raise UsageError("assemble_discrete expects a discrete-side symbol")
@@ -311,10 +360,11 @@ def conjugate_by_fourier(A: OperatorMatrix) -> OperatorMatrix:
 
 class IdentityReport(Record):
     """Entrywise deviation between the directly assembled discrete
-    matrix and the Fourier-conjugated adjoint of the toroidal one."""
+    matrix and the Fourier-conjugated adjoint of the toroidal one.
+    interior_deviation is None when no index lies in the interior."""
 
     full_deviation: float
-    interior_deviation: float
+    interior_deviation: float | None
     bandwidth: int
     grid_q: int
 
@@ -349,10 +399,7 @@ def verify_identity(
 
     pts = box.points()
     interior = np.max(np.abs(pts), axis=1) <= box.M - b
-    if interior.any():
-        inner = float(dev[np.ix_(interior, interior)].max())
-    else:
-        inner = float("nan")
+    inner = float(dev[np.ix_(interior, interior)].max()) if interior.any() else None
     return IdentityReport(full, inner, b, grid.q)
 
 

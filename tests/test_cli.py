@@ -152,6 +152,34 @@ def test_cli_imports_no_argparse_gettext_or_locale(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_band_limited_runs_import_no_numpy_fft(tmp_path):
+    # the band's tap product replaces the FFT; numpy 1.x loads numpy.fft
+    # on `import numpy` itself, where there is nothing to check
+    cfg = str(CONFIGS / "identity_check.cfg")
+    out = str(tmp_path / "r")
+    code = (
+        "import sys\n"
+        "import numpy\n"
+        "eager = 'numpy.fft' in sys.modules\n"
+        "from nclab.cli import main\n"
+        "for command in ('connes', 'verify-identity', 'quantize'):\n"
+        f"    assert main([command, '--config', {cfg!r}, '--out', {out!r}, '--quiet']) == 0\n"
+        "    print(command, eager, 'numpy.fft' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(CONFIGS.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    if lines[0].split()[1] == "True":
+        pytest.skip("import numpy already loads numpy.fft")
+    # verify-identity prints its deviations to stdout even when quiet
+    assert [line for line in lines if not line.startswith("conjugation")] == [
+        "connes False False",
+        "verify-identity False False",
+        "quantize False False",
+    ]
+
+
 def test_connes_happy_path(tmp_path, capsys):
     cfg = write(tmp_path, MULTIPLIER)
     out = tmp_path / "r"
@@ -236,6 +264,23 @@ def test_verify_identity_prints_deviations(tmp_path, capsys):
     assert "interior deviation" in out
     data = json.loads((tmp_path / "r" / "identity.json").read_text())
     assert data["interior_deviation"] <= 1e-12
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_identity_without_interior_writes_null(tmp_path, capsys):
+    # b = 2 > M = 1: no index lies in the interior |index| <= M - b
+    cfg = write(tmp_path, "[symbol]\nn = 1\nmain = (1+0.5*cos(2*pi*2*x1))*<xi>^(-1)\n"
+                          "order = -1\n[lattice]\nM = 1\n")
+    assert main(["verify-identity", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
+    assert "interior deviation n/a (bandwidth 2)" in capsys.readouterr().out
+    text = (tmp_path / "r" / "identity.json").read_text()
+    data = json.loads(text, parse_constant=_refuse_constant)
+    assert data["interior_deviation"] is None
+    assert data["bandwidth"] == 2
+    assert data["full_deviation"] <= 1e-15
 
 
 def test_quantize_exports(tmp_path):

@@ -301,6 +301,33 @@ def test_reach_of_2m_or_more_runs_the_full_rule(main):
         assert sigma.x_bandwidth >= 2
 
 
+@pytest.mark.parametrize(
+    "n, M, main, b",
+    [
+        (1, 12, "(1+0.5*cos(2*pi*16*x1))*<xi>^(-1)", 16),
+        (1, 24, "(1+0.5*cos(2*pi*40*x1))*<xi>^(-1)", 40),
+        (2, 3, "(1+0.5*cos(2*pi*3*x1)*cos(2*pi*3*x2))*(1+|xi|^2)^(-1)", 3),
+        (3, 2, "(1+0.5*cos(2*pi*(x1+x2-x3)))*(1+|xi|^2)^(-3/2)", 1),
+    ],
+)
+def test_band_taps_match_the_fft_on_the_band_grid(n, M, main, b):
+    # the tap product on the (2b+2)^n grid, against one FFT per point on
+    # the same grid: q = 34, 82, 8 and 4 per axis
+    sigma = to_symbol(main, n=n, order=-n)
+    assert sigma.x_bandwidth == b
+    q = 2 * b + 2
+    assert q**n * (2 * b + 1) ** n <= quantize.TAP_PRODUCT_ENTRIES
+    box = TruncationBox(n, M)
+    pts = box.points()
+    in_band = np.max(np.abs(pts[:, None, :] - pts[None, :, :]), axis=-1) <= b
+    band_grid = QuadratureGrid(n, q)
+    D, T = both_quantizations(sigma, box, QuadratureGrid.for_box(box))
+    for got, want in ((D, column_loop(sigma.func, box, band_grid).T),
+                      (T, column_loop(flip(sigma).func, box, band_grid))):
+        assert np.max(np.abs(got - want)[in_band]) <= 1e-15 * np.max(np.abs(want))
+        assert np.all(got[~in_band] == 0)
+
+
 # ---------------------------------------------------------------------------
 # adjoint and Fourier conjugation
 
