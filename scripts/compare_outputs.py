@@ -22,7 +22,7 @@ identical outputs; a failed run adds the last line of its stderr.  Every
 output file that is missing on one side or not byte-identical is
 listed.  For each differing .csv or .json pair
 one more line gives the largest difference between paired numbers,
-scaled by the largest magnitude in the pair of files, and whether
+scaled by the largest magnitude in the pair of files and unscaled, and whether
 every other token is identical: JSON keys, strings, booleans and
 integers (such as Q or fit_window), and CSV headers, row counts and
 integer columns (a column is numeric when any of its cells is not an
@@ -79,6 +79,9 @@ THREAD_PIN = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THRE
 # the two bands whose tap products (quantize._stencil_taps) differ most
 # from an FFT: b = 40 on the q = 82 grid in 1-D, on the dense side of
 # quantize.BAND_RATIO, and a 2-D product of degree 3 per axis (q = 8).
+# Last, an odd real multiplier, xi1 <xi>^(-2): its value at the origin
+# is +0.0, and a diagonal read through sigma(-0.0) would write -0 into
+# spectrum.csv.
 BRANCH_CONFIGS = {
     "band_inf_1d": (1, "exp(0.3*cos(2*pi*x1))", 64, True),
     "band_inf_2d": (2, "exp(0.3*cos(2*pi*x1))", 6, True),
@@ -91,6 +94,7 @@ BRANCH_CONFIGS = {
     "complex_diag_1d": (1, "cos(0.3)", 64, False, "sin(0.3)*<xi>^(-1)"),
     "band_taps_1d": (1, "1+0.5*cos(2*pi*40*x1)", 100, True),
     "band_taps_2d": (2, "1+0.5*cos(2*pi*3*x1)*cos(2*pi*3*x2)", 8, True),
+    "odd_diag_1d": (1, "xi1*<xi>^(-1)", 64, False),
 }
 # (label, command, extra flags) of every run on a config
 RUNS = [(command, command, ()) for command in _COMMANDS] + [
@@ -205,8 +209,10 @@ def _csv_pairs(a: Path, b: Path):
 
 
 def numeric_summary(a: Path, b: Path) -> str:
-    """The largest paired difference over the largest magnitude, and
-    whether the other tokens are identical, of two .csv or .json files."""
+    """The largest paired difference over the largest magnitude, the
+    largest difference itself (round-off next to values near 0 reads
+    small there, large scaled), and whether the other tokens are
+    identical, of two .csv or .json files."""
     if a.suffix == ".json":
         pairs = _json_pairs(json.loads(a.read_text()), json.loads(b.read_text()))
     else:
@@ -223,8 +229,8 @@ def numeric_summary(a: Path, b: Path) -> str:
             diff = max(diff, d if math.isfinite(d) else math.inf)
         scale = max(scale, *(abs(v) for v in pair if math.isfinite(v)), 0.0)
     scaled = diff / scale if scale else diff
-    return (f"largest numeric difference {scaled:.2e} of max |value| {scale:.6g}, "
-            f"other tokens {'identical' if tokens_same else 'DIFFER'}")
+    return (f"largest numeric difference {scaled:.2e} of max |value| {scale:.6g} "
+            f"({diff:.2e} absolute), other tokens {'identical' if tokens_same else 'DIFFER'}")
 
 
 def main() -> int:

@@ -26,7 +26,6 @@ from .quantize import (
 from .residue import ResidueReport, SphereRule, dixmier_trace_formula, noncommutative_residue, sphere_rule
 from .spectral import (
     SpectralSummary,
-    diagonal_sequence,
     dixmier_quotients,
     l1inf_norm,
     matrix_sequence,

@@ -222,9 +222,16 @@ def _dispatch(command: str, opts: dict) -> int:
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    try:  # strict JSON: a NaN or infinity is refused before the file is opened
+        text = json.dumps(payload, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NonConvergenceError(f"{path.name}: {exc}") from None
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
+
+
+def _fmt(value: float | None, spec: str) -> str:  # a report's null prints as n/a
+    return "n/a" if value is None else format(value, spec)
 
 
 def _cmd_symbol_check(cfg: RunConfig, sigma: Symbol, opts: dict, out_dir: Path, say) -> int:
@@ -242,8 +249,8 @@ def _cmd_symbol_check(cfg: RunConfig, sigma: Symbol, opts: dict, out_dir: Path, 
         reports.append(rep)
         say(
             f"alpha={list(rep.alpha)} beta={list(rep.beta)}  "
-            f"sup_ratio={rep.sup_ratio:.6g}  exponent={rep.fitted_exponent:+.4f}  "
-            f"residual={rep.residual:.3g}"
+            f"sup_ratio={rep.sup_ratio:.6g}  exponent={_fmt(rep.fitted_exponent, '+.4f')}  "
+            f"residual={_fmt(rep.residual, '.3g')}"
         )
     payload = {
         "n": n,
@@ -329,11 +336,10 @@ def _cmd_residue(cfg: RunConfig, sigma: Symbol, opts: dict, out_dir: Path, say) 
 def _cmd_verify_identity(cfg: RunConfig, sigma: Symbol, opts: dict, out_dir: Path, say) -> int:
     box = TruncationBox(cfg.symbol.n, cfg.M)
     rep = verify_identity(sigma, box, QuadratureGrid.for_box(box, cfg.Q))
-    inner = "n/a" if rep.interior_deviation is None else f"{rep.interior_deviation:.6e}"
     print(
         f"conjugation identity at M={cfg.M}, Q={rep.grid_q}: "
         f"full deviation {rep.full_deviation:.6e}, "
-        f"interior deviation {inner} "
+        f"interior deviation {_fmt(rep.interior_deviation, '.6e')} "
         f"(bandwidth {rep.bandwidth})"
     )
     payload = {

@@ -569,7 +569,8 @@ def to_symbol(
     when none is declared; Symbol checks that term j has degree
     order - j and that the order is finite.  Angular expressions use
     theta1..thetan and x1..xn (no xi).  The main expression may be
-    complex-valued via the optional imaginary part main_im.
+    complex-valued via the optional imaginary part main_im.  The
+    x_bandwidth is the largest over main, main_im and every term.
     """
     from . import symbols as sym  # local import keeps dsl importable standalone
 
@@ -585,14 +586,15 @@ def to_symbol(
             return re
         return re + 1j * eval_expr(im_ast, first, x)
 
-    terms = []
+    terms, asts = [], [ast for ast in (main_ast, im_ast) if ast is not None]
     for degree, angular_expr in classical_terms:
         ast = _as_ast(angular_expr, n)
         if references(ast, ("xi",)):
             raise UsageError("angular parts must use theta, not xi")
         terms.append(sym.ClassicalTerm(float(degree), _angular_fn(ast)))
+        asts.append(ast)
 
-    bandwidth = max(x_bandwidth(ast) for ast in (main_ast, im_ast) if ast is not None)
+    bandwidth = max(x_bandwidth(ast) for ast in asts)
     return sym.Symbol(func, float(order), float(rho), float(delta), side, tuple(terms), bandwidth)
 
 

@@ -1,22 +1,19 @@
 """End-to-end check that the spectral trace estimate of a discrete
 order-(-n) operator matches the residue of its flipped symbol.
 
-build_spectrum is the one entry point to the spectral side.  It picks
-the path from the symbol's declared structure (Symbol.x_bandwidth),
-never from samples: a symbol declared x-free (bandwidth 0) is a
-multiplier, and its diagonal is evaluated over the box; every other
-symbol, a plain Symbol(func) (bandwidth inf) included, has the
-toroidal operator of its flipped symbol assembled (singular values
-are shared with the discrete operator since the bases differ by a
-unitary conjugation).  Symbols derived by flip, finite_modify
-(regularize_at_origin), difference and partial_x keep their input's
-bandwidth, so they take their input's path.  A symbol whose bandwidth
-is narrow enough (quantize.BAND_RATIO) comes back from
-assemble_toroidal as a band, never as an S x S matrix.  Turning that
-diagonal, band or matrix into the sorted sequence, with its
-Hermiticity deviation, the non-finite check and the choice of solver,
-is spectral's job (diagonal_sequence, matrix_sequence); this module
-only chooses between them and reports the solver that ran.
+build_spectrum is the one entry point to the spectral side.  Both of
+its paths build T = Op(flip sigma), the toroidal quantization of the
+flipped symbol (unitarily equivalent to A* for A = Op(sigma), so it
+shares A's singular values), picking the path from the symbol's
+declared structure (Symbol.x_bandwidth), never from samples: for a
+multiplier (bandwidth 0) T's diagonal is read off sigma's values over
+the box and held as a band of half-width 0; every other symbol, a
+plain Symbol(func) (bandwidth inf) included, has T assembled, as a
+band when it is narrow enough (quantize.BAND_RATIO).  Symbols derived
+by flip, finite_modify, difference and partial_x keep their input's
+bandwidth, so they take their input's path.  spectral.matrix_sequence
+turns T into the sorted sequence, with its Hermiticity deviation, the
+non-finite check and the choice of solver.
 
 Symmetrization: a toroidal operator built from a real symbol is not
 exactly Hermitian at finite truncation; (A + A*)/2 differs from A at
@@ -34,10 +31,10 @@ import numpy as np
 
 from .errors import UsageError
 from .lattice import TruncationBox
-from .quantize import QuadratureGrid, _check_memory, assemble_toroidal
+from .quantize import FOURIER_MODE, OperatorMatrix, QuadratureGrid, _check_memory, assemble_toroidal
 from .record import Record
 from .residue import CONVENTIONS_STANZA, DEFAULT_TORUS_Q, LATTICE, PAPER, SphereRule, check_trace_formula_applies, dixmier_trace_formula, residue_value
-from .spectral import SpectralSummary, diagonal_sequence, matrix_sequence, trace_estimate
+from .spectral import SpectralSummary, matrix_sequence, trace_estimate
 from .symbols import DISCRETE, Symbol, evaluate, flip
 
 DEFAULT_DISCARD = 0.5
@@ -91,31 +88,29 @@ def build_spectrum(
     Q: Optional[int] = None,
     symmetrize: bool = True,
 ) -> SpectrumRun:
-    """Diagonal fast path for multipliers; otherwise assemble the
-    toroidal operator of the flipped symbol (as a band when that band
-    is narrow).  Either way the sequence is the eigenvalues of the
-    Hermitian part (symmetrize on, the default; on a diagonal the real
-    parts) or the singular values (symmetrize off; on a diagonal the
-    moduli)."""
+    """The sequence of T = Op(flip sigma): its diagonal, a band of
+    half-width 0, for a multiplier; otherwise T assembled (as a band
+    when that band is narrow).  Either way the sequence is the
+    eigenvalues of the Hermitian part (symmetrize on, the default; on a
+    diagonal the real parts) or the singular values (symmetrize off; on
+    a diagonal the moduli)."""
     if sigma.side != DISCRETE:
         raise UsageError("spectrum runs start from a discrete-side symbol")
     box = TruncationBox(n, M)
 
-    if not depends_on_second(sigma):
-        # the box points as integers and floats, and the complex values
+    if depends_on_second(sigma):
+        grid = QuadratureGrid.for_box(box, Q)
+        A, q = assemble_toroidal(flip(sigma), box, grid), grid.q
+    else:
+        # T[m, m] = conj sigma(-m), read by index reversal (lattice) so sigma never
+        # sees -0.0; a writable result of evaluate is its own copy, conjugated in place
         _check_memory(16 * (n + 1) * box.size, f"a diagonal of {box.size} lattice points")
         vals = evaluate(sigma.func, box.points().astype(float), np.zeros(n), (box.size,))
-        seq, herm_dev = diagonal_sequence(vals, symmetrize)
-        return SpectrumRun(
-            n=n, M=M, Q=0, symmetrized=symmetrize, solver="diagonal", sequence=seq,
-            hermiticity_deviation=herm_dev,
-        )
-
-    grid = QuadratureGrid.for_box(box, Q)
-    A = assemble_toroidal(flip(sigma), box, grid)
+        vals = np.conjugate(vals, out=vals if vals.flags.writeable else None)
+        A, q = OperatorMatrix(vals[::-1, None], box, FOURIER_MODE, 0), 0
     seq, herm_dev, solver = matrix_sequence(A, symmetrize)
     return SpectrumRun(
-        n=n, M=M, Q=grid.q, symmetrized=symmetrize, solver=solver, sequence=seq,
+        n=n, M=M, Q=q, symmetrized=symmetrize, solver=solver, sequence=seq,
         hermiticity_deviation=herm_dev,
     )
 

@@ -13,13 +13,12 @@ eigvalsh's O(S^3) and S^2 (for kd = 1 its reduction is an O(S) phase
 scaling, and the O(S^2) tridiagonal QR dominates).  zhbevd comes from
 the OpenBLAS that numpy's wheel bundles (numpy.libs), bound through
 ctypes at the first banded solve; a numpy build without that library
-falls back to dense eigvalsh.
-diagonal_sequence takes the values of a diagonal operator and follows
-the same flag: their real parts when symmetrize, their moduli otherwise.
-Both sort NONINCREASING (largest first; the partial sums only capture
-the logarithmic divergence that way) and raise UsageError on a
-non-finite entry or value instead of returning a sequence built from
-it.
+falls back to dense eigvalsh.  A band of half-width 0 (any x-free
+symbol's operator) needs no solver on any platform: its diagonal is
+sorted in O(S log S).  Every sequence is sorted NONINCREASING (largest
+first; the partial sums only capture the logarithmic divergence that
+way), and a non-finite entry raises UsageError instead of returning a
+sequence built from it.
 
 The trace functional targeted here is the limit of S_N / log N where
 S_N is the N-th partial sum of that sequence.  Natural logarithm
@@ -71,9 +70,19 @@ def matrix_sequence(A, symmetrize: bool) -> tuple[np.ndarray, float, str]:
     the dense matrix ("svd") otherwise.  A banded operator's Hermitian
     part is solved in band storage by zhbevd ("banded"); a dense one,
     or any when numpy's LAPACK is not at hand, by eigvalsh ("dense").
-    A non-finite entry makes the deviation non-finite, which raises
-    UsageError before any solve."""
+    A band of half-width 0 is read off its diagonal d ("diagonal"):
+    Re d or |d| sorted, with deviation 2 max|Im d|.  A non-finite entry
+    raises UsageError before any solve."""
     kd = getattr(A, "kd", None)
+    if kd == 0:
+        # the sort drops d's order, so read d forward in memory: numpy's |d|
+        # of a reversed view differs in the last bit
+        d = A.data[:, 0]
+        d = d[::-1] if d.strides[0] < 0 else d
+        if not np.isfinite(float(np.max(np.abs(d)))):
+            raise UsageError("matrix has non-finite entries")
+        seq = d.real if symmetrize else np.abs(d)
+        return np.sort(seq)[::-1].copy(), 2.0 * float(np.max(np.abs(d.imag))), "diagonal"
     zhbevd = _zhbevd() if kd is not None and symmetrize else None
     if zhbevd is None:
         entries = np.asarray(getattr(A, "entries", A))
@@ -123,20 +132,6 @@ def _zhbevd():
     zhbevd.argtypes = (ctypes.c_int, ctypes.c_char, ctypes.c_char, i64, i64, ptr, i64, ptr, ptr, i64)
     zhbevd.restype = i64
     return zhbevd
-
-
-def diagonal_sequence(values, symmetrize: bool) -> tuple[np.ndarray, float]:
-    """The nonincreasing sequence of a diagonal operator from its
-    diagonal values v, read as matrix_sequence reads an assembled
-    matrix: the real parts (the eigenvalues of the Hermitian part) when
-    symmetrize, the moduli (the singular values) otherwise.  Also
-    returns the Hermiticity deviation max|A - A*| = 2 max|Im v|.  A
-    non-finite value raises UsageError."""
-    values = np.asarray(values)
-    if not np.isfinite(float(np.max(np.abs(values)))):
-        raise UsageError("diagonal has non-finite values")
-    seq = values.real if symmetrize else np.abs(values)
-    return np.sort(seq)[::-1].copy(), 2.0 * float(np.max(np.abs(values.imag)))
 
 
 def dixmier_quotients(s) -> np.ndarray:

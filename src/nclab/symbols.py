@@ -75,13 +75,14 @@ class Symbol(Record):
     this is the one place either is checked.  term(d) reads the
     declared term of degree d.
 
-    x_bandwidth declares what func does with its second (torus)
-    argument: 0 when func does not depend on it, an integer b when
-    func(k, .) is a trigonometric polynomial of degree at most b per
-    axis for every k, and inf when no band is known (the default, so
-    a plain Symbol(func) unless the caller declares it; to_symbol reads
-    it from the expression).  The pipeline takes the diagonal path only
-    for 0; assembly reads the reach r = min(b, 2M) of a truncation box
+    x_bandwidth bounds what func and the declared terms do with their
+    torus argument: 0 when none depends on it (the residue then reads
+    the terms at x = 0 alone), an integer b when func(k, .) and every
+    angular(., theta) are trigonometric polynomials of degree at most b
+    per axis, and inf when no band is known (the default, so a plain
+    Symbol(func) unless the caller declares it; to_symbol reads it from
+    the expressions).  The pipeline takes the diagonal path only for 0;
+    assembly reads the reach r = min(b, 2M) of a truncation box
     [-M, M]^n: when r < 2M it samples the (2r+2)^n grid and writes exact
     zeros at offsets beyond r (see quantize).
 
@@ -271,13 +272,14 @@ def partial_x(sigma: Symbol, beta, grid_size: int) -> Symbol:
 
 class SeminormReport(Record):
     """Observed decay of |Delta^alpha d^beta sigma| against the weight
-    (1+|n'|)^(m - rho|alpha| + delta|beta|)."""
+    (1+|n'|)^(m - rho|alpha| + delta|beta|); no fit (None) when fewer
+    than two shells carry a nonzero sup."""
 
     alpha: tuple[int, ...]
     beta: tuple[int, ...]
     sup_ratio: float
-    fitted_exponent: float
-    residual: float
+    fitted_exponent: float | None
+    residual: float | None
 
 
 def seminorm_estimate(sigma: Symbol, alpha, beta, window: tuple[int, int]) -> SeminormReport:
@@ -330,7 +332,7 @@ def seminorm_estimate(sigma: Symbol, alpha, beta, window: tuple[int, int]) -> Se
         ly = np.log(shell_sup[keep])
         fitted, _, resid = affine_fit(lx, ly)
     else:
-        fitted, resid = float("nan"), float("nan")
+        fitted = resid = None
 
     return SeminormReport(
         tuple(int(a) for a in alpha),
@@ -388,7 +390,7 @@ def homogeneous_component(sigma: Symbol, degree: float, x, theta):
     result = prev[0]
 
     drift = float(np.max(np.abs(result - before)))
-    if drift > 10.0 * EXTRACTION_TOL:
+    if not drift <= 10.0 * EXTRACTION_TOL:  # a NaN drift has not settled either
         raise NonConvergenceError(
             f"homogeneous extraction did not settle: drift {drift:.3e} > {10 * EXTRACTION_TOL:.1e}"
         )

@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nclab.cli import _COMMANDS, GRAMMAR_HELP, main
+from nclab.cli import _COMMANDS, GRAMMAR_HELP, _write_json, main
 from nclab.config import KEYS
+from nclab.errors import NonConvergenceError
 from nclab.quantize import read_matrix_binary
 
 MULTIPLIER = """\
@@ -281,6 +282,23 @@ def test_identity_without_interior_writes_null(tmp_path, capsys):
     assert data["interior_deviation"] is None
     assert data["bandwidth"] == 2
     assert data["full_deviation"] <= 1e-15
+
+
+def test_symbol_check_writes_null_for_an_exponent_without_decay(tmp_path, capsys):
+    # a constant symbol's differences vanish: no shell carries a sup to fit
+    cfg = write(tmp_path, "[symbol]\nn = 1\nmain = 1\norder = 0\n[lattice]\nM = 8\n")
+    assert main(["symbol-check", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
+    assert "alpha=[1] beta=[0]  sup_ratio=0  exponent=n/a  residual=n/a" in capsys.readouterr().out
+    text = (tmp_path / "r" / "symbol_check.json").read_text()
+    reports = json.loads(text, parse_constant=_refuse_constant)["reports"]
+    assert [r["fitted_exponent"] for r in reports] == [0.0, None, None]
+    assert [r["residual"] for r in reports] == [0.0, None, None]
+
+
+def test_json_reports_refuse_non_finite_values(tmp_path):
+    with pytest.raises(NonConvergenceError, match="report.json"):
+        _write_json(tmp_path / "report.json", {"value": float("nan")})
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_quantize_exports(tmp_path):

@@ -187,6 +187,20 @@ def test_to_symbol_x_dependent_term():
     assert got == pytest.approx(1.5)
 
 
+def test_to_symbol_band_covers_the_declared_terms():
+    # main is x-free but the term is not: the residue must average the
+    # term over the torus (mean 1, so 2), not read it at x = 0 (2, so 4)
+    from nclab.residue import dixmier_trace_formula
+
+    s = to_symbol("<xi>^(-1)", n=1, order=-1, classical_terms=[(-1, "1+cos(2*pi*x1)")])
+    assert s.x_bandwidth == 1
+    assert dixmier_trace_formula(s, 1).value == pytest.approx(2.0, abs=1e-12)
+    # a consistent classical symbol keeps its main expression's band
+    assert to_symbol("<xi>^(-1)", n=1, order=-1, classical_terms=[(-1, "1")]).x_bandwidth == 0
+    im = "0.5*cos(2*pi*2*x1)*<xi>^(-1)"
+    assert to_symbol("<xi>^(-1)", main_im=im, n=1, order=-1, classical_terms=[(-1, "1")]).x_bandwidth == 2
+
+
 def test_to_symbol_ladder_violation():
     with pytest.raises(UsageError):
         to_symbol("<xi>^(-1)", n=1, order=-1, classical_terms=[(-1, "1"), (-3, "1")])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nclab import spectral
 from nclab.dsl import to_symbol
 from nclab.errors import UsageError
 from nclab.lattice import TruncationBox
@@ -289,7 +290,7 @@ def _phased_bracket(first, x):
     "case",
     [
         "symmetrized", "unsymmetrized", "real diagonal", "complex diagonal",
-        "real diagonal unsymmetrized", "complex diagonal unsymmetrized",
+        "real diagonal unsymmetrized", "complex diagonal unsymmetrized", "odd real diagonal",
     ],
 )
 def test_build_spectrum_matches_the_inline_solve(case):
@@ -303,6 +304,7 @@ def test_build_spectrum_matches_the_inline_solve(case):
         "complex diagonal": (Symbol(_phased_bracket, order=-1, x_bandwidth=0), True),
         "real diagonal unsymmetrized": (bracket_inv(), False),
         "complex diagonal unsymmetrized": (Symbol(_phased_bracket, order=-1, x_bandwidth=0), False),
+        "odd real diagonal": (to_symbol("xi1*<xi>^(-2)", n=1, order=-1), True),
     }[case]
     run = build_spectrum(sigma, 1, 24, symmetrize=symmetrize)
     assert run.diagonal_path == ("diagonal" in case)
@@ -311,13 +313,36 @@ def test_build_spectrum_matches_the_inline_solve(case):
     if case == "symmetrized":  # the band's zhbevd against dense eigvalsh
         assert run.solver == "banded"
         assert np.max(np.abs(run.sequence - seq)) <= 1e-13 * seq[0]
-    else:
-        assert np.array_equal(run.sequence, seq)
+    else:  # bit for bit, the sign of a zero included
+        assert run.sequence.tobytes() == seq.tobytes()
     assert run.hermiticity_deviation == deviation
+    if case == "odd real diagonal":
+        # sigma(0) = +0.0; evaluating sigma at -0.0 would sort in a -0.0
+        zeros = run.sequence[run.sequence == 0]
+        assert len(zeros) == 1 and not np.signbit(zeros[0])
     if case.startswith("complex diagonal"):
         assert deviation > 0.5
         # real parts change sign with the phase; moduli do not
         assert (run.sequence[-1] < 0) == symmetrize
+
+
+@pytest.mark.parametrize("lapack", [True, False], ids=["zhbevd", "no zhbevd"])
+@pytest.mark.parametrize("symmetrize", [True, False])
+@pytest.mark.parametrize("n, M", [(1, 24), (2, 6)])
+def test_assembled_multiplier_is_solved_as_its_diagonal(monkeypatch, n, M, symmetrize, lapack):
+    # an x-free symbol assembles to a band of half-width 0, which is read
+    # off its diagonal exactly as build_spectrum reads the multiplier
+    if not lapack:
+        monkeypatch.setattr(spectral, "_zhbevd", lambda: None)
+    decay = "<xi>^(-1)" if n == 1 else "(1+|xi|^2)^(-1)"
+    sigma = to_symbol(f"cos(0.3)*{decay}", main_im=f"sin(0.3)*{decay}", n=n, order=-n)
+    A = assemble_toroidal(flip(sigma), TruncationBox(n, M))
+    assert A.kd == 0
+    seq, deviation, solver = matrix_sequence(A, symmetrize)
+    run = build_spectrum(sigma, n, M, symmetrize=symmetrize)
+    assert solver == run.solver == "diagonal"
+    assert seq.tobytes() == run.sequence.tobytes()
+    assert deviation == run.hermiticity_deviation > 0.1
 
 
 @pytest.mark.parametrize("M, diag_bound, band_bound", [(64, 1.2e-3, 5e-3), (256, 8e-5, 3e-4)])

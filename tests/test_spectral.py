@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nclab.errors import UsageError
+from nclab.lattice import TruncationBox
+from nclab.quantize import FOURIER_MODE, OperatorMatrix
 from nclab.spectral import (
-    diagonal_sequence,
     dixmier_quotients,
     l1inf_norm,
     matrix_sequence,
@@ -122,7 +123,6 @@ BANDED = {
 
 def banded_operator(case):
     from nclab.dsl import to_symbol
-    from nclab.lattice import TruncationBox
     from nclab.quantize import assemble_toroidal
     from nclab.symbols import flip
 
@@ -158,7 +158,6 @@ def test_banded_solve_without_lapack_is_the_dense_solve(monkeypatch, case):
 
 def test_banded_solve_converts_a_real_band():
     # zhbevd reads complex128: a float64 band must be converted, not reinterpreted
-    from nclab.quantize import OperatorMatrix
 
     A = banded_operator("1-D b=3")
     real = OperatorMatrix(A.data.real.copy(), A.box, A.basis, A.kd)
@@ -174,7 +173,6 @@ def test_wide_band_is_assembled_dense(b, kd):
     # M = 10, S = 21: half-width b stays a band only for 16 b < 21; at
     # b = 12 > M the band storage would even outgrow the dense matrix
     from nclab.dsl import to_symbol
-    from nclab.lattice import TruncationBox
     from nclab.quantize import assemble_toroidal
     from nclab.symbols import flip
 
@@ -200,7 +198,6 @@ def test_banded_operator_unsymmetrized_takes_the_dense_svd():
 @pytest.mark.parametrize("case", ["1-D b=1", "2-D b=1"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
 def test_banded_solve_rejects_non_finite(case, bad):
-    from nclab.quantize import OperatorMatrix
 
     A = banded_operator(case)
     data = A.data.copy()
@@ -210,28 +207,37 @@ def test_banded_solve_rejects_non_finite(case, bad):
 
 
 # ---------------------------------------------------------------------------
-# diagonal sequences
+# diagonal sequences: bands of half-width 0
+
+
+def diagonal(values):
+    """A band of half-width 0 holding values (odd length) on its diagonal,
+    the form build_spectrum gives a multiplier's operator."""
+    v = np.asarray(values)
+    return OperatorMatrix(v[:, None], TruncationBox(1, (len(v) - 1) // 2), FOURIER_MODE, 0)
 
 
 def test_diagonal_round_off_imaginary_parts_keep_the_sign():
     # symmetrized: the real parts, signed, however small Im v is
-    seq, deviation = diagonal_sequence(np.array([0.5, -2000.0, 3.0 + 1e-10j]), symmetrize=True)
+    seq, deviation, solver = matrix_sequence(diagonal([0.5, -2000.0, 3.0 + 1e-10j]), symmetrize=True)
     assert seq.tolist() == [3.0, 0.5, -2000.0]
     assert deviation == 2e-10
+    assert solver == "diagonal"
 
 
 def test_unsymmetrized_diagonal_takes_moduli_even_of_real_values():
     # the flag alone picks moduli, as the svd does for an assembled matrix
-    seq, deviation = diagonal_sequence(np.array([0.5, -2000.0, 3.0 + 0j]), symmetrize=False)
+    seq, deviation, solver = matrix_sequence(diagonal([0.5, -2000.0, 3.0 + 0j]), symmetrize=False)
     assert seq.tolist() == [2000.0, 3.0, 0.5]
     assert deviation == 0.0
+    assert solver == "diagonal"
 
 
 def test_diagonal_deviation_is_the_matrix_deviation_of_the_diagonal():
     k = np.arange(-8.0, 9.0)
     v = np.exp(1j * k) / np.sqrt(1 + k**2)
     for symmetrize in (True, False):
-        seq, deviation = diagonal_sequence(v, symmetrize)
+        seq, deviation, _ = matrix_sequence(diagonal(v), symmetrize)
         dense_seq, dense_deviation, _ = matrix_sequence(np.diag(v), symmetrize)
         assert deviation == dense_deviation  # max|A - A*| = 2 max|Im v|
         assert np.max(np.abs(seq - dense_seq)) <= 1e-15
@@ -241,14 +247,13 @@ def test_diagonal_deviation_is_the_matrix_deviation_of_the_diagonal():
 def test_diagonal_rejects_non_finite(bad):
     for symmetrize in (True, False):
         with pytest.raises(UsageError, match="non-finite"):
-            diagonal_sequence(np.array([1.0, bad, 0.5], dtype=complex), symmetrize)
+            matrix_sequence(diagonal(np.array([1.0, bad, 0.5], dtype=complex)), symmetrize)
 
 
 def test_symmetrized_tridiagonal_example():
     # symmetrization of the cosine-modulated bracket operator at M=64:
     # eigenvalues real, and the negative part stays above -0.05
     from nclab.dsl import to_symbol
-    from nclab.lattice import TruncationBox
     from nclab.quantize import QuadratureGrid, assemble_toroidal
     from nclab.symbols import flip
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from nclab.dsl import to_symbol
 from nclab.errors import NonConvergenceError, UsageError
 from nclab.lattice import torus_grid
+from nclab.residue import noncommutative_residue
 from nclab.symbols import (
     TOROIDAL,
     ClassicalTerm,
@@ -397,6 +398,20 @@ def test_extraction_divergence():
     )
     with pytest.raises(NonConvergenceError):
         homogeneous_component(s, 0.0, np.zeros(1), np.array([1.0]))
+
+
+def test_extraction_refuses_a_nan_drift():
+    # the bracket decay, NaN past |k| = 4000: the last two Richardson
+    # radii (4T, 8T with T = 1024) read NaN, so the drift is NaN
+    def func(first, x):
+        r = np.abs(np.asarray(first, dtype=float)[..., 0])
+        return np.where(r > 4000, np.nan, 1.0 / np.sqrt(1.0 + r**2))
+
+    s = Symbol(func, order=-1, side=TOROIDAL, x_bandwidth=0)
+    with pytest.raises(NonConvergenceError, match="did not settle: drift nan"):
+        homogeneous_component(s, -1.0, np.zeros(1), np.array([1.0]))
+    with pytest.raises(NonConvergenceError):
+        noncommutative_residue(s, 1)
 
 
 def unit_directions(K):
