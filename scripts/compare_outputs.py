@@ -81,7 +81,10 @@ THREAD_PIN = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THRE
 # quantize.BAND_RATIO, and a 2-D product of degree 3 per axis (q = 8).
 # Last, an odd real multiplier, xi1 <xi>^(-2): its value at the origin
 # is +0.0, and a diagonal read through sigma(-0.0) would write -0 into
-# spectrum.csv.
+# spectrum.csv.  Then a factor written in every lexical form that no
+# other config uses: trailing-dot and leading-dot numbers, tabs, the
+# unicode minus as an operator and inside an exponent, and a signed
+# exponent (b = 1, banded).
 BRANCH_CONFIGS = {
     "band_inf_1d": (1, "exp(0.3*cos(2*pi*x1))", 64, True),
     "band_inf_2d": (2, "exp(0.3*cos(2*pi*x1))", 6, True),
@@ -95,6 +98,7 @@ BRANCH_CONFIGS = {
     "band_taps_1d": (1, "1+0.5*cos(2*pi*40*x1)", 100, True),
     "band_taps_2d": (2, "1+0.5*cos(2*pi*3*x1)*cos(2*pi*3*x2)", 8, True),
     "odd_diag_1d": (1, "xi1*<xi>^(-1)", 64, False),
+    "lexer_forms_1d": (1, "1.\t\u2212\t2.5e\u22121*cos(2*pi*x1)+.0e+0", 64, True),
 }
 # (label, command, extra flags) of every run on a config
 RUNS = [(command, command, ()) for command in _COMMANDS] + [
@@ -252,7 +256,7 @@ def main() -> int:
         for name, text in written:
             config = Path(tmp) / "generated" / f"{name}.cfg"
             config.parent.mkdir(exist_ok=True)
-            config.write_text(text)
+            config.write_text(text, encoding="utf-8")  # as load_config reads it
             configs.append(config)
         for config in configs:
             for label, command, flags in RUNS:

@@ -24,7 +24,7 @@ from .errors import ConfigError
 from .record import Record
 from .residue import DEFAULT_TORUS_Q
 
-_TERM_KEY = re.compile(r"^term_(\d+)$")
+_TERM_KEY = re.compile(r"^term_(0|[1-9][0-9]*)$")
 
 
 class SymbolConfig(Record):

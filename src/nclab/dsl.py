@@ -2,20 +2,27 @@
 
 Expressions are real-valued functions of the torus variables x1..xn,
 the frequency variables xi1..xin and, inside angular parts, the unit
-direction variables theta1..thetan.  Grammar:
+direction variables theta1..thetan.  Grammar, lexed by one pattern
+(_TOKEN) tried at each offset, with whitespace between tokens skipped:
 
     expr   := term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
     factor := '-'? atom ('^' factor)?
     atom   := number | 'pi' | variable
             | func '(' expr ')' | '(' expr ')' | '|xi|' | '<xi>'
+    number := (digit+ ('.' digit*)? | '.' digit+) ([eE] [+-]? digit+)?
+    name   := letter+ digit*      (a variable, a func or 'pi')
 
 '^' is right associative and binds tighter than unary minus, so
 ``-x1^2`` means -(x1^2) while ``(-x1)^2`` needs the parentheses.
 Functions: cos, sin, exp, abs.  ``|xi|`` is the euclidean norm of the
 frequency vector and ``<xi>`` the bracket (1+|xi|^2)^(1/2).  There is
-no implicit multiplication.  The unicode minus sign is accepted as a
-synonym for '-'.
+no implicit multiplication.  A digit is any unicode decimal digit, and
+the unicode minus sign reads as '-', in an exponent too.  An unmatched
+character is a ParseError at its offset that expects '|xi|' for '|',
+'<xi>' for '<' and "expression character" otherwise.  A numeral that
+is no decimal digit (``²``, ``½``) lexes as a letter, so no input
+holding one parses.
 
 Evaluation is plain double precision and numpy-broadcasting: variables
 may be bound to arrays (last axis = coordinate axis) and the result
@@ -27,6 +34,7 @@ not by the grammar.
 from __future__ import annotations
 
 import math
+import re
 from typing import Union
 
 import numpy as np
@@ -124,7 +132,15 @@ def walk(e: SymbolExpr):
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-_MINUS = {"-", "−"}  # ASCII hyphen and unicode minus
+_TOKEN = re.compile(
+    r"(?P<NUM>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+−]?\d+)?)"
+    r"|(?P<NAME>[^\W\d_]+\d*)"
+    r"|(?P<NORM>\|xi\|)"
+    r"|(?P<BRACKET><xi>)"
+    r"|(?P<OP>[-−+*/^()])"
+    r"|(?P<SPACE>\s+)"
+)
+_UNMATCHED = {"|": "'|xi|'", "<": "'<xi>'"}
 
 
 class _Token(Record):
@@ -136,67 +152,18 @@ class _Token(Record):
 
 def _tokenize(text: str) -> list[_Token]:
     toks: list[_Token] = []
-    i, L = 0, len(text)
-    while i < L:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _MINUS:
-            toks.append(_Token("OP", "-", i))
-            i += 1
-            continue
-        if c in "+*/^()":
-            toks.append(_Token("OP", c, i))
-            i += 1
-            continue
-        if c == "|":
-            if text[i : i + 4] == "|xi|":
-                toks.append(_Token("NORM", "|xi|", i))
-                i += 4
-                continue
-            raise ParseError(i, "'|xi|'", text)
-        if c == "<":
-            if text[i : i + 4] == "<xi>":
-                toks.append(_Token("BRACKET", "<xi>", i))
-                i += 4
-                continue
-            raise ParseError(i, "'<xi>'", text)
-        if c.isdigit() or (c == "." and i + 1 < L and text[i + 1].isdigit()):
-            j = i
-            while j < L and text[j].isdigit():
-                j += 1
-            if j < L and text[j] == ".":
-                j += 1
-                while j < L and text[j].isdigit():
-                    j += 1
-            # optional exponent, only if it is actually followed by digits
-            if j < L and text[j] in "eE":
-                k = j + 1
-                if k < L and (text[k] in "+-" or text[k] in _MINUS):
-                    k += 1
-                if k < L and text[k].isdigit():
-                    while k < L and text[k].isdigit():
-                        k += 1
-                    j = k
-            try:
-                val = float(text[i:j].replace("−", "-"))
-            except ValueError:
-                raise ParseError(i, "number", text) from None
-            toks.append(_Token("NUM", text[i:j], i, val))
-            i = j
-            continue
-        if c.isalpha():
-            j = i
-            while j < L and text[j].isalpha():
-                j += 1
-            while j < L and text[j].isdigit():
-                j += 1
-            toks.append(_Token("NAME", text[i:j], i))
-            i = j
-            continue
-        raise ParseError(i, "expression character", text)
-    toks.append(_Token("EOF", "", L))
+    i = 0
+    while i < len(text):
+        m = _TOKEN.match(text, i)
+        if m is None:
+            raise ParseError(i, _UNMATCHED.get(text[i], "expression character"), text)
+        kind, tok = m.lastgroup, m.group()
+        if kind == "NUM":
+            toks.append(_Token(kind, tok, i, float(tok.replace("−", "-"))))
+        elif kind != "SPACE":
+            toks.append(_Token(kind, tok.replace("−", "-"), i))
+        i = m.end()
+    toks.append(_Token("EOF", "", len(text)))
     return toks
 
 
@@ -581,10 +548,10 @@ def to_symbol(
             raise UsageError("main expression must not reference theta variables")
 
     def func(first, x):
-        re = eval_expr(main_ast, first, x)
+        real = eval_expr(main_ast, first, x)
         if im_ast is None:
-            return re
-        return re + 1j * eval_expr(im_ast, first, x)
+            return real
+        return real + 1j * eval_expr(im_ast, first, x)
 
     terms, asts = [], [ast for ast in (main_ast, im_ast) if ast is not None]
     for degree, angular_expr in classical_terms:

@@ -102,12 +102,11 @@ def build_spectrum(
         grid = QuadratureGrid.for_box(box, Q)
         A, q = assemble_toroidal(flip(sigma), box, grid), grid.q
     else:
-        # T[m, m] = conj sigma(-m), read by index reversal (lattice) so sigma never
-        # sees -0.0; a writable result of evaluate is its own copy, conjugated in place
+        # T[m, m] = conj sigma(-m); evaluate's writable result is its own copy, conjugated in place
         _check_memory(16 * (n + 1) * box.size, f"a diagonal of {box.size} lattice points")
-        vals = evaluate(sigma.func, box.points().astype(float), np.zeros(n), (box.size,))
+        vals = evaluate(sigma.func, (-box.points()).astype(float), np.zeros(n), (box.size,))
         vals = np.conjugate(vals, out=vals if vals.flags.writeable else None)
-        A, q = OperatorMatrix(vals[::-1, None], box, FOURIER_MODE, 0), 0
+        A, q = OperatorMatrix(vals[:, None], box, FOURIER_MODE, 0), 0
     seq, herm_dev, solver = matrix_sequence(A, symmetrize)
     return SpectrumRun(
         n=n, M=M, Q=q, symmetrized=symmetrize, solver=solver, sequence=seq,

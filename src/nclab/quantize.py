@@ -467,8 +467,9 @@ def read_matrix_binary(path, basis: str = LATTICE_DELTA) -> OperatorMatrix:
         n, M, _ = struct.unpack("<III", header[4:])
         box = TruncationBox(n, M)
         S = box.size
+        extra = os.fstat(fh.fileno()).st_size - 16 - 16 * S * S
+        if extra:
+            raise UsageError(f"{path}: truncated matrix payload" if extra < 0 else f"{path}: {extra} bytes past the matrix payload")
         # read straight into the (writable) array: one copy of the payload
         data = np.fromfile(fh, dtype="<c16")
-    if data.size != S * S:
-        raise UsageError(f"{path}: truncated matrix payload")
     return OperatorMatrix(data.reshape(S, S), box, basis)

@@ -75,10 +75,7 @@ def matrix_sequence(A, symmetrize: bool) -> tuple[np.ndarray, float, str]:
     raises UsageError before any solve."""
     kd = getattr(A, "kd", None)
     if kd == 0:
-        # the sort drops d's order, so read d forward in memory: numpy's |d|
-        # of a reversed view differs in the last bit
         d = A.data[:, 0]
-        d = d[::-1] if d.strides[0] < 0 else d
         if not np.isfinite(float(np.max(np.abs(d)))):
             raise UsageError("matrix has non-finite entries")
         seq = d.real if symmetrize else np.abs(d)

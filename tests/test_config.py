@@ -43,12 +43,15 @@ def test_unknown_key_is_fatal_with_line(tmp_path):
         load_config(write(tmp_path, bad))
     except ConfigError as exc:
         assert exc.line == 8
-    # keys that no run reads are gone: setting one is an unknown key
+    # keys that no run reads are gone, and a term index has one spelling
+    # (int() reads "01" and "١" as 1): setting one is an unknown key
     removed = [
         ("cutoff", MINIMAL.replace("order = -1", "order = -1\ncutoff = 2"), 5),
         ("f0", MINIMAL + "[fit]\nf0 = 0.3\n", 9),
         ("f1", MINIMAL + "[fit]\nf1 = 0.9\n", 9),
         ("discard", MINIMAL + "[fit]\nsymmetrize = true\ndiscard = 0.5\n", 10),
+        ("term_01", MINIMAL.replace("order = -1", "order = -1\nterm_0 = -1 ; 1\nterm_01 = -2 ; 0"), 6),
+        ("term_١", MINIMAL.replace("order = -1", "order = -1\nterm_١ = -1 ; 1"), 5),
     ]
     for key, text, line in removed:
         with pytest.raises(ConfigError, match=f"^line {line}: unknown key '{key}'") as exc:

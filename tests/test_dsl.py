@@ -9,6 +9,8 @@ from nclab.dsl import (
     DimensionError,
     EvalError,
     ParseError,
+    _Token,
+    _tokenize,
     eval_expr,
     parse,
     to_symbol,
@@ -166,6 +168,112 @@ def test_parser_survives_bytes(data):
         parse(text, 1)
     except ParseError:
         pass
+
+
+def _reference_tokenize(text: str) -> list[_Token]:
+    """The hand-written character scanner that _TOKEN replaced."""
+    minus = {"-", "−"}  # ASCII hyphen and unicode minus
+    toks: list[_Token] = []
+    i, L = 0, len(text)
+    while i < L:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c in minus:
+            toks.append(_Token("OP", "-", i))
+            i += 1
+            continue
+        if c in "+*/^()":
+            toks.append(_Token("OP", c, i))
+            i += 1
+            continue
+        if c == "|":
+            if text[i : i + 4] == "|xi|":
+                toks.append(_Token("NORM", "|xi|", i))
+                i += 4
+                continue
+            raise ParseError(i, "'|xi|'", text)
+        if c == "<":
+            if text[i : i + 4] == "<xi>":
+                toks.append(_Token("BRACKET", "<xi>", i))
+                i += 4
+                continue
+            raise ParseError(i, "'<xi>'", text)
+        if c.isdigit() or (c == "." and i + 1 < L and text[i + 1].isdigit()):
+            j = i
+            while j < L and text[j].isdigit():
+                j += 1
+            if j < L and text[j] == ".":
+                j += 1
+                while j < L and text[j].isdigit():
+                    j += 1
+            # optional exponent, only if it is actually followed by digits
+            if j < L and text[j] in "eE":
+                k = j + 1
+                if k < L and (text[k] in "+-" or text[k] in minus):
+                    k += 1
+                if k < L and text[k].isdigit():
+                    while k < L and text[k].isdigit():
+                        k += 1
+                    j = k
+            try:
+                val = float(text[i:j].replace("−", "-"))
+            except ValueError:
+                raise ParseError(i, "number", text) from None
+            toks.append(_Token("NUM", text[i:j], i, val))
+            i = j
+            continue
+        if c.isalpha():
+            j = i
+            while j < L and text[j].isalpha():
+                j += 1
+            while j < L and text[j].isdigit():
+                j += 1
+            toks.append(_Token("NAME", text[i:j], i))
+            i = j
+            continue
+        raise ParseError(i, "expression character", text)
+    toks.append(_Token("EOF", "", L))
+    return toks
+
+
+def _lexed(tokenize, text):
+    """(kind, text, pos, value) of every token, or the ParseError's
+    (offset, expected)."""
+    try:
+        return [(t.kind, t.text, t.pos, t.value) for t in tokenize(text)]
+    except ParseError as err:
+        return (err.offset, err.expected)
+
+
+# grammar characters, ASCII and Arabic-Indic digits, the number letters,
+# the unicode minus, a non-ASCII letter, tab, em space and characters
+# outside the grammar; whole tokens are drawn too, so that inputs parse
+_LEX_CHARS = "+-*/^()|<>xithapcosnb" "0123456789" "٠١٢٣٤٥٦٧٨٩" ".eE−é" "\t\u2003_!#"
+_LEX_PIECES = ["xi1", "x2", "theta1", "pi", "cos(", "exp(", "|xi|", "<xi>", "2.5e−1", ".5", "1.", "3e+2"]
+
+
+@given(st.lists(st.sampled_from(list(_LEX_CHARS) + _LEX_PIECES), max_size=20).map("".join))
+@settings(max_examples=500)
+def test_token_pattern_lexes_as_the_reference_scanner(text):
+    assert _lexed(_tokenize, text) == _lexed(_reference_tokenize, text)
+
+
+@pytest.mark.parametrize(
+    "text, offset, expected",
+    [
+        # numerals that are no decimal digit lex inside a name; the old
+        # scanner read "2²" as a bad number and "½" as a bad character
+        ("2²", 1, "end of input"),
+        ("½", 0, "variable, 'pi' or function name"),
+        ("x²", 0, "variable, 'pi' or function name"),
+    ],
+)
+def test_non_decimal_numerals_are_refused(text, offset, expected):
+    with pytest.raises(ParseError) as err:
+        parse(text, 2)
+    assert (err.value.offset, err.value.expected) == (offset, expected)
 
 
 def test_to_symbol_with_declared_term():

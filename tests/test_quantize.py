@@ -523,6 +523,11 @@ def test_binary_read_refuses_bad_magic_and_short_payload(tmp_path):
     path.write_bytes(raw[:-8])
     with pytest.raises(UsageError, match="truncated matrix payload"):
         read_matrix_binary(path)
+    # a partial entry past the payload, then a whole one
+    for extra in (8, 16):
+        path.write_bytes(raw + bytes(extra))
+        with pytest.raises(UsageError, match=f"{extra} bytes past the matrix payload"):
+            read_matrix_binary(path)
     path.write_bytes(b"NCRX" + raw[4:])
     with pytest.raises(UsageError, match="bad magic"):
         read_matrix_binary(path)
