@@ -84,7 +84,10 @@ THREAD_PIN = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THRE
 # spectrum.csv.  Then a factor written in every lexical form that no
 # other config uses: trailing-dot and leading-dot numbers, tabs, the
 # unicode minus as an operator and inside an exponent, and a signed
-# exponent (b = 1, banded).
+# exponent (b = 1, banded).  Then a factor that uses every binary
+# operator, with a unary minus after '+' and after '*', so that the
+# parser's precedence and associativity decide its value (b = 1,
+# banded, values in [1, 1.5]).
 BRANCH_CONFIGS = {
     "band_inf_1d": (1, "exp(0.3*cos(2*pi*x1))", 64, True),
     "band_inf_2d": (2, "exp(0.3*cos(2*pi*x1))", 6, True),
@@ -99,6 +102,7 @@ BRANCH_CONFIGS = {
     "band_taps_2d": (2, "1+0.5*cos(2*pi*3*x1)*cos(2*pi*3*x2)", 8, True),
     "odd_diag_1d": (1, "xi1*<xi>^(-1)", 64, False),
     "lexer_forms_1d": (1, "1.\t\u2212\t2.5e\u22121*cos(2*pi*x1)+.0e+0", 64, True),
+    "ops_forms_1d": (1, "1-0.5*cos(2*pi*x1)/2^1+-0.5^2*-1", 64, True),
 }
 # (label, command, extra flags) of every run on a config
 RUNS = [(command, command, ()) for command in _COMMANDS] + [

@@ -52,7 +52,7 @@ from .residue import (
     sphere_rule,
 )
 from .spectral import l1inf_norm, write_spectrum_csv
-from .symbols import Symbol, seminorm_estimate
+from .symbols import Symbol, seminorm_estimate, seminorm_window
 
 GRAMMAR_HELP = """\
 expression grammar (in `main`, `main_im` and classical terms):
@@ -236,6 +236,7 @@ def _fmt(value: float | None, spec: str) -> str:  # a report's null prints as n/
 
 def _cmd_symbol_check(cfg: RunConfig, sigma: Symbol, opts: dict, out_dir: Path, say) -> int:
     n, M = cfg.symbol.n, cfg.M
+    seminorm_window(n, M)  # an oversize window is refused before anything n-sized is built
     r_min = 16 if M >= 64 else 0
     combos = [np.zeros(n, dtype=int)]
     for k in (1, 2):

@@ -15,6 +15,8 @@ direction variables theta1..thetan.  Grammar, lexed by one pattern
 
 '^' is right associative and binds tighter than unary minus, so
 ``-x1^2`` means -(x1^2) while ``(-x1)^2`` needs the parentheses.
+Each binary operator is defined in one place, its row in _OPS, which
+the parser, eval_expr and unparse all read.
 Functions: cos, sin, exp, abs.  ``|xi|`` is the euclidean norm of the
 frequency vector and ``<xi>`` the bracket (1+|xi|^2)^(1/2).  There is
 no implicit multiplication.  A digit is any unicode decimal digit, and
@@ -34,8 +36,9 @@ not by the grammar.
 from __future__ import annotations
 
 import math
+import operator
 import re
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -44,6 +47,24 @@ from .record import Record
 
 FUNCTIONS = {"cos": np.cos, "sin": np.sin, "exp": np.exp, "abs": np.abs}
 VAR_KINDS = ("x", "xi", "theta")
+
+
+class _Op(Record):
+    prec: int  # binding strength: a higher one binds tighter
+    apply: Callable
+    reason: str  # what a non-finite result means
+
+
+# '+ - *' apply Python's own operators: np.add and its kin would make
+# a constant subtree of Python floats a numpy.float64
+_OPS = {
+    "+": _Op(1, operator.add, "non-finite result"),
+    "-": _Op(1, operator.sub, "non-finite result"),
+    "*": _Op(2, operator.mul, "non-finite result"),
+    "/": _Op(2, np.divide, "division by zero"),
+    "^": _Op(4, np.power, "invalid power (zero or negative base)"),
+}
+_NEG, _ATOM = 3, 5  # binding strengths of a unary minus and of an atom
 
 
 class ParseError(Exception):
@@ -203,18 +224,12 @@ class _Parser:
             raise ParseError(t.pos, "end of input", self.text)
         return e
 
-    def expr(self) -> SymbolExpr:
-        e = self.term()
-        while self.at_op("+", "-"):
-            op = self.take().text
-            e = BinOp(op, e, self.term())
-        return e
-
-    def term(self) -> SymbolExpr:
+    def expr(self, level: int = 1) -> SymbolExpr:
+        """Factors joined left to right by operators binding at level or
+        tighter, each right operand one level tighter ('^' is factor's)."""
         e = self.factor()
-        while self.at_op("*", "/"):
-            op = self.take().text
-            e = BinOp(op, e, self.factor())
+        while self.at_op(*_OPS) and (row := _OPS[self.peek().text]).prec >= level:
+            e = BinOp(self.take().text, e, self.expr(row.prec + 1))
         return e
 
     def factor(self) -> SymbolExpr:
@@ -324,43 +339,25 @@ def eval_expr(e: SymbolExpr, first, x, theta=None):
     lv = eval_expr(e.left, first, x, theta)
     rv = eval_expr(e.right, first, x, theta)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if e.op == "+":
-            out = lv + rv
-        elif e.op == "-":
-            out = lv - rv
-        elif e.op == "*":
-            out = lv * rv
-        elif e.op == "/":
-            out = np.divide(lv, rv)
-        else:
-            out = np.power(lv, rv)
+        out = _OPS[e.op].apply(lv, rv)
     _check_finite(out, e)
     return out
 
 
 def _check_finite(out, node):
     if not np.all(np.isfinite(out)):
-        if isinstance(node, BinOp) and node.op == "/":
-            reason = "division by zero"
-        elif isinstance(node, BinOp) and node.op == "^":
-            reason = "invalid power (zero or negative base)"
-        else:
-            reason = "non-finite result"
+        reason = _OPS[node.op].reason if isinstance(node, BinOp) else "non-finite result"
         raise EvalError(unparse(node), reason)
 
 
 # ---------------------------------------------------------------------------
 # Pretty-printing (round-trips through parse)
 
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "NEG": 3, "^": 4, "ATOM": 5}
-
-
-def _prec(e: SymbolExpr) -> int:
-    if isinstance(e, BinOp):
-        return _PREC[e.op]
-    if isinstance(e, Neg):
-        return _PREC["NEG"]
-    return _PREC["ATOM"]
+def _operand(e: SymbolExpr, need: int) -> str:
+    """e in a slot that reads what binds at strength need or tighter,
+    parenthesized when it binds looser."""
+    strength = _OPS[e.op].prec if isinstance(e, BinOp) else _NEG if isinstance(e, Neg) else _ATOM
+    return f"({unparse(e)})" if strength < need else unparse(e)
 
 
 def unparse(e: SymbolExpr) -> str:
@@ -377,28 +374,13 @@ def unparse(e: SymbolExpr) -> str:
         return "<xi>"
     if isinstance(e, Call):
         return f"{e.fn}({unparse(e.arg)})"
-    if isinstance(e, Neg):
-        inner = unparse(e.arg)
-        # the grammar's unary minus applies to an atom-with-power only
-        if isinstance(e.arg, (BinOp,)) and e.arg.op != "^":
-            inner = f"({inner})"
-        elif isinstance(e.arg, Neg):
-            inner = f"({inner})"
-        return f"-{inner}"
-    # BinOp
-    left, right = unparse(e.left), unparse(e.right)
-    if e.op == "^":
-        if _prec(e.left) < _PREC["ATOM"]:
-            left = f"({left})"
-        # right side of '^' is a factor: a bare unary or power is fine
-        if isinstance(e.right, BinOp) and e.right.op != "^":
-            right = f"({right})"
-        return f"{left}^{right}"
-    if _prec(e.left) < _PREC[e.op]:
-        left = f"({left})"
-    if _prec(e.right) <= _PREC[e.op]:
-        right = f"({right})"
-    return f"{left}{e.op}{right}"
+    if isinstance(e, Neg):  # the minus takes an atom with its powers
+        return f"-{_operand(e.arg, _NEG + 1)}"
+    # a left operand binds as tight as its operator, an atom under '^',
+    # the one operator tighter than the minus; a right operand binds one
+    # level tighter, up to a factor's strength, the tightest slot
+    p = _OPS[e.op].prec
+    return f"{_operand(e.left, p if p < _NEG else _ATOM)}{e.op}{_operand(e.right, min(p + 1, _NEG))}"
 
 
 def references(e: SymbolExpr, kinds: tuple[str, ...]) -> bool:

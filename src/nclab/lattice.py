@@ -58,6 +58,10 @@ class TruncationBox(Record):
             raise UsageError(f"dimension must be >= 1, got {self.n}")
         if self.M < 0:
             raise UsageError(f"box half-width must be >= 0, got {self.M}")
+        # points and strides are int64; 3^63 > 2^63, so (2M+1)^n is
+        # formed only below n = 63, never a power of millions of digits
+        if self.M and (self.n >= 63 or (2 * self.M + 1) ** self.n >= 2**63):
+            raise UsageError(f"box [-{self.M},{self.M}]^{self.n} has 2^63 or more lattice points, past int64 indexing")
 
     @property
     def size(self) -> int:
@@ -74,8 +78,8 @@ class TruncationBox(Record):
     def strides(self) -> np.ndarray:
         """Place values (2M+1)^(n-1-j) of the enumeration: a step of d
         lattice units along every axis moves the index by d @ strides.
-        Powers are taken in Python ints, so they are exact (int64 when
-        they fit)."""
+        Powers are taken in Python ints, so they are exact, and they fit
+        in int64 since the box has fewer than 2^63 points."""
         w = 2 * self.M + 1
         return np.array([w**j for j in range(self.n - 1, -1, -1)])
 

@@ -104,7 +104,9 @@ def build_spectrum(
     else:
         # T[m, m] = conj sigma(-m); evaluate's writable result is its own copy, conjugated in place
         _check_memory(16 * (n + 1) * box.size, f"a diagonal of {box.size} lattice points")
-        vals = evaluate(sigma.func, (-box.points()).astype(float), np.zeros(n), (box.size,))
+        # a pole is reported once, as matrix_sequence's non-finite-entry error, as on the assembled path
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            vals = evaluate(sigma.func, (-box.points()).astype(float), np.zeros(n), (box.size,))
         vals = np.conjugate(vals, out=vals if vals.flags.writeable else None)
         A, q = OperatorMatrix(vals[:, None], box, FOURIER_MODE, 0), 0
     seq, herm_dev, solver = matrix_sequence(A, symmetrize)

@@ -306,9 +306,8 @@ def seminorm_estimate(sigma: Symbol, alpha, beta, window: tuple[int, int]) -> Se
     if r_max < r_min or r_min < 0:
         raise UsageError(f"empty window [{r_min}, {r_max}]")
 
-    g = partial_x(difference(sigma, alpha), beta, SEMINORM_DERIV_GRID)
-
     pts = _window_points(n, r_min, r_max).astype(float)
+    g = partial_x(difference(sigma, alpha), beta, SEMINORM_DERIV_GRID)
     radii = np.sqrt(np.sum(pts**2, axis=-1))
     xs = torus_grid(n, SEMINORM_X_GRID if g.x_bandwidth != 0 else 1)
     per_sample = SEMINORM_DERIV_GRID ** (n - 1) if beta.any() else 1
@@ -343,8 +342,19 @@ def seminorm_estimate(sigma: Symbol, alpha, beta, window: tuple[int, int]) -> Se
     )
 
 
+def seminorm_window(n: int, r_max: int) -> TruncationBox:
+    """The box [-r_max, r_max]^n that seminorm_estimate enumerates,
+    refused before anything is allocated when its points, as integers
+    and as floats, would not fit in physical memory."""
+    from .quantize import _check_memory  # local import: quantize imports this module
+
+    box = TruncationBox(n, r_max)
+    _check_memory(16 * (n + 1) * box.size, f"a window of {box.size} lattice points")
+    return box
+
+
 def _window_points(n: int, r_min: int, r_max: int) -> np.ndarray:
-    pts = TruncationBox(n, r_max).points()
+    pts = seminorm_window(n, r_max).points()
     norms = np.sqrt(np.sum(pts.astype(float) ** 2, axis=-1))
     mask = (norms >= r_min) & (norms <= r_max)
     if not np.any(mask):

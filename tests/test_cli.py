@@ -452,6 +452,36 @@ def test_oversize_diagonal_run_is_refused_before_enumeration(tmp_path, monkeypat
     )
 
 
+@pytest.mark.parametrize("command", ["spectrum", "dixmier", "quantize", "verify-identity", "symbol-check"])
+def test_box_past_int64_indexing_exits_1(tmp_path, capsys, command):
+    # 3^3000 points: the memory check's message overflowed a float, and
+    # symbol-check failed inside numpy
+    text = MULTIPLIER.replace("n = 1", "n = 3000").replace("-1", "-3000").replace("M = 1500", "M = 1")
+    cfg = write(tmp_path, text)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "r"), "--quiet"]) == 1
+    assert capsys.readouterr().err == "error: box [-1,1]^3000 has 2^63 or more lattice points, past int64 indexing\n"
+
+
+@pytest.mark.parametrize("n, M, size", [(20, 1, 3**20), (2, 100_000, 200_001**2)])
+def test_oversize_seminorm_window_is_refused_before_enumeration(tmp_path, monkeypatch, capsys, n, M, size):
+    import nclab.quantize as quantize
+    from nclab.lattice import TruncationBox
+
+    def refuse(box):
+        raise AssertionError("box enumerated")
+
+    monkeypatch.setattr(quantize, "_physical_memory", lambda: 4 * 2**30)
+    monkeypatch.setattr(TruncationBox, "points", refuse)
+    text = MULTIPLIER.replace("n = 1", f"n = {n}").replace("-1", f"-{n}").replace("M = 1500", f"M = {M}")
+    cfg = write(tmp_path, text)
+    assert main(["symbol-check", "--config", cfg, "--out", str(tmp_path / "r"), "--quiet"]) == 1
+    assert re.fullmatch(
+        rf"error: a window of {size} lattice points needs [\d.]+ GiB, "
+        r"more than the 4\.0 GiB of physical memory\n",
+        capsys.readouterr().err,
+    )
+
+
 def test_identity_check_config_pinned_near_achieved_deviation(tmp_path):
     # achieved: full deviation 1.5e-17
     out = tmp_path / "r"

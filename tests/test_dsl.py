@@ -6,11 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nclab.dsl import (
+    FUNCTIONS,
+    BinOp,
+    Bracket,
+    Call,
     DimensionError,
     EvalError,
+    FreqNorm,
+    Neg,
+    Num,
     ParseError,
+    Pi,
+    Var,
+    _coord,
+    _Parser,
     _Token,
     _tokenize,
+    _vec,
     eval_expr,
     parse,
     to_symbol,
@@ -274,6 +286,174 @@ def test_non_decimal_numerals_are_refused(text, offset, expected):
     with pytest.raises(ParseError) as err:
         parse(text, 2)
     assert (err.value.offset, err.value.expected) == (offset, expected)
+
+
+class _ReferenceParser(_Parser):
+    """The parser with one method per precedence level that the _OPS
+    table replaced; factor and atom are unchanged and call this expr."""
+
+    def expr(self):
+        e = self.term()
+        while self.at_op("+", "-"):
+            op = self.take().text
+            e = BinOp(op, e, self.term())
+        return e
+
+    def term(self):
+        e = self.factor()
+        while self.at_op("*", "/"):
+            op = self.take().text
+            e = BinOp(op, e, self.factor())
+        return e
+
+
+def _reference_eval(e, first, x, theta=None):
+    """eval_expr with one branch per operator, as before the _OPS table."""
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, Pi):
+        return np.pi
+    if isinstance(e, Var):
+        if e.kind == "x":
+            return _coord(x, e.index, "x")
+        if e.kind == "xi":
+            return _coord(first, e.index, "xi")
+        return _coord(theta, e.index, "theta")
+    if isinstance(e, FreqNorm):
+        if first is None:
+            raise EvalError("|xi|", "variable not available in this context")
+        return np.sqrt(np.sum(_vec(first) ** 2, axis=-1))
+    if isinstance(e, Bracket):
+        if first is None:
+            raise EvalError("<xi>", "variable not available in this context")
+        return np.sqrt(1.0 + np.sum(_vec(first) ** 2, axis=-1))
+    if isinstance(e, Neg):
+        return -_reference_eval(e.arg, first, x, theta)
+    if isinstance(e, Call):
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = FUNCTIONS[e.fn](_reference_eval(e.arg, first, x, theta))
+        _reference_check_finite(out, e)
+        return out
+    lv = _reference_eval(e.left, first, x, theta)
+    rv = _reference_eval(e.right, first, x, theta)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if e.op == "+":
+            out = lv + rv
+        elif e.op == "-":
+            out = lv - rv
+        elif e.op == "*":
+            out = lv * rv
+        elif e.op == "/":
+            out = np.divide(lv, rv)
+        else:
+            out = np.power(lv, rv)
+    _reference_check_finite(out, e)
+    return out
+
+
+def _reference_check_finite(out, node):
+    if not np.all(np.isfinite(out)):
+        if isinstance(node, BinOp) and node.op == "/":
+            reason = "division by zero"
+        elif isinstance(node, BinOp) and node.op == "^":
+            reason = "invalid power (zero or negative base)"
+        else:
+            reason = "non-finite result"
+        raise EvalError(_reference_unparse(node), reason)
+
+
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "NEG": 3, "^": 4, "ATOM": 5}
+
+
+def _prec(e):
+    if isinstance(e, BinOp):
+        return _PREC[e.op]
+    if isinstance(e, Neg):
+        return _PREC["NEG"]
+    return _PREC["ATOM"]
+
+
+def _reference_unparse(e):
+    """unparse with a parenthesis rule per operator, as before the _OPS table."""
+    if isinstance(e, Num):
+        return repr(e.value)
+    if isinstance(e, Pi):
+        return "pi"
+    if isinstance(e, Var):
+        return f"{e.kind}{e.index}"
+    if isinstance(e, FreqNorm):
+        return "|xi|"
+    if isinstance(e, Bracket):
+        return "<xi>"
+    if isinstance(e, Call):
+        return f"{e.fn}({_reference_unparse(e.arg)})"
+    if isinstance(e, Neg):
+        inner = _reference_unparse(e.arg)
+        if isinstance(e.arg, (BinOp,)) and e.arg.op != "^":
+            inner = f"({inner})"
+        elif isinstance(e.arg, Neg):
+            inner = f"({inner})"
+        return f"-{inner}"
+    left, right = _reference_unparse(e.left), _reference_unparse(e.right)
+    if e.op == "^":
+        if _prec(e.left) < _PREC["ATOM"]:
+            left = f"({left})"
+        if isinstance(e.right, BinOp) and e.right.op != "^":
+            right = f"({right})"
+        return f"{left}^{right}"
+    if _prec(e.left) < _PREC[e.op]:
+        left = f"({left})"
+    if _prec(e.right) <= _PREC[e.op]:
+        right = f"({right})"
+    return f"{left}{e.op}{right}"
+
+
+def _outcomes(parser, evaluate, printer, text):
+    """The AST, its printed text and its values (by type, dtype, shape
+    and bytes, or the EvalError's message) with variables bound to
+    arrays, bound to single points and unbound; or the ParseError's
+    (type, offset, expected)."""
+    try:
+        ast = parser(text, 2).parse()
+    except ParseError as err:
+        return (type(err), err.offset, err.expected)
+    values = []
+    for args in [(_FIRST, _X, _THETA), (_FIRST[1], _X[1], _THETA[1]), (None, None, None)]:
+        try:
+            out = evaluate(ast, *args)
+            values.append((type(out), np.asarray(out).dtype, np.shape(out), np.asarray(out).tobytes()))
+        except EvalError as err:
+            values.append(str(err))
+    return ast, printer(ast), values
+
+
+# row 0 puts |xi| at its pole, and 1e200 overflows when squared
+_FIRST = np.array([[0.0, 0.0], [1.5, -2.0], [3.0, 0.25]])
+_X = np.array([[0.0, 0.0], [0.25, 0.75], [0.5, 0.1]])
+_THETA = np.array([[1.0, 0.0], [0.6, 0.8], [0.0, -1.0]])
+_ATOMS = ["0", "1", "2", "0.5", "3", "1e200", "x1", "x2", "xi1", "xi2", "theta1", "pi", "|xi|", "<xi>"]
+# a binary operator, with a unary minus after it or not; operands are
+# joined without parentheses, so precedence and associativity decide
+_JOINS = ["+", "-", "*", "/", "^", "+-", "−", "*-", "/-", "^-", "--"]
+_WRAPS = [("-", ""), ("(", ")"), ("-(", ")"), ("cos(", ")"), ("exp(", ")"), ("abs(", ")")]
+_expressions = st.recursive(
+    st.sampled_from(_ATOMS),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(_JOINS), inner).map("".join),
+        st.tuples(st.sampled_from(_WRAPS), inner).map(lambda t: t[0][0] + t[1] + t[0][1]),
+    ),
+    max_leaves=10,
+)
+# malformed inputs as well: tokens in any order
+_token_soup = st.lists(st.sampled_from(_ATOMS + _JOINS + ["(", ")", "cos(", " "]), max_size=12).map("".join)
+
+
+@given(st.one_of(_expressions, _token_soup))
+@settings(max_examples=500)
+def test_operator_table_parses_prints_and_evaluates_as_the_reference(text):
+    assert _outcomes(_Parser, eval_expr, unparse, text) == _outcomes(
+        _ReferenceParser, _reference_eval, _reference_unparse, text
+    )
 
 
 def test_to_symbol_with_declared_term():

@@ -54,6 +54,20 @@ def test_invalid_box():
         TruncationBox(1, -1)
 
 
+@pytest.mark.parametrize("n, M", [(40, 1), (1, 2**62), (2, 2**31), (3000, 1), (2**31, 1)])
+def test_box_past_int64_indexing_is_refused(n, M):
+    # (2M+1)^n >= 2^63 points: 3^40, 2^63 + 1, (2^32 + 1)^2, 3^3000, 3^(2^31)
+    with pytest.raises(UsageError, match=rf"box \[-{M},{M}\]\^{n} has 2\^63 or more lattice points"):
+        TruncationBox(n, M)
+
+
+def test_largest_boxes_below_int64_indexing_are_built():
+    # M = 0 gives one point at any n
+    assert TruncationBox(39, 1).size == 3**39
+    assert TruncationBox(1, 2**62 - 1).size == 2**63 - 1
+    assert TruncationBox(2**31, 0).size == 1
+
+
 @given(st.integers(1, 3), st.integers(0, 4))
 @settings(max_examples=40)
 def test_index_inverts_points_and_negation_reverses(n, M):

@@ -397,9 +397,10 @@ def test_pole_on_the_assembled_path_is_a_usage_error():
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("x_bandwidth", [math.inf, 1])  # full Q-point rule, band of reach 1
+# full Q-point rule, band of reach 1, and the diagonal path
+@pytest.mark.parametrize("x_bandwidth", [math.inf, 1, 0])
 def test_pole_on_the_assembled_path_reports_only_the_usage_error(x_bandwidth):
-    # no errstate in the symbol: the kernel's samples must not warn
+    # no errstate in the symbol: the samples must not warn on any path
     def func(first, x):
         k = np.asarray(first, dtype=float)[..., 0]
         return (1 + 0.5 * np.cos(2 * np.pi * np.asarray(x, dtype=float)[..., 0])) / (np.abs(k) - 3.0)

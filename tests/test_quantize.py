@@ -1,3 +1,5 @@
+import struct
+import time
 import tracemalloc
 
 import numpy as np
@@ -8,6 +10,7 @@ from nclab.dsl import to_symbol
 from nclab.errors import UsageError
 from nclab.lattice import TruncationBox
 from nclab.quantize import (
+    BINARY_MAGIC,
     FOURIER_MODE,
     LATTICE_DELTA,
     OperatorMatrix,
@@ -34,21 +37,30 @@ def cosine_bracket(n=1):
     )
 
 
-def direct_discrete_entry(sigma, nprime, k, Q):
-    """Independent oracle: rectangle-rule sum, no FFT."""
+def symbol_samples(func, point, Q):
+    """func(point, x) at the Q nodes x = j/Q, one scalar call per node."""
+    return [complex(np.asarray(func(np.array([float(point)]), np.array([x]))).reshape(())) for x in np.arange(Q) / Q]
+
+
+def direct_discrete_entry(sigma, nprime, k, Q, samples=None):
+    """Independent oracle: rectangle-rule sum, no FFT.  samples are
+    symbol_samples(sigma.func, nprime, Q), taken here when not given."""
     xs = np.arange(Q) / Q
+    if samples is None:
+        samples = symbol_samples(sigma.func, nprime, Q)
     total = 0.0 + 0.0j
-    for x in xs:
-        v = complex(np.asarray(sigma.func(np.array([float(nprime)]), np.array([x]))).reshape(()))
+    for x, v in zip(xs, samples):
         total += v * np.exp(2j * np.pi * (nprime - k) * x)
     return total / Q
 
 
-def direct_toroidal_entry(tau, eta, m, Q):
+def direct_toroidal_entry(tau, eta, m, Q, samples=None):
+    """As direct_discrete_entry, with samples symbol_samples(tau.func, m, Q)."""
     xs = np.arange(Q) / Q
+    if samples is None:
+        samples = symbol_samples(tau.func, m, Q)
     total = 0.0 + 0.0j
-    for x in xs:
-        v = complex(np.asarray(tau.func(np.array([float(m)]), np.array([x]))).reshape(()))
+    for x, v in zip(xs, samples):
         total += v * np.exp(-2j * np.pi * (eta - m) * x)
     return total / Q
 
@@ -418,10 +430,13 @@ def test_identity_against_direct_summation_m8():
     tau = flip(sigma)
     D = np.zeros((17, 17), dtype=complex)
     T = np.zeros((17, 17), dtype=complex)
+    # D's samples depend on the row point alone, T's on the column point
+    sigma_samples = {p: symbol_samples(sigma.func, p, Q) for p in pts}
+    tau_samples = {p: symbol_samples(tau.func, p, Q) for p in pts}
     for i, a in enumerate(pts):
         for j, b in enumerate(pts):
-            D[i, j] = direct_discrete_entry(sigma, a, b, Q)
-            T[i, j] = direct_toroidal_entry(tau, a, b, Q)
+            D[i, j] = direct_discrete_entry(sigma, a, b, Q, sigma_samples[a])
+            T[i, j] = direct_toroidal_entry(tau, a, b, Q, tau_samples[b])
     B = T.conj().T[::-1, ::-1]
     assert np.max(np.abs(D - B)) < 1e-13
     rep = verify_identity(sigma, box, QuadratureGrid(1, Q))
@@ -531,6 +546,17 @@ def test_binary_read_refuses_bad_magic_and_short_payload(tmp_path):
     path.write_bytes(b"NCRX" + raw[4:])
     with pytest.raises(UsageError, match="bad magic"):
         read_matrix_binary(path)
+
+
+def test_binary_read_refuses_an_unindexable_box_at_once(tmp_path):
+    # a 48-byte file whose header says n = 2^31, M = 1: forming 3^(2^31)
+    # before comparing the file size would take hours
+    path = tmp_path / "m.bin"
+    path.write_bytes(BINARY_MAGIC + struct.pack("<III", 2**31, 1, 0) + bytes(32))
+    t0 = time.perf_counter()
+    with pytest.raises(UsageError, match=r"2\^63 or more lattice points"):
+        read_matrix_binary(path)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_csv_export(tmp_path):

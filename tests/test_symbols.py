@@ -265,6 +265,21 @@ def test_seminorm_2d_x_derivative_pinned():
     assert abs(rep.fitted_exponent - (-2.1327950138575593)) < 1e-9
 
 
+def test_seminorm_refuses_an_oversize_window_before_enumeration(monkeypatch):
+    # 3^20 points: numpy failed on one 26 GiB coordinate array of them
+    from nclab import quantize
+    from nclab.lattice import TruncationBox
+
+    def refuse(box):
+        raise AssertionError("box enumerated")
+
+    monkeypatch.setattr(quantize, "_physical_memory", lambda: 4 * 2**30)
+    monkeypatch.setattr(TruncationBox, "points", refuse)
+    s = to_symbol("(1+|xi|^2)^(-10)", n=20, order=-20)
+    with pytest.raises(UsageError, match=r"a window of 3486784401 lattice points needs [\d.]+ GiB, more than the 4\.0 GiB"):
+        seminorm_estimate(s, [0] * 20, [0] * 20, (0, 1))
+
+
 def _reference_seminorm(sigma, alpha, beta, window):
     """The estimate with one x-grid point at a time (beta = 0) or one
     lattice point at a time (beta > 0), per-shell maxima by mask."""
