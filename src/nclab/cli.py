@@ -39,8 +39,10 @@ from .errors import ConfigError, NonConvergenceError, UsageError
 from .lattice import TruncationBox
 from .pipeline import build_spectrum, connes_report_json, run_connes_check
 from .quantize import (
+    OperatorMatrix,
     QuadratureGrid,
     assemble_discrete,
+    check_dense,
     verify_identity,
     write_matrix_binary,
     write_matrix_csv,
@@ -64,7 +66,8 @@ expression grammar (in `main`, `main_im` and classical terms):
             | cos(e) | sin(e) | exp(e) | abs(e) | '(' e ')' | '|xi|' | '<xi>'
 
     -x1^2 means -(x1^2); no implicit multiplication; expressions are
-    real valued (complex symbols: give `main` and `main_im`).
+    real valued (complex symbols: give `main` and `main_im`); at most
+    100 levels of nesting (groups, calls, minus signs and operators).
 
 config format (strict: unknown keys are fatal):
 
@@ -278,7 +281,9 @@ def _cmd_symbol_check(cfg: RunConfig, sigma: Symbol, opts: dict, out_dir: Path, 
 
 def _cmd_quantize(cfg: RunConfig, sigma: Symbol, opts: dict, out_dir: Path, say) -> int:
     box = TruncationBox(cfg.symbol.n, cfg.M)
+    check_dense(box)  # the export is dense whatever storage assembly picks
     A = assemble_discrete(sigma, box, QuadratureGrid.for_box(box, cfg.Q))
+    A = OperatorMatrix(A.entries, box, A.basis)  # one dense copy for both writers
     if cfg.matrix_format in ("csv", "both"):
         write_matrix_csv(out_dir / "matrix.csv", A)
         say(f"wrote {out_dir / 'matrix.csv'}")

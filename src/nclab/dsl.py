@@ -16,7 +16,9 @@ direction variables theta1..thetan.  Grammar, lexed by one pattern
 '^' is right associative and binds tighter than unary minus, so
 ``-x1^2`` means -(x1^2) while ``(-x1)^2`` needs the parentheses.
 Each binary operator is defined in one place, its row in _OPS, which
-the parser, eval_expr and unparse all read.
+the parser, eval_expr and unparse all read.  An expression nests at
+most MAX_NESTING levels; deeper input is a ParseError at the token
+that opens the first level past it.
 Functions: cos, sin, exp, abs.  ``|xi|`` is the euclidean norm of the
 frequency vector and ``<xi>`` the bracket (1+|xi|^2)^(1/2).  There is
 no implicit multiplication.  A digit is any unicode decimal digit, and
@@ -65,6 +67,14 @@ _OPS = {
     "^": _Op(4, np.power, "invalid power (zero or negative base)"),
 }
 _NEG, _ATOM = 3, 5  # binding strengths of a unary minus and of an atom
+
+# Levels an expression may nest: a parenthesized group, a call, a unary
+# minus and an operator each stand one level above what they enclose.
+# parse, eval_expr, unparse and the x-degree walks each recurse a few
+# Python frames a level, parse the most (four a call), so this bound
+# keeps them all well inside the interpreter's default recursion limit
+# of 1000 frames.
+MAX_NESTING = 100
 
 
 class ParseError(Exception):
@@ -193,11 +203,19 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
+    """Recursive descent.  Each parse method returns its node and leaves
+    the node's height in self.height: its levels of nesting, 0 for an
+    atom and one more for each group, call, minus or operator above it.
+    self.open counts the levels open around the cursor, and no node may
+    reach past MAX_NESTING levels in all."""
+
     def __init__(self, text: str, n: int):
         self.text = text
         self.n = n
         self.toks = _tokenize(text)
         self.i = 0
+        self.open = 0
+        self.height = 0
 
     def peek(self) -> _Token:
         return self.toks[self.i]
@@ -217,6 +235,17 @@ class _Parser:
         t = self.peek()
         return t.kind == "OP" and t.text in ops
 
+    def fits(self, t: _Token, height: int) -> None:
+        """A construct of height levels opened at t fits under the open
+        levels, or a ParseError at t."""
+        if self.open + height > MAX_NESTING:
+            raise ParseError(t.pos, f"at most {MAX_NESTING} levels of nesting", self.text)
+
+    def enter(self, t: _Token) -> None:
+        """Open one level at t, before parsing what it encloses."""
+        self.fits(t, 1)
+        self.open += 1
+
     def parse(self) -> SymbolExpr:
         e = self.expr()
         t = self.peek()
@@ -229,51 +258,65 @@ class _Parser:
         tighter, each right operand one level tighter ('^' is factor's)."""
         e = self.factor()
         while self.at_op(*_OPS) and (row := _OPS[self.peek().text]).prec >= level:
-            e = BinOp(self.take().text, e, self.expr(row.prec + 1))
+            e = self.binop(e, lambda: self.expr(row.prec + 1))
         return e
+
+    def binop(self, left: SymbolExpr, operand) -> BinOp:
+        """The operator at the cursor applied to left, the node just
+        parsed, and to the right operand that operand() parses."""
+        left_height = self.height
+        op = self.take()
+        self.enter(op)
+        right = operand()
+        self.open -= 1
+        self.height = 1 + max(left_height, self.height)
+        self.fits(op, self.height)  # a long chain deepens its left operand
+        return BinOp(op.text, left, right)
 
     def factor(self) -> SymbolExpr:
         # '-'? atom ('^' factor)?   with '^' binding tighter than the minus
-        neg = False
-        if self.at_op("-"):
-            self.take()
-            neg = True
+        neg = self.take() if self.at_op("-") else None
+        if neg:
+            self.enter(neg)
         e = self.atom()
         if self.at_op("^"):
-            self.take()
-            e = BinOp("^", e, self.factor())
-        return Neg(e) if neg else e
+            e = self.binop(e, self.factor)
+        if neg:
+            self.open -= 1
+            self.height += 1
+            return Neg(e)
+        return e
 
     def atom(self) -> SymbolExpr:
-        t = self.peek()
+        t = self.take()
+        self.height = 0
         if t.kind == "NUM":
-            self.take()
             return Num(t.value)
         if t.kind == "NORM":
-            self.take()
             return FreqNorm()
         if t.kind == "BRACKET":
-            self.take()
             return Bracket()
         if t.kind == "OP" and t.text == "(":
-            self.take()
-            e = self.expr()
-            self.expect_op(")")
-            return e
+            return self.group(t)
+        if t.kind == "NAME" and t.text in FUNCTIONS:
+            return Call(t.text, self.group(self.expect_op("(")))
         if t.kind == "NAME":
-            self.take()
             return self.name_atom(t)
         raise ParseError(t.pos, "expression", self.text)
+
+    def group(self, t: _Token) -> SymbolExpr:
+        """The expression up to the ')' that closes the level opened at t."""
+        self.enter(t)
+        e = self.expr()
+        self.expect_op(")")
+        self.open -= 1
+        self.height += 1
+        return e
 
     def name_atom(self, t: _Token) -> SymbolExpr:
         name = t.text
         if name == "pi":
             return Pi()
-        if name in FUNCTIONS:
-            self.expect_op("(")
-            arg = self.expr()
-            self.expect_op(")")
-            return Call(name, arg)
         for kind in ("theta", "xi", "x"):  # longest prefix first
             if name.startswith(kind) and name[len(kind) :].isdecimal():  # int() reads these
                 idx = int(name[len(kind) :])

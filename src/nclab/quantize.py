@@ -34,14 +34,14 @@ meaning and its reported value; the two differ by round-off only.
 With r < 2M every nonzero entry lies within index distance
 kd = r * sum(TruncationBox.strides) of the diagonal: a tap d of the
 stencil moves an index by d @ strides.  When that band is narrow
-(BAND_RATIO * kd < S, so never for r = 2M) assemble_toroidal writes
-the kernel's in-band entries straight into band storage of half-width
-kd (OperatorMatrix.kd) and never allocates the S x S matrix; .entries
-materialises it for the consumers that need it dense.  A wider band
-is assembled dense: its banded solve would be slower than the dense
-one.
-assemble_discrete, whose only consumers (quantize and verify_identity)
-export or compare the dense matrix, always assembles it dense.
+(BAND_RATIO * kd < S, so never for r = 2M) both assemblers write the
+kernel's in-band entries straight into band storage of half-width kd
+(OperatorMatrix.kd) and never allocate the S x S matrix; .entries
+materialises it for the consumers that need it dense, such as the
+matrix export.  A wider band is assembled dense: its banded solve
+would be slower than the dense one.  flip keeps the x-bandwidth, so a
+symbol and its flip share one storage, and verify_identity compares
+the two quantizations in it.
 
 Both quantizations assemble block-wise: a block of B consecutive box
 points evaluates the symbol once, on first arguments of shape
@@ -146,7 +146,8 @@ class OperatorMatrix(Record):
     subdiagonal by column index, column kd - m the m-th superdiagonal
     by row index.  Entries with |i - j| > kd and the slots past the
     matrix's edge are zero.  Only this class reads that layout:
-    consumers take .entries or lower_bands()."""
+    consumers take .entries, lower_bands(), slots() or
+    reversed_transpose()."""
 
     data: np.ndarray
     box: TruncationBox
@@ -161,20 +162,49 @@ class OperatorMatrix(Record):
         if self.basis not in (LATTICE_DELTA, FOURIER_MODE):
             raise UsageError(f"unknown basis tag {self.basis!r}")
 
+    def slots(self) -> tuple[np.ndarray, np.ndarray]:
+        """(row, col), each of data's shape: data[s] holds entry
+        [row[s], col[s]], or a zero when the slot lies past the
+        matrix's edge (row or col >= S).  Broadcast views, which take
+        no memory, for dense storage."""
+        S, shape = self.box.size, self.data.shape
+        if self.kd is None:
+            index = np.arange(S)
+            return np.broadcast_to(index[:, None], shape), np.broadcast_to(index, shape)
+        first = np.arange(S)[:, None]
+        offset = np.arange(-self.kd, self.kd + 1)
+        return first + np.maximum(offset, 0), first - np.minimum(offset, 0)
+
     @property
     def entries(self) -> np.ndarray:
         """The dense matrix: data itself, or a new array built from the
-        band on each access (refused when larger than physical memory)."""
+        band on each access (refused when larger than physical memory),
+        one diagonal at a time through a strided view, so no index
+        array of the band's size adds to the peak."""
         if self.kd is None:
             return self.data
+        check_dense(self.box)
         S, kd = self.box.size, self.kd
-        _check_memory(16 * S * S, f"a dense {S} x {S} complex matrix")
-        first = np.arange(S)[:, None]
-        offset = np.arange(-kd, kd + 1)
-        rows, cols = first + np.maximum(offset, 0), first - np.minimum(offset, 0)
-        inside = (rows < S) & (cols < S)
         out = np.zeros((S, S), dtype=complex)
-        out[rows[inside], cols[inside]] = self.data[inside]
+        flat = out.reshape(-1)
+        for offset in range(-kd, kd + 1):  # entries [i, j] with i - j = offset
+            length = S - abs(offset)
+            start = offset * S if offset >= 0 else -offset
+            flat[start : start + length * (S + 1) : S + 1] = self.data[:length, kd + offset]
+        return out
+
+    def reversed_transpose(self) -> np.ndarray:
+        """J A^T J, J the reversal of the box enumeration, in this
+        matrix's storage: entry [i, j] is A[S-1-j, S-1-i], at the same
+        offset i - j.  A view of data for dense storage; for a band,
+        column kd + o holds the first S - |o| rows of data's column
+        kd + o reversed, then zeros."""
+        if self.kd is None:
+            return self.data[::-1, ::-1].T
+        out = np.zeros_like(self.data)
+        for col in range(2 * self.kd + 1):
+            length = self.box.size - abs(col - self.kd)
+            out[:length, col] = self.data[length - 1 :: -1, col]
         return out
 
     def lower_bands(self) -> tuple[np.ndarray, np.ndarray]:
@@ -207,12 +237,18 @@ def _check_memory(need: int, what: str) -> None:
         )
 
 
+def check_dense(box: TruncationBox) -> None:
+    """Refuse a dense S x S complex matrix larger than physical memory."""
+    S = box.size
+    _check_memory(16 * S * S, f"a dense {S} x {S} complex matrix")
+
+
 def _check_sizes(
-    box: TruncationBox, grid: QuadratureGrid | None, kd: int | None = None
+    box: TruncationBox, grid: QuadratureGrid | None, kd: int | None
 ) -> QuadratureGrid:
     """Default-fill and validate the grid, and refuse storage larger
     than physical memory before anything is allocated: the dense
-    matrix, or its band of half-width kd when kd is given."""
+    matrix when kd is None, else its band of half-width kd."""
     if grid is None:
         grid = QuadratureGrid.for_box(box)
     if grid.n != box.n:
@@ -222,10 +258,10 @@ def _check_sizes(
             f"grid size {grid.q} undersized: offsets up to {2 * box.M} per axis "
             f"need at least {4 * box.M + 2} points to stay distinct"
         )
-    S = box.size
     if kd is None:
-        _check_memory(16 * S * S, f"a dense {S} x {S} complex matrix")
+        check_dense(box)
     else:
+        S = box.size
         _check_memory(16 * S * (2 * kd + 1), f"a band of {S} x {2 * kd + 1} complex entries")
     return grid
 
@@ -301,19 +337,40 @@ def _coefficient_blocks(sym: Symbol, box: TruncationBox, grid: QuadratureGrid, r
         yield np.broadcast_to(rows, inside.shape)[inside], (rows + shift)[inside], values
 
 
+def _assemble(
+    sym: Symbol, box: TruncationBox, grid: QuadratureGrid | None, side: str, basis: str
+) -> OperatorMatrix:
+    """Both quantizations: _coefficient_blocks' values at [i, j] of the
+    discrete matrix, at [j, i] of the toroidal one.  Held as the band of
+    half-width kd (OperatorMatrix.kd) when BAND_RATIO * kd < S, dense
+    otherwise."""
+    if sym.side != side:
+        raise UsageError(f"assemble_{side} expects a {side}-side symbol")
+    reach = _reach(sym, box)
+    kd = reach * int(sum(box.strides))
+    if BAND_RATIO * kd >= box.size:  # reach 2M always lands here: kd = S - 1
+        kd = None
+    grid = _check_sizes(box, grid, kd)
+    S = box.size
+    out = np.zeros((S, S) if kd is None else (S, 2 * kd + 1), dtype=complex)
+    for rows, cols, values in _coefficient_blocks(sym, box, grid, reach):
+        if basis == FOURIER_MODE:
+            rows, cols = cols, rows
+        if kd is None:
+            out[rows, cols] = values
+        else:
+            out[np.minimum(rows, cols), kd + rows - cols] = values
+    return OperatorMatrix(out, box, basis, kd)
+
+
 def assemble_discrete(
     sigma: Symbol, box: TruncationBox, grid: QuadratureGrid | None = None
 ) -> OperatorMatrix:
     """Matrix of the discrete quantization of sigma(n', xi) in the
     standard l2 basis: row n' is the DFT of xi -> sigma(n', xi), read
-    at offsets k - n'."""
-    if sigma.side != DISCRETE:
-        raise UsageError("assemble_discrete expects a discrete-side symbol")
-    grid = _check_sizes(box, grid)
-    out = np.zeros((box.size, box.size), dtype=complex)
-    for rows, cols, values in _coefficient_blocks(sigma, box, grid, _reach(sigma, box)):
-        out[rows, cols] = values
-    return OperatorMatrix(out, box, LATTICE_DELTA)
+    at offsets k - n'.  Held as its band (OperatorMatrix.kd) when
+    BAND_RATIO * kd < S, dense otherwise."""
+    return _assemble(sigma, box, grid, DISCRETE, LATTICE_DELTA)
 
 
 def assemble_toroidal(
@@ -323,21 +380,7 @@ def assemble_toroidal(
     basis: column m holds the x-Fourier coefficients of tau(., m) at
     offsets eta - m.  Held as its band (OperatorMatrix.kd) when
     BAND_RATIO * kd < S, dense otherwise."""
-    if tau.side != TOROIDAL:
-        raise UsageError("assemble_toroidal expects a toroidal-side symbol")
-    reach = _reach(tau, box)
-    kd = reach * int(sum(box.strides))
-    if BAND_RATIO * kd >= box.size:  # reach 2M always lands here: kd = S - 1
-        grid = _check_sizes(box, grid)
-        out = np.zeros((box.size, box.size), dtype=complex)
-        for rows, cols, values in _coefficient_blocks(tau, box, grid, reach):
-            out[cols, rows] = values
-        return OperatorMatrix(out, box, FOURIER_MODE)
-    grid = _check_sizes(box, grid, kd)
-    band = np.zeros((box.size, 2 * kd + 1), dtype=complex)
-    for rows, cols, values in _coefficient_blocks(tau, box, grid, reach):
-        band[np.minimum(cols, rows), kd + cols - rows] = values
-    return OperatorMatrix(band, box, FOURIER_MODE, kd)
+    return _assemble(tau, box, grid, TOROIDAL, FOURIER_MODE)
 
 
 def adjoint(A: OperatorMatrix) -> OperatorMatrix:
@@ -360,8 +403,10 @@ def conjugate_by_fourier(A: OperatorMatrix) -> OperatorMatrix:
 
 class IdentityReport(Record):
     """Entrywise deviation between the directly assembled discrete
-    matrix and the Fourier-conjugated adjoint of the toroidal one.
-    interior_deviation is None when no index lies in the interior."""
+    matrix and the Fourier-conjugated adjoint of the toroidal one, both
+    read in their common storage (band or dense): entries past a band
+    are zero on both sides.  interior_deviation is None when no index
+    lies in the interior."""
 
     full_deviation: float
     interior_deviation: float | None
@@ -376,44 +421,39 @@ def verify_identity(
     assemble sigma directly, and via flip -> toroidal -> adjoint ->
     Fourier conjugation; report max |difference| over the full matrix
     and over the interior block (indices with |index| <= M - b, where
-    b is the observed band width of the discrete matrix).
+    b is the largest Chebyshev offset |row - col| of an entry of the
+    discrete matrix above BAND_REL_TOL times its largest |entry|: the
+    x-Fourier bandwidth for band-limited symbols).
 
-    At most two dense S x S complex arrays are alive at once: D and
-    the toroidal matrix's entries, conjugated in place; D - B is then
-    formed in D's own array, reading B[n', k] = conj(T[-k, -n']) as the
-    reversed transpose."""
-    grid = _check_sizes(box, grid)
-    S = box.size
-    _check_memory(2 * 16 * S * S, f"holding two dense {S} x {S} complex matrices")
+    D and the toroidal matrix T share one storage (flip keeps the
+    x-bandwidth), each refused by its assembler when it outgrows
+    physical memory.  B[n', k] = conj(T[-k, -n']) is read off T's
+    storage by reversed_transpose, and D - B is formed in D's array:
+    dense storage holds two S x S complex arrays at most."""
+    if grid is None:
+        grid = QuadratureGrid.for_box(box)
     D = assemble_discrete(sigma, box, grid)
-    b = _band_width(D)
-    B = assemble_toroidal(flip(sigma), box, grid).entries
-    np.conjugate(B, out=B)
-    diff = D.entries
+    rows, cols = D.slots()
+    pts = box.points()
+    mags = np.abs(D.data)
+    significant = np.nonzero(mags > BAND_REL_TOL * mags.max())
+    del mags
+    b = int(np.max(np.abs(pts[rows[significant]] - pts[cols[significant]]), initial=0))
+
+    T = assemble_toroidal(flip(sigma), box, grid)
+    np.conjugate(T.data, out=T.data)
+    diff = D.data
     del D
-    np.subtract(diff, B[::-1, ::-1].T, out=diff)
-    del B
+    np.subtract(diff, T.reversed_transpose(), out=diff)
+    del T
     dev = np.abs(diff)
     del diff
     full = float(dev.max())
 
-    pts = box.points()
     interior = np.max(np.abs(pts), axis=1) <= box.M - b
-    inner = float(dev[np.ix_(interior, interior)].max()) if interior.any() else None
-    return IdentityReport(full, inner, b, grid.q)
-
-
-def _band_width(A: OperatorMatrix) -> int:
-    """Largest Chebyshev offset |row - col| carrying a significant
-    entry; equals the x-Fourier bandwidth for band-limited symbols."""
-    pts = A.box.points()
-    mags = np.abs(A.entries)
-    thr = BAND_REL_TOL * mags.max()
-    rows, cols = np.nonzero(mags > thr)
-    if len(rows) == 0:
-        return 0
-    cheb = np.max(np.abs(pts[rows] - pts[cols]), axis=1)
-    return int(cheb.max())
+    # a slot past the edge, clipped to the last point, holds a zero deviation
+    inner = dev[interior.take(rows, mode="clip") & interior.take(cols, mode="clip")]
+    return IdentityReport(full, float(inner.max()) if inner.size else None, b, grid.q)
 
 
 # ---------------------------------------------------------------------------

@@ -293,9 +293,11 @@ def seminorm_estimate(sigma: Symbol, alpha, beta, window: tuple[int, int]) -> Se
     first of shape (B, 1, n) against the X-point torus grid as x of
     shape (1, X, n), with B * X within quantize.BLOCK_POINTS; for
     beta > 0, B * X * SEMINORM_DERIV_GRID^(n-1), the size of
-    partial_x's largest intermediate, stays within it.
+    partial_x's largest intermediate, stays within it.  A grid whose
+    coordinates and one point's samples would outgrow physical memory
+    is refused before it is built.
     """
-    from .quantize import BLOCK_POINTS  # local import: quantize imports this module
+    from .quantize import BLOCK_POINTS, _check_memory  # local import: quantize imports this module
 
     alpha = multi_index(alpha)
     beta = multi_index(beta)
@@ -309,8 +311,12 @@ def seminorm_estimate(sigma: Symbol, alpha, beta, window: tuple[int, int]) -> Se
     pts = _window_points(n, r_min, r_max).astype(float)
     g = partial_x(difference(sigma, alpha), beta, SEMINORM_DERIV_GRID)
     radii = np.sqrt(np.sum(pts**2, axis=-1))
-    xs = torus_grid(n, SEMINORM_X_GRID if g.x_bandwidth != 0 else 1)
+    q = SEMINORM_X_GRID if g.x_bandwidth != 0 else 1
     per_sample = SEMINORM_DERIV_GRID ** (n - 1) if beta.any() else 1
+    # the grid's coordinates, twice while torus_grid stacks them, and
+    # the complex samples of the smallest block, one window point
+    _check_memory(16 * q**n * (n + per_sample), f"a torus grid of {q**n} points")
+    xs = torus_grid(n, q)
     per_block = max(1, BLOCK_POINTS // (len(xs) * per_sample))
     sup_pointwise = np.empty(len(pts))
     for start in range(0, len(pts), per_block):

@@ -385,13 +385,20 @@ def test_no_command_prints_help(capsys):
 
 
 @pytest.mark.parametrize("command", ["quantize", "verify-identity", "connes"])
-def test_oversize_matrix_exits_1_before_allocating(tmp_path, capsys, command):
+def test_oversize_matrix_exits_1_before_allocating(tmp_path, monkeypatch, capsys, command):
+    import nclab.quantize as quantize
+
+    def refuse(*args):
+        raise AssertionError("assembly started")
+
+    monkeypatch.setattr(quantize, "_coefficient_blocks", refuse)
     cfg = write(tmp_path, OVERSIZE)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "r")]) == 1
     err = capsys.readouterr().err
-    # connes keeps the band of half-width 1 + 4001 = 4002, never the dense matrix
-    what = "a band of 16008001 x 8005 complex entries" if command == "connes" else (
-        "a dense 16008001 x 16008001 complex matrix")
+    # connes and verify-identity keep bands of half-width 1 + 4001 = 4002,
+    # never the dense matrix; quantize exports the dense matrix
+    what = "a dense 16008001 x 16008001 complex matrix" if command == "quantize" else (
+        "a band of 16008001 x 8005 complex entries")
     assert err.startswith(f"error: {what} needs")
     assert err.endswith("of physical memory\n")
     assert err.count("\n") == 1
@@ -482,6 +489,37 @@ def test_oversize_seminorm_window_is_refused_before_enumeration(tmp_path, monkey
     )
 
 
+def test_oversize_seminorm_torus_grid_is_refused_before_it_is_built(tmp_path, monkeypatch, capsys):
+    # n = 8: a 6,561-point window, but 16^8 torus points for an x-dependent symbol
+    import nclab.quantize as quantize
+    import nclab.symbols as symbols
+
+    def refuse(n, q):
+        raise AssertionError("torus grid built")
+
+    monkeypatch.setattr(quantize, "_physical_memory", lambda: 4 * 2**30)
+    monkeypatch.setattr(symbols, "torus_grid", refuse)
+    text = COSINE.replace("n = 1", "n = 8").replace("<xi>^(-1)", "(1+|xi|^2)^(-4)").replace("-1", "-8")
+    cfg = write(tmp_path, text.replace("M = 24", "M = 1"))
+    assert main(["symbol-check", "--config", cfg, "--out", str(tmp_path / "r"), "--quiet"]) == 1
+    assert re.fullmatch(
+        r"error: a torus grid of 4294967296 points needs [\d.]+ GiB, "
+        r"more than the 4\.0 GiB of physical memory\n",
+        capsys.readouterr().err,
+    )
+
+
+@pytest.mark.parametrize("expr", ["(" * 400 + "<xi>^(-1)" + ")" * 400, "cos(" * 300 + "xi1" + ")" * 300],
+                         ids=["groups", "calls"])
+def test_deep_nesting_exits_1_with_one_line(tmp_path, capsys, expr):
+    cfg = write(tmp_path, MULTIPLIER.replace("<xi>^(-1)", expr))
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "r"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "at most 100 levels of nesting" in err
+    assert err.count("\n") == 1
+
+
 def test_identity_check_config_pinned_near_achieved_deviation(tmp_path):
     # achieved: full deviation 1.5e-17
     out = tmp_path / "r"
@@ -489,6 +527,17 @@ def test_identity_check_config_pinned_near_achieved_deviation(tmp_path):
     assert main(["verify-identity", "--config", cfg, "--out", str(out), "--quiet"]) == 0
     data = json.loads((out / "identity.json").read_text())
     assert data["full_deviation"] <= 1e-15
+
+
+def test_multiplier_config_verifies_in_band_storage(tmp_path):
+    # S = 40001: two dense matrices would take 47.7 GiB, the two
+    # diagonals 1.3 MB; the x-free symbol's identity holds exactly
+    out = tmp_path / "r"
+    cfg = str(CONFIGS / "multiplier_1d.cfg")
+    assert main(["verify-identity", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    data = json.loads((out / "identity.json").read_text())
+    assert data["full_deviation"] == 0
+    assert data["bandwidth"] == 0
 
 
 def test_cosine_config_pinned_near_achieved_accuracy(tmp_path):

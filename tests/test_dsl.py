@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from nclab.dsl import (
     FUNCTIONS,
+    MAX_NESTING,
     BinOp,
     Bracket,
     Call,
@@ -27,6 +28,7 @@ from nclab.dsl import (
     parse,
     to_symbol,
     unparse,
+    x_bandwidth,
 )
 from nclab.errors import UsageError
 
@@ -158,6 +160,42 @@ def test_parser_never_panics(text):
         parse(text, 2)
     except ParseError as err:
         assert 0 <= err.offset <= len(text)
+
+
+# each at MAX_NESTING levels: groups, calls, minus-groups, a '^' chain,
+# a sum chain, a product whose first factor sits deepest
+NESTED_AT_THE_LIMIT = {
+    "groups": "(" * MAX_NESTING + "x1" + ")" * MAX_NESTING,
+    "calls": "cos(" * (MAX_NESTING - 2) + "2*pi*x1" + ")" * (MAX_NESTING - 2),
+    "minus": "-(" * (MAX_NESTING // 2) + "x1" + ")" * (MAX_NESTING // 2),
+    "powers": "^".join(["x1"] * (MAX_NESTING + 1)),
+    "sum": "+".join(["x1"] * (MAX_NESTING + 1)),
+    "product": "*".join(["cos(2*pi*x1)"] * (MAX_NESTING - 2)),
+}
+
+
+@pytest.mark.parametrize("text", list(NESTED_AT_THE_LIMIT.values()), ids=list(NESTED_AT_THE_LIMIT))
+def test_nesting_at_the_limit_parses_evaluates_and_round_trips(text):
+    ast = parse(text, 1)
+    assert np.all(np.isfinite(eval_expr(ast, np.array([0.5]), np.array([0.25]))))
+    assert parse(unparse(ast), 1) == ast
+    assert x_bandwidth(ast) >= 1
+
+
+@pytest.mark.parametrize(
+    "text, offset",
+    [
+        ("(" * 400 + "x1" + ")" * 400, MAX_NESTING),  # the first '(' past the limit
+        ("cos(" * 300 + "x1" + ")" * 300, 4 * MAX_NESTING + 3),
+        ("+".join(["x1"] * (MAX_NESTING + 2)), 3 * MAX_NESTING + 2),  # the operator deepening the chain
+        ("(" * MAX_NESTING + "x1" + ")" * MAX_NESTING + "^2", 2 * MAX_NESTING + 2),
+    ],
+    ids=["groups", "calls", "sum", "powered-groups"],
+)
+def test_nesting_past_the_limit_is_a_parse_error(text, offset):
+    with pytest.raises(ParseError, match=f"at most {MAX_NESTING} levels of nesting") as err:
+        parse(text, 1)
+    assert err.value.offset == offset
 
 
 @pytest.mark.parametrize("text", ["x\u00b2", "xi1\u00b2", "theta\u00b9"])

@@ -449,8 +449,9 @@ def test_identity_2d_multiplier():
     assert rep.full_deviation < 1e-14
 
 
-# (1, 6) and (2, 2) assemble T dense; (1, 40) keeps it banded (16 kd < S)
-@pytest.mark.parametrize("n, M", [(1, 6), (2, 2), (1, 40)])
+# (1, 6) and (2, 2) assemble D and T dense; (1, 40) and (2, 17) keep
+# them banded (16 kd < S), (2, 17) with kd = 36 across a row stride of 35
+@pytest.mark.parametrize("n, M", [(1, 6), (2, 2), (1, 40), (2, 17)])
 def test_identity_deviation_equals_the_public_composition(n, M):
     # a complex, non-Hermitian symbol, so conjugate and transpose both matter
     sigma = to_symbol(
@@ -461,30 +462,51 @@ def test_identity_deviation_equals_the_public_composition(n, M):
     grid = QuadratureGrid.for_box(box)
     D = assemble_discrete(sigma, box, grid)
     T = assemble_toroidal(flip(sigma), box, grid)
-    assert (T.kd is not None) == (M == 40)
+    assert D.kd == T.kd
+    assert (T.kd is not None) == (M in (17, 40))
     B = conjugate_by_fourier(adjoint(T))
     rep = verify_identity(sigma, box, grid)
     assert rep.full_deviation == float(np.abs(D.entries - B.entries).max())
     assert rep.full_deviation < 1e-14
 
 
-def test_identity_refuses_two_matrices_over_memory(monkeypatch):
-    # one dense 17 x 17 matrix fits, the two verify_identity holds do not
+def test_reversed_transpose_of_a_band_is_the_dense_one():
+    # every slot of a random band, padding included, against the dense
+    # J A^T J; the band's padding slots hold garbage that must not leak
+    rng = np.random.default_rng(5)
+    box, kd = TruncationBox(1, 6), 3
+    data = rng.normal(size=(box.size, 2 * kd + 1)) + 1j * rng.normal(size=(box.size, 2 * kd + 1))
+    A = OperatorMatrix(data, box, FOURIER_MODE, kd)
+    dense = A.entries
+    rows, cols = A.slots()
+    inside = (rows < box.size) & (cols < box.size)
+    assert np.array_equal(dense[rows[inside], cols[inside]], data[inside])
+    assert np.count_nonzero(dense) == np.count_nonzero(inside)
+    B = OperatorMatrix(A.reversed_transpose(), box, FOURIER_MODE, kd)
+    assert np.array_equal(B.entries, dense[::-1, ::-1].T)
+    assert not np.any(B.data[~inside])
+    assert np.array_equal(OperatorMatrix(dense, box, FOURIER_MODE).reversed_transpose(), dense[::-1, ::-1].T)
+
+
+def test_identity_is_sized_by_its_band(monkeypatch):
+    # one dense 17 x 17 matrix does not fit, the two bands of 17 x 3 do
     box = TruncationBox(1, 8)
-    one = 16 * box.size**2
+    one, band = 16 * box.size**2, 16 * box.size * 3
+    want = verify_identity(cosine_bracket(), box)
+    monkeypatch.setattr(quantize, "_physical_memory", lambda: one // 2)
+    assert verify_identity(cosine_bracket(), box) == want
 
     def refuse(*args):
         raise AssertionError("assembly started")
 
-    monkeypatch.setattr(quantize, "_physical_memory", lambda: 3 * one // 2)
-    monkeypatch.setattr(quantize, "assemble_discrete", refuse)
-    monkeypatch.setattr(quantize, "assemble_toroidal", refuse)
-    with pytest.raises(UsageError, match="two dense 17 x 17 complex matrices"):
+    monkeypatch.setattr(quantize, "_physical_memory", lambda: band - 1)
+    monkeypatch.setattr(quantize, "_coefficient_blocks", refuse)
+    with pytest.raises(UsageError, match="a band of 17 x 3 complex entries needs"):
         verify_identity(cosine_bracket(), box)
 
 
-def test_identity_peak_memory_within_two_matrices():
-    # D and the toroidal matrix's entries, and little else
+def test_identity_peak_memory_far_below_one_dense_matrix():
+    # D and the toroidal matrix as bands of half-width 1, and little else
     box = TruncationBox(1, 200)
     sigma = cosine_bracket()
     tracemalloc.start()
@@ -493,7 +515,7 @@ def test_identity_peak_memory_within_two_matrices():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.25 * 16 * box.size**2
+    assert peak <= 0.25 * 16 * box.size**2
 
 
 # ---------------------------------------------------------------------------
