@@ -39,7 +39,6 @@ from .errors import ConfigError, NonConvergenceError, UsageError
 from .lattice import TruncationBox
 from .pipeline import build_spectrum, connes_report_json, run_connes_check
 from .quantize import (
-    OperatorMatrix,
     QuadratureGrid,
     assemble_discrete,
     check_dense,
@@ -281,9 +280,8 @@ def _cmd_symbol_check(cfg: RunConfig, sigma: Symbol, opts: dict, out_dir: Path, 
 
 def _cmd_quantize(cfg: RunConfig, sigma: Symbol, opts: dict, out_dir: Path, say) -> int:
     box = TruncationBox(cfg.symbol.n, cfg.M)
-    check_dense(box)  # the export is dense whatever storage assembly picks
+    check_dense(box)  # the exported files outgrow the dense matrix, even for a band
     A = assemble_discrete(sigma, box, QuadratureGrid.for_box(box, cfg.Q))
-    A = OperatorMatrix(A.entries, box, A.basis)  # one dense copy for both writers
     if cfg.matrix_format in ("csv", "both"):
         write_matrix_csv(out_dir / "matrix.csv", A)
         say(f"wrote {out_dir / 'matrix.csv'}")

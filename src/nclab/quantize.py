@@ -38,10 +38,11 @@ stencil moves an index by d @ strides.  When that band is narrow
 kernel's in-band entries straight into band storage of half-width kd
 (OperatorMatrix.kd) and never allocate the S x S matrix; .entries
 materialises it for the consumers that need it dense, such as the
-matrix export.  A wider band is assembled dense: its banded solve
-would be slower than the dense one.  flip keeps the x-bandwidth, so a
-symbol and its flip share one storage, and verify_identity compares
-the two quantizations in it.
+singular values, and the matrix export reads a slab of rows at a time
+(OperatorMatrix.rows).  A wider band is assembled dense: its banded
+solve would be slower than the dense one.  flip keeps the x-bandwidth,
+so a symbol and its flip share one storage, and verify_identity
+compares the two quantizations in it.
 
 Both quantizations assemble block-wise: a block of B consecutive box
 points evaluates the symbol once, on first arguments of shape
@@ -61,6 +62,7 @@ whole block would: BLAS partitions it by B).
 
 from __future__ import annotations
 
+import functools
 import os
 import struct
 
@@ -100,6 +102,9 @@ BAND_RATIO = 16
 # as long past 30,000.  Below the bound a call imports no numpy.fft,
 # which costs 1 to 2.4 ms a process.
 TAP_PRODUCT_ENTRIES = 2**13
+
+# Bytes of rows (at least one row) the matrix writers make and write at once.
+_SLAB_BYTES = 2**16
 
 # verify_identity's observed band width counts an entry as significant
 # above this fraction of the largest |entry|.
@@ -146,8 +151,8 @@ class OperatorMatrix(Record):
     subdiagonal by column index, column kd - m the m-th superdiagonal
     by row index.  Entries with |i - j| > kd and the slots past the
     matrix's edge are zero.  Only this class reads that layout:
-    consumers take .entries, lower_bands(), slots() or
-    reversed_transpose()."""
+    consumers take .entries, rows(), lower_bands(), slots(),
+    reversed_transpose() or transposed()."""
 
     data: np.ndarray
     box: TruncationBox
@@ -175,23 +180,36 @@ class OperatorMatrix(Record):
         offset = np.arange(-self.kd, self.kd + 1)
         return first + np.maximum(offset, 0), first - np.minimum(offset, 0)
 
+    @staticmethod
+    @functools.cache
+    def _band_reads(kd: int) -> np.ndarray:
+        """Offsets from i (2kd + 1) in flat band storage of entries [i, i - o],
+        o = kd .. -kd: data[i - max(o, 0), kd + o], before data where i < o."""
+        o = np.arange(kd, -kd - 1, -1)
+        return kd + o - (2 * kd + 1) * np.maximum(o, 0)
+
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """Rows start to stop - 1 of the dense matrix: a view of data for
+        dense storage, else a new array made by one gather (_band_reads)
+        and one store into rows padded on both sides by kd for a band past
+        the edge, else by 0: row r at r (L - 1), its band at first + r L."""
+        if self.kd is None:
+            return self.data[start:stop]
+        S, kd, B = self.box.size, self.kd, stop - start
+        pad = kd if start < kd or stop > S - kd else 0
+        W, L, first = 2 * kd + 1, S + 2 * pad + 1, start - kd + pad
+        slots = np.arange(start * W, stop * W, W)[:, None] + self._band_reads(kd)
+        buf = np.zeros(B * L + S, dtype=complex)
+        buf[first : first + B * L].reshape(B, L)[:, :W] = self.data.reshape(-1).take(slots, mode="clip")
+        return buf[: B * (L - 1)].reshape(B, L - 1)[:, pad : pad + S]
+
     @property
     def entries(self) -> np.ndarray:
-        """The dense matrix: data itself, or a new array built from the
-        band on each access (refused when larger than physical memory),
-        one diagonal at a time through a strided view, so no index
-        array of the band's size adds to the peak."""
-        if self.kd is None:
-            return self.data
-        check_dense(self.box)
-        S, kd = self.box.size, self.kd
-        out = np.zeros((S, S), dtype=complex)
-        flat = out.reshape(-1)
-        for offset in range(-kd, kd + 1):  # entries [i, j] with i - j = offset
-            length = S - abs(offset)
-            start = offset * S if offset >= 0 else -offset
-            flat[start : start + length * (S + 1) : S + 1] = self.data[:length, kd + offset]
-        return out
+        """rows(0, S): data, or a new array built from the band on each
+        access (refused when larger than physical memory)."""
+        if self.kd is not None:
+            check_dense(self.box)
+        return self.rows(0, self.box.size)
 
     def reversed_transpose(self) -> np.ndarray:
         """J A^T J, J the reversal of the box enumeration, in this
@@ -206,6 +224,10 @@ class OperatorMatrix(Record):
             length = self.box.size - abs(col - self.kd)
             out[:length, col] = self.data[length - 1 :: -1, col]
         return out
+
+    def transposed(self, x: np.ndarray) -> np.ndarray:
+        """x transposed in this storage, a view: a band's columns reversed."""
+        return x.T if self.kd is None else x[:, ::-1]
 
     def lower_bands(self) -> tuple[np.ndarray, np.ndarray]:
         """LAPACK's lower band storage of A and of A* for a banded
@@ -384,8 +406,8 @@ def assemble_toroidal(
 
 
 def adjoint(A: OperatorMatrix) -> OperatorMatrix:
-    """Conjugate transpose; basis tag preserved."""
-    return OperatorMatrix(A.entries.conj().T.copy(), A.box, A.basis)
+    """Conjugate transpose in A's storage; basis tag preserved."""
+    return OperatorMatrix(np.conj(A.transposed(A.data), order="C"), A.box, A.basis, A.kd)
 
 
 def conjugate_by_fourier(A: OperatorMatrix) -> OperatorMatrix:
@@ -394,11 +416,11 @@ def conjugate_by_fourier(A: OperatorMatrix) -> OperatorMatrix:
     With the pinned conventions F maps the mode e_{-k} to the delta at
     k, so the conjugated matrix is B[n', k] = A[-n', -k]: conjugation
     by the (unitary) negation permutation, which in the box enumeration
-    reverses both axes.  Singular values are preserved exactly.
-    """
+    reverses both axes.  Singular values are preserved exactly.  A band
+    stays a band."""
     if A.basis != FOURIER_MODE:
         raise UsageError("conjugate_by_fourier expects a Fourier-mode matrix")
-    return OperatorMatrix(A.entries[::-1, ::-1].copy(), A.box, LATTICE_DELTA)
+    return OperatorMatrix(A.transposed(A.reversed_transpose()).copy(), A.box, LATTICE_DELTA, A.kd)
 
 
 class IdentityReport(Record):
@@ -460,42 +482,58 @@ def verify_identity(
 # Export formats
 
 
+def _slabs(A: OperatorMatrix):
+    """(start, rows start .. start + B - 1) of A, B = max(1,
+    _SLAB_BYTES // 16S), in order, as C-contiguous complex arrays."""
+    S = A.box.size
+    step = max(1, _SLAB_BYTES // (16 * S))
+    for start in range(0, S, step):
+        yield start, np.ascontiguousarray(A.rows(start, min(start + step, S)), dtype=complex)
+
+
 def write_matrix_csv(path, A: OperatorMatrix) -> None:
     """All S^2 entries as `row,col,re,im` with a header, %.17g precision.
 
-    Line c of a row comes from a template built once per file:
-    `,c,0,0`, the text of an entry whose parts are both +0.0, or
-    `,c,%.17g,%.17g` for any other entry (-0.0, nan and inf parts
-    included).  Joined with the row label, a row's templates make one
-    format string, and one `%` call fills in its nonzero entries."""
+    Line c of row r reads `r,c,0,0` for an entry whose parts are both
+    +0.0, else `r,c,%.17g,%.17g` (-0.0, nan and inf parts included).
+    A row is the all-zero row body with the span from its first to its
+    last other entry spliced in, formatted from its line templates by
+    one `%`; one replace puts in the row label.  A slab is one write."""
     S = A.box.size
-    entries = np.ascontiguousarray(A.entries, dtype=complex)
-    # an entry is +0.0 + 0.0j iff the bit patterns of both parts are 0
-    bits = entries.view(np.uint64).reshape(S, S, 2)
-    zero = [",%d,0,0" % c for c in range(S)]
-    nonzero = [",%d,%%.17g,%%.17g" % c for c in range(S)]
-    with open(path, "w", newline="") as fh:
-        fh.write("row,col,re,im\n")
-        for r in range(S):
-            cols = np.flatnonzero(bits[r].any(axis=1))
-            lines = zero.copy()
-            for c in cols.tolist():
-                lines[c] = nonzero[c]
-            label = str(r)
-            row_format = label + ("\n" + label).join(lines) + "\n"
+    zero = [b"\0,%d,0,0\n" % c for c in range(S)]  # \0 stands for the row label
+    nonzero = [b"\0,%d,%%.17g,%%.17g\n" % c for c in range(S)]
+    body = memoryview(b"".join(zero))
+    line_start = np.cumsum([0] + [len(line) for line in zero]).tolist()
+    with open(path, "wb") as fh:
+        fh.write(b"row,col,re,im\n")
+        for start, slab in _slabs(A):
+            bits = slab.view(np.uint64)  # +0.0 + 0.0j iff both parts' bits are 0
+            r_idx, c_idx = np.nonzero(bits[:, 0::2] | bits[:, 1::2])
             # the parts interleave as re, im: the order of the placeholders
-            fh.write(row_format % tuple(entries[r, cols].view(np.float64).tolist()))
+            values, cols = slab[r_idx, c_idx].view(np.float64).tolist(), c_idx.tolist()
+            parts, k = [], 0
+            for r, count in enumerate(np.bincount(r_idx, minlength=len(slab)).tolist(), start):
+                span_cols = cols[k : k + count]
+                first, last = (span_cols[0], span_cols[-1]) if count else (0, -1)
+                lines = zero[first : last + 1]
+                for c in span_cols:
+                    lines[c - first] = nonzero[c]
+                span = b"".join(lines) % tuple(values[2 * k : 2 * (k + count)])
+                row = b"".join((body[: line_start[first]], span, body[line_start[last + 1] :]))
+                parts.append(row.replace(b"\0", b"%d" % r))
+                k += count
+            fh.write(b"".join(parts))
 
 
 def write_matrix_binary(path, A: OperatorMatrix) -> None:
     """Binary layout: 16-byte header (magic 'NCRM', u32 n, u32 M, u32
     reserved=0, little endian), then row-major float64 interleaved
-    re/im pairs."""
+    re/im pairs, written a slab at a time."""
     header = BINARY_MAGIC + struct.pack("<III", A.box.n, A.box.M, 0)
     with open(path, "wb") as fh:
         fh.write(header)
-        # the buffer of the contiguous array itself, not a copy of it
-        fh.write(np.ascontiguousarray(A.entries, dtype="<c16").data)
+        for _, slab in _slabs(A):
+            fh.write(slab.astype("<c16", copy=False).data)
 
 
 def read_matrix_binary(path, basis: str = LATTICE_DELTA) -> OperatorMatrix:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import UsageError
 from .lattice import torus_grid
-from .quantize import BLOCK_POINTS
+from .quantize import BLOCK_POINTS, _check_memory
 from .record import Record, replace
 from .symbols import DISCRETE, TOROIDAL, Symbol, flip, homogeneous_component
 
@@ -115,7 +115,8 @@ def noncommutative_residue(
     nodes, as theta of shape (B, 1, n) against the torus grid as x of
     shape (1, X, n), with B * X within quantize.BLOCK_POINTS.  A symbol
     declared x-free is evaluated at x = 0 only (X = 1): its mean over
-    the torus is its value there.  The report still names torus_q."""
+    the torus is its value there.  The report still names torus_q.  An
+    oversize torus grid is refused before it is built."""
     if a.side != TOROIDAL:
         raise UsageError("residue expects a toroidal-side symbol (flip first)")
     if convention not in (LATTICE, PAPER):
@@ -129,7 +130,10 @@ def noncommutative_residue(
 
     declared = a.term(-float(n)) is not None
 
-    xs = torus_grid(n, torus_q if a.x_bandwidth != 0 else 1)
+    q = torus_q if a.x_bandwidth != 0 else 1
+    # the grid's coordinates, twice while torus_grid stacks them, and one node's values
+    _check_memory(16 * q**n * (n + 1), f"a torus grid of {q**n} points")
+    xs = torus_grid(n, q)
     per_block = max(1, BLOCK_POINTS // len(xs))
     means = np.empty(rule.order, dtype=complex)
     for start in range(0, rule.order, per_block):

@@ -509,6 +509,26 @@ def test_oversize_seminorm_torus_grid_is_refused_before_it_is_built(tmp_path, mo
     )
 
 
+@pytest.mark.parametrize("command", ["residue", "connes"])
+def test_oversize_residue_torus_grid_is_refused_before_it_is_built(tmp_path, monkeypatch, capsys, command):
+    # an x-dependent symbol at residue_q = 2^28: 2^28 torus points, 8 GiB
+    import nclab.quantize as quantize
+    import nclab.residue as residue
+
+    def refuse(n, q):
+        raise AssertionError("torus grid built")
+
+    monkeypatch.setattr(quantize, "_physical_memory", lambda: 4 * 2**30)
+    monkeypatch.setattr(residue, "torus_grid", refuse)
+    cfg = write(tmp_path, COSINE + "residue_q = 268435456\n")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "r"), "--quiet"]) == 1
+    assert re.fullmatch(
+        r"error: a torus grid of 268435456 points needs 8\.0 GiB, "
+        r"more than the 4\.0 GiB of physical memory\n",
+        capsys.readouterr().err,
+    )
+
+
 @pytest.mark.parametrize("expr", ["(" * 400 + "<xi>^(-1)" + ")" * 400, "cos(" * 300 + "xi1" + ")" * 300],
                          ids=["groups", "calls"])
 def test_deep_nesting_exits_1_with_one_line(tmp_path, capsys, expr):

@@ -398,6 +398,24 @@ def test_conjugate_raising_to_lowering_by_hand():
     assert np.array_equal(B.entries, want)
 
 
+# a random band, padding slots included, against the dense result:
+# kd = 0, 1 and 3 in 1-D, and a 2-D band across a row stride of 7
+@pytest.mark.parametrize("n, M, kd", [(1, 6, 0), (1, 6, 1), (1, 6, 3), (2, 3, 8)])
+def test_adjoint_and_conjugation_keep_a_band(n, M, kd):
+    rng = np.random.default_rng(kd)
+    box = TruncationBox(n, M)
+    shape = (box.size, 2 * kd + 1)
+    A = OperatorMatrix(rng.normal(size=shape) + 1j * rng.normal(size=shape), box, FOURIER_MODE, kd)
+    dense = OperatorMatrix(A.entries, box, FOURIER_MODE)
+    for op in (adjoint, conjugate_by_fourier, lambda A: conjugate_by_fourier(adjoint(A))):
+        B = op(A)
+        assert B.kd == kd
+        assert B.data.flags.c_contiguous
+        assert np.array_equal(B.entries, op(dense).entries)
+    assert np.array_equal(adjoint(dense).entries, dense.entries.conj().T)
+    assert np.array_equal(conjugate_by_fourier(dense).entries, dense.entries[::-1, ::-1])
+
+
 def test_conjugate_needs_fourier_basis():
     box = TruncationBox(1, 1)
     A = OperatorMatrix(np.eye(3, dtype=complex), box, LATTICE_DELTA)
@@ -520,6 +538,23 @@ def test_identity_peak_memory_far_below_one_dense_matrix():
 
 # ---------------------------------------------------------------------------
 # exports
+
+
+def test_export_peak_memory_far_below_one_dense_matrix(tmp_path):
+    # the band of configs/cosine_1d.cfg (M = 1024, S = 2049, kd = 1): both
+    # writers hold one slab of rows at a time, never the dense matrix
+    box = TruncationBox(1, 1024)
+    A = assemble_discrete(cosine_bracket(), box)
+    assert A.kd == 1
+    tracemalloc.start()
+    try:
+        write_matrix_csv(tmp_path / "matrix.csv", A)
+        write_matrix_binary(tmp_path / "matrix.bin", A)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.05 * 16 * box.size**2
+    assert (tmp_path / "matrix.bin").stat().st_size == 16 + 16 * box.size**2
 
 
 def test_binary_roundtrip(tmp_path):

@@ -3,9 +3,11 @@
 The reference writers below format one row at a time from numpy
 scalars into a text-mode file; the spectrum writer formats a chunk of
 rows in one bytes `%` call into a binary file and each run of repeated
-values once, and the matrix writer formats only the entries that are
-not +0.0 + 0.0j into per-column templates.  The files must stay
-byte-identical.
+values once.  The matrix writers take a slab of rows at a time from
+OperatorMatrix.rows(), dense or banded; the CSV writer formats only
+the span of each row between its first and last entry that is not
++0.0 + 0.0j.  The files must stay byte-identical, and the matrix files
+must not depend on the storage or on the slab size.
 """
 
 from pathlib import Path
@@ -13,10 +15,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nclab import spectral
+from nclab import quantize, spectral
 from nclab.dsl import to_symbol
 from nclab.lattice import TruncationBox
-from nclab.quantize import LATTICE_DELTA, OperatorMatrix, assemble_discrete, write_matrix_csv
+from nclab.quantize import (
+    LATTICE_DELTA,
+    OperatorMatrix,
+    assemble_discrete,
+    write_matrix_binary,
+    write_matrix_csv,
+)
 from nclab.spectral import write_spectrum_csv
 
 CHUNK = spectral._CSV_CHUNK_ROWS
@@ -175,3 +183,59 @@ def test_matrix_csv_matches_row_loop_on_identity_export(tmp_path):
     bits = A.entries.view(np.uint64).reshape(257, 257, 2)
     assert bits.any(axis=2).sum() == 769  # 3 * 257 - 2: the tridiagonal
     assert same_bytes(tmp_path, write_matrix_csv, reference_matrix_csv, A)
+
+
+def as_band(entries, box, kd):
+    """entries [i, j] with |i - j| <= kd in band storage of half-width kd."""
+    A = OperatorMatrix(np.zeros((box.size, 2 * kd + 1), dtype=complex), box, LATTICE_DELTA, kd)
+    rows, cols = A.slots()
+    inside = (rows < box.size) & (cols < box.size)
+    A.data[inside] = entries[rows[inside], cols[inside]]
+    return A
+
+
+def signed_zero_band_kd1():
+    box = TruncationBox(1, 32)
+    return as_band(signed_zero_band(box.size), box, 1)
+
+
+def band_2d():
+    # a product across the axes: reach 1, kd = 1 + 17 over the row stride 17
+    sigma = to_symbol("(1+0.5*cos(2*pi*x1)*cos(2*pi*x2))*(1+|xi|^2)^(-1)", n=2, order=-2)
+    return assemble_discrete(sigma, TruncationBox(2, 8))
+
+
+def diagonal():
+    return assemble_discrete(to_symbol("<xi>^(-1)", n=1, order=-1), TruncationBox(1, 20))
+
+
+@pytest.mark.parametrize("slab_rows", [None, 1, 7, "S"])
+@pytest.mark.parametrize(
+    "matrix, kd",
+    [(signed_zero_band_kd1, 1), (band_2d, 18), (diagonal, 0)],
+    ids=["signed-zero-band", "2d-band", "diagonal"],
+)
+def test_matrix_writers_on_band_storage(tmp_path, monkeypatch, matrix, kd, slab_rows):
+    """Both files of a band match the reference writer on .entries and
+    the files of its dense copy, at the default slab size and at slabs
+    of 1 row, of 7 rows (which divide none of S = 65, 289 and 41) and
+    of all S rows; every slab equals its rows of .entries."""
+    A = matrix()
+    S = A.box.size
+    assert A.kd == kd
+    if slab_rows is not None:
+        monkeypatch.setattr(quantize, "_SLAB_BYTES", 16 * S * (S if slab_rows == "S" else slab_rows))
+    step = max(1, quantize._SLAB_BYTES // (16 * S))
+    entries = A.entries
+    for start in range(0, S, step):  # bit for bit: signed zeros and nan included
+        got = np.ascontiguousarray(A.rows(start, min(start + step, S)))
+        assert got.tobytes() == entries[start : start + step].tobytes()
+    dense = OperatorMatrix(entries, A.box, LATTICE_DELTA)
+    assert same_bytes(tmp_path, write_matrix_csv, reference_matrix_csv, A)
+    write_matrix_csv(tmp_path / "dense.csv", dense)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "dense.csv").read_bytes()
+    write_matrix_binary(tmp_path / "band.bin", A)
+    write_matrix_binary(tmp_path / "dense.bin", dense)
+    payload = (tmp_path / "band.bin").read_bytes()
+    assert payload[16:] == entries.astype("<c16").tobytes()
+    assert payload == (tmp_path / "dense.bin").read_bytes()
