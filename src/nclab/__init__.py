@@ -39,7 +39,6 @@ from .symbols import (
     finite_modify,
     flip,
     homogeneous_component,
-    partial_x,
     regularize_at_origin,
     seminorm_estimate,
 )

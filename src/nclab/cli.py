@@ -48,6 +48,7 @@ from .quantize import (
 )
 from .residue import (
     CONVENTIONS_STANZA,
+    check_dixmier_order,
     dixmier_trace_formula,
     residue_report_json,
     sphere_rule,
@@ -300,6 +301,7 @@ def _cmd_spectrum(cfg: RunConfig, sigma: Symbol, opts: dict, out_dir: Path, say)
 
 
 def _cmd_dixmier(cfg: RunConfig, sigma: Symbol, opts: dict, out_dir: Path, say) -> int:
+    check_dixmier_order(sigma, cfg.symbol.n)
     run = build_spectrum(sigma, cfg.symbol.n, cfg.M, Q=cfg.Q, symmetrize=cfg.symmetrize)
     summary = run.fit()
     payload = {

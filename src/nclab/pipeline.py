@@ -10,8 +10,8 @@ multiplier (bandwidth 0) T's diagonal is read off sigma's values over
 the box and held as a band of half-width 0; every other symbol, a
 plain Symbol(func) (bandwidth inf) included, has T assembled, as a
 band when it is narrow enough (quantize.BAND_RATIO).  Symbols derived
-by flip, finite_modify, difference and partial_x keep their input's
-bandwidth, so they take their input's path.  spectral.matrix_sequence
+by flip, finite_modify and difference keep their input's bandwidth,
+so they take their input's path.  spectral.matrix_sequence
 turns T into the sorted sequence, with its Hermiticity deviation, the
 non-finite check and the choice of solver.
 

@@ -178,6 +178,18 @@ def check_trace_formula_applies(sigma: Symbol, n: int) -> None:
         raise UsageError(f"trace formula needs order exactly -{n}, got {sigma.order}")
 
 
+def check_dixmier_order(sigma: Symbol, n: int) -> None:
+    """Raise UsageError when sigma's order is above -n: its operator is
+    then not in L^(1,inf), and a fitted trace estimate grows with the
+    truncation.  At -n the Dixmier trace is the residue; below -n the
+    operator is trace class and its Dixmier trace is 0 (cheap)."""
+    if sigma.order > -n + 1e-12:
+        raise UsageError(
+            f"dixmier needs order at most -{n}, got {sigma.order}: "
+            f"above -{n} the operator is not in L^(1,inf)"
+        )
+
+
 def dixmier_trace_formula(
     sigma: Symbol,
     n: int,

@@ -38,11 +38,8 @@ EXTRACTION_BASE_T = 2.0**10
 EXTRACTION_LEVELS = 4
 EXTRACTION_TOL = 1e-6
 
-# Pinned grids of the seminorm estimate: the torus grid the sup runs
-# over, and the spectral grid of its x-derivatives (exact for x-degree
-# below SEMINORM_DERIV_GRID / 2).
+# Pinned torus grid the seminorm estimate's sup runs over.
 SEMINORM_X_GRID = 16
-SEMINORM_DERIV_GRID = 32
 
 
 class ClassicalTerm(Record):
@@ -86,10 +83,10 @@ class Symbol(Record):
     [-M, M]^n: when r < 2M it samples the (2r+2)^n grid and writes exact
     zeros at offsets beyond r (see quantize).
 
-    flip, finite_modify, difference and partial_x build their result
-    with record.replace, so it keeps every field they do not change:
-    none of them can widen the x-band, and difference and partial_x
-    drop the declared terms, whose degrees they would shift.
+    flip, finite_modify and difference build their result with
+    record.replace, so it keeps every field they do not change: none of
+    them can widen the x-band, and difference drops the declared terms,
+    whose degrees it would shift.
     """
 
     func: Callable
@@ -207,73 +204,14 @@ def difference(sigma: Symbol, alpha) -> Symbol:
 
 
 # ---------------------------------------------------------------------------
-# Spectral x-derivatives
-
-
-def partial_x(sigma: Symbol, beta, grid_size: int) -> Symbol:
-    """d^beta/dx^beta by spectral differentiation: sample x on the
-    uniform grid_size-grid per axis, scale the Fourier coefficient at
-    mode j by prod_a (2*pi*i*j_a)^(beta_a), resynthesize.  Exact for
-    trigonometric polynomials of degree < grid_size/2.
-
-    The derivative broadcasts as any symbol does.  It takes one
-    coefficient set per entry of first: first of shape (B, 1, n)
-    against x of shape (1, P, n) samples the base symbol at B * Q^n
-    points (Q = grid_size) in one batched transform, and sums the
-    series one torus axis at a time by broadcasting matrix products,
-    whose largest result holds B * P * Q^(n-1) values.  Callers bound
-    B (seminorm_estimate keeps B * P * Q^(n-1) within
-    quantize.BLOCK_POINTS).
-    """
-    beta = multi_index(beta)
-    n = beta.size
-    Q = int(grid_size)
-    if Q < 2:
-        raise UsageError(f"grid size must be >= 2, got {Q}")
-    if Q % 2:
-        raise UsageError(f"grid size must be even, got {Q}")
-    if np.all(beta == 0):
-        return sigma
-
-    freqs = np.fft.fftfreq(Q, d=1.0 / Q)  # 0..Q/2-1, -Q/2..-1
-    mult = np.ones((Q,) * n, dtype=complex)
-    for axis in range(n):
-        f = (2j * np.pi * freqs) ** int(beta[axis])
-        if beta[axis] % 2:
-            f[Q // 2] = 0.0  # odd derivative of the unmatched Nyquist mode
-        shape = [1] * n
-        shape[axis] = Q
-        mult = mult * f.reshape(shape)
-
-    grid_pts = torus_grid(n, Q)
-    base = sigma.func
-
-    def deriv_func(first, x):
-        first = np.asarray(first, dtype=float)
-        x = np.asarray(x, dtype=float)
-        lead = first.shape[:-1]
-        samples = evaluate(base, first[..., None, :], grid_pts, lead + (Q**n,))
-        coeffs = np.fft.fftn(samples.reshape(lead + (Q,) * n), axes=tuple(range(-n, 0)))
-        cur = (coeffs / Q**n * mult).reshape(lead + (Q**n,))
-        # sum the series one torus axis at a time: x's leading axes
-        # broadcast against first's, and no phase matrix spans all Q^n modes
-        for axis in range(n):
-            phase = np.exp(2j * np.pi * x[..., axis, None] * freqs)
-            cur = (phase[..., None, :] @ cur.reshape(cur.shape[:-1] + (Q, -1)))[..., 0, :]
-        return cur[..., 0]
-
-    new_order = sigma.order + sigma.delta * float(np.sum(beta))
-    return replace(sigma, func=deriv_func, order=new_order, classical=())
-
-
-# ---------------------------------------------------------------------------
 # Decay-class (seminorm) estimation
 
 
 class SeminormReport(Record):
-    """Observed decay of |Delta^alpha d^beta sigma| against the weight
-    (1+|n'|)^(m - rho|alpha| + delta|beta|); no fit (None) when fewer
-    than two shells carry a nonzero sup."""
+    """Observed decay of |Delta^alpha sigma| against the weight
+    (1+|n'|)^(m - rho|alpha|); beta, the x-derivative half of the
+    paper's seminorms, is always 0.  No fit (None) when fewer than two
+    shells carry a nonzero sup."""
 
     alpha: tuple[int, ...]
     beta: tuple[int, ...]
@@ -289,13 +227,12 @@ def seminorm_estimate(sigma: Symbol, alpha, beta, window: tuple[int, int]) -> Se
     report the sup of the weighted ratio and the least-squares decay
     exponent of the per-shell sup against log(1+r).
 
-    Delta^alpha d^beta sigma is evaluated on blocks of window points,
+    Only the Delta^alpha half of the seminorms is estimated: beta must
+    be 0.  Delta^alpha sigma is evaluated on blocks of window points,
     first of shape (B, 1, n) against the X-point torus grid as x of
-    shape (1, X, n), with B * X within quantize.BLOCK_POINTS; for
-    beta > 0, B * X * SEMINORM_DERIV_GRID^(n-1), the size of
-    partial_x's largest intermediate, stays within it.  A grid whose
-    coordinates and one point's samples would outgrow physical memory
-    is refused before it is built.
+    shape (1, X, n), with B * X within quantize.BLOCK_POINTS.  A grid
+    whose coordinates and one point's samples would outgrow physical
+    memory is refused before it is built.
     """
     from .quantize import BLOCK_POINTS, _check_memory  # local import: quantize imports this module
 
@@ -304,27 +241,28 @@ def seminorm_estimate(sigma: Symbol, alpha, beta, window: tuple[int, int]) -> Se
     n = alpha.size
     if beta.size != n:
         raise UsageError("alpha and beta must have equal length")
+    if beta.any():
+        raise UsageError(f"x-derivatives are not estimated: beta must be 0, got {beta.tolist()}")
     r_min, r_max = int(window[0]), int(window[1])
     if r_max < r_min or r_min < 0:
         raise UsageError(f"empty window [{r_min}, {r_max}]")
 
     pts = _window_points(n, r_min, r_max).astype(float)
-    g = partial_x(difference(sigma, alpha), beta, SEMINORM_DERIV_GRID)
+    g = difference(sigma, alpha)
     radii = np.sqrt(np.sum(pts**2, axis=-1))
     q = SEMINORM_X_GRID if g.x_bandwidth != 0 else 1
-    per_sample = SEMINORM_DERIV_GRID ** (n - 1) if beta.any() else 1
     # the grid's coordinates, twice while torus_grid stacks them, and
     # the complex samples of the smallest block, one window point
-    _check_memory(16 * q**n * (n + per_sample), f"a torus grid of {q**n} points")
+    _check_memory(16 * q**n * (n + 1), f"a torus grid of {q**n} points")
     xs = torus_grid(n, q)
-    per_block = max(1, BLOCK_POINTS // (len(xs) * per_sample))
+    per_block = max(1, BLOCK_POINTS // len(xs))
     sup_pointwise = np.empty(len(pts))
     for start in range(0, len(pts), per_block):
         block = pts[start : start + per_block, None, :]
         vals = evaluate(g.func, block, xs[None], (len(block), len(xs)))
         sup_pointwise[start : start + len(block)] = np.max(np.abs(vals), axis=1)
 
-    exponent = sigma.order - sigma.rho * float(np.sum(alpha)) + sigma.delta * float(np.sum(beta))
+    exponent = sigma.order - sigma.rho * float(np.sum(alpha))
     weights = (1.0 + radii) ** (-exponent)
     sup_ratio = float(np.max(sup_pointwise * weights))
 

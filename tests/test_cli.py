@@ -336,6 +336,25 @@ def test_dixmier_trace_class(tmp_path):
     assert abs(data["trace_estimate"]) < 0.02
 
 
+@pytest.mark.parametrize("n, order", [(1, -0.75), (2, -1.75)])
+def test_dixmier_refuses_an_order_above_minus_n(tmp_path, monkeypatch, capsys, n, order):
+    # above -n the operator is not in L^(1,inf): the fitted estimate grows with M
+    def refuse(*args, **kwargs):
+        raise AssertionError("spectrum built")
+
+    monkeypatch.setattr("nclab.cli.build_spectrum", refuse)
+    text = f"[symbol]\nn = {n}\nmain = <xi>^({order})\norder = {order}\n\n[lattice]\nM = 8\n"
+    cfg = write(tmp_path, text)
+    out = tmp_path / "r"
+    assert main(["dixmier", "--config", cfg, "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: dixmier needs order at most -{n}, got {order}: "
+        f"above -{n} the operator is not in L^(1,inf)\n"
+    )
+    assert not (out / "dixmier.json").exists()
+
+
 @pytest.mark.parametrize("text", [MULTIPLIER, COSINE], ids=["diagonal", "assembled"])
 def test_dixmier_and_connes_report_the_same_fit(tmp_path, text):
     cfg = write(tmp_path, text)

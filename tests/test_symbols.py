@@ -17,7 +17,6 @@ from nclab.symbols import (
     finite_modify,
     flip,
     homogeneous_component,
-    partial_x,
     regularize_at_origin,
     seminorm_estimate,
 )
@@ -141,90 +140,6 @@ def test_difference_commutes_across_axes(a, b, c, k1, k2):
 
 
 # ---------------------------------------------------------------------------
-# spectral x-derivatives
-
-
-def test_partial_x_cosine():
-    s = to_symbol("cos(2*pi*x1)", n=1, order=0)
-    ds = partial_x(s, [1], 16)
-    xs = np.arange(64)[:, None] / 64.0
-    got = np.asarray(ds.func(np.zeros(1), xs))
-    want = -2 * np.pi * np.sin(2 * np.pi * xs[:, 0])
-    assert np.max(np.abs(got - want)) < 1e-12
-
-
-def test_partial_x_of_constant():
-    s = to_symbol("3", n=1, order=0)
-    ds = partial_x(s, [1], 8)
-    assert ds(np.zeros(1), np.array([0.37])) == pytest.approx(0.0, abs=1e-13)
-
-
-def test_partial_x_second_derivative_character():
-    def func(first, x):
-        return np.exp(2j * np.pi * np.asarray(x)[..., 0])
-
-    s = Symbol(func, order=0)
-    ds = partial_x(s, [2], 16)
-    xs = np.arange(64)[:, None] / 64.0
-    got = np.asarray(ds.func(np.zeros(1), xs))
-    want = -4 * np.pi**2 * np.exp(2j * np.pi * xs[:, 0])
-    assert np.max(np.abs(got - want)) < 1e-11
-
-
-def test_partial_x_linear_exact_on_trig_polys():
-    s = to_symbol("1+0.5*cos(2*pi*x1)+0.25*sin(2*pi*x1)", n=1, order=0)
-    ds = partial_x(s, [1], 16)
-    xs = np.linspace(0, 1, 37, endpoint=False)[:, None]
-    got = np.asarray(ds.func(np.zeros(1), xs))
-    want = -np.pi * np.sin(2 * np.pi * xs[:, 0]) + 0.5 * np.pi * np.cos(2 * np.pi * xs[:, 0])
-    assert np.max(np.abs(got - want)) < 1e-11
-
-
-def test_partial_x_2d_mixed():
-    s = to_symbol("cos(2*pi*x1)*sin(2*pi*x2)", n=2, order=0)
-    ds = partial_x(s, [1, 1], 8)
-    x = np.array([0.15, 0.4])
-    want = (-2 * np.pi * np.sin(2 * np.pi * 0.15)) * (2 * np.pi * np.cos(2 * np.pi * 0.4))
-    assert complex(ds(np.zeros(2), x)) == pytest.approx(want, abs=1e-11)
-
-
-def test_partial_x_broadcasts_first_against_x():
-    # the shapes block-wise assembly uses: first (B, 1, n), x (1, P, n)
-    s = to_symbol("cos(2*pi*x1)*<xi>^(-1)", n=1, order=-1)
-    ds = partial_x(s, [1], 16)
-    first = np.arange(-2.0, 3.0)[:, None, None]
-    xs = (np.arange(8) / 8.0)[None, :, None]
-    got = np.asarray(ds.func(first, xs))
-    want = -2 * np.pi * np.sin(2 * np.pi * xs[..., 0]) * (1 + first[..., 0] ** 2) ** -0.5
-    assert got.shape == (5, 8)
-    assert np.max(np.abs(got - want)) < 1e-12
-
-
-def test_partial_x_2d_on_assembly_shapes():
-    s = to_symbol("cos(2*pi*x1)*sin(2*pi*x2)*(1+|xi|^2)^(-1)", n=2, order=-2)
-    ds = partial_x(s, [1, 1], 16)
-    first = np.array([[0.0, 0.0], [1.0, -2.0], [-3.0, 4.0], [5.0, 5.0]])[:, None, :]
-    xs = np.stack(np.meshgrid(np.arange(7) / 7.0, np.arange(5) / 5.0), axis=-1).reshape(1, -1, 2)
-    got = np.asarray(ds.func(first, xs))
-    want = (
-        -4 * np.pi**2
-        * np.sin(2 * np.pi * xs[..., 0])
-        * np.cos(2 * np.pi * xs[..., 1])
-        / (1 + np.sum(first**2, axis=-1))
-    )
-    assert got.shape == (4, 35)
-    assert np.max(np.abs(got - want)) < 1e-12
-
-
-def test_partial_x_rejects_bad_grid():
-    s = to_symbol("x1", n=1, order=0)
-    with pytest.raises(UsageError):
-        partial_x(s, [1], 1)
-    with pytest.raises(UsageError):
-        partial_x(s, [1], 7)
-
-
-# ---------------------------------------------------------------------------
 # seminorm estimation
 
 
@@ -247,24 +162,6 @@ def test_seminorm_first_difference_exponent():
     assert rep.fitted_exponent == pytest.approx(-2.0, abs=0.05)
 
 
-def test_seminorm_x_derivative_sup_and_exponent():
-    # d/dx1 gives -pi sin(2 pi x1) <xi>^(-1): |sin| peaks at x1 = 1/4 on
-    # the 16-point grid and (1+r)/sqrt(1+r^2) at r = 1, so pi sqrt(2)
-    s = to_symbol("(1+0.5*cos(2*pi*x1))*<xi>^(-1)", n=1, order=-1)
-    rep = seminorm_estimate(s, [0], [1], (0, 1024))
-    assert rep.sup_ratio == pytest.approx(np.pi * np.sqrt(2), abs=1e-12)
-    assert rep.fitted_exponent == pytest.approx(-1.0, abs=0.05)
-
-
-def test_seminorm_2d_x_derivative_pinned():
-    # d/dx1 gives -pi sin(2 pi x1) (1+|xi|^2)^(-1): pi at x1 = 1/4 times
-    # (1+r)^2/(1+r^2), which peaks at r = 1 with 2
-    s = to_symbol("(1+0.5*cos(2*pi*x1))*(1+|xi|^2)^(-1)", n=2, order=-2)
-    rep = seminorm_estimate(s, [0, 0], [1, 0], (0, 40))
-    assert abs(rep.sup_ratio - 2 * np.pi) < 1e-12
-    assert abs(rep.fitted_exponent - (-2.1327950138575593)) < 1e-9
-
-
 def test_seminorm_refuses_an_oversize_window_before_enumeration(monkeypatch):
     # 3^20 points: numpy failed on one 26 GiB coordinate array of them
     from nclab import quantize
@@ -280,29 +177,23 @@ def test_seminorm_refuses_an_oversize_window_before_enumeration(monkeypatch):
         seminorm_estimate(s, [0] * 20, [0] * 20, (0, 1))
 
 
-def _reference_seminorm(sigma, alpha, beta, window):
-    """The estimate with one x-grid point at a time (beta = 0) or one
-    lattice point at a time (beta > 0), per-shell maxima by mask."""
+def _reference_seminorm(sigma, alpha, window):
+    """The estimate (beta = 0) with one x-grid point at a time,
+    per-shell maxima by mask."""
     from nclab.lattice import torus_grid
     from nclab.symbols import _window_points, evaluate
 
-    alpha, beta = np.asarray(alpha), np.asarray(beta)
+    alpha = np.asarray(alpha)
     g = difference(sigma, alpha)
-    if np.any(beta > 0):
-        g = partial_x(g, beta, 32)
     pts = _window_points(alpha.size, *window)
     radii = np.sqrt(np.sum(pts.astype(float) ** 2, axis=-1))
     shells = np.rint(radii).astype(int)
     xs = torus_grid(alpha.size, 16)
     sup_pointwise = np.zeros(len(pts))
-    if np.any(beta > 0):
-        for i, p in enumerate(pts):
-            sup_pointwise[i] = np.max(np.abs(np.asarray(g.func(p.astype(float), xs))))
-    else:
-        for x in xs:
-            vals = np.abs(evaluate(g.func, pts.astype(float), x, (len(pts),)))
-            np.maximum(sup_pointwise, vals, out=sup_pointwise)
-    exponent = sigma.order - sigma.rho * np.sum(alpha) + sigma.delta * np.sum(beta)
+    for x in xs:
+        vals = np.abs(evaluate(g.func, pts.astype(float), x, (len(pts),)))
+        np.maximum(sup_pointwise, vals, out=sup_pointwise)
+    exponent = sigma.order - sigma.rho * np.sum(alpha)
     sup_ratio = float(np.max(sup_pointwise * (1.0 + radii) ** (-exponent)))
     shell_ids = np.unique(shells)
     shell_sup = np.array([np.max(sup_pointwise[shells == s]) for s in shell_ids])
@@ -317,28 +208,27 @@ def _reference_seminorm(sigma, alpha, beta, window):
 def test_seminorm_matches_the_pointwise_reference():
     s = to_symbol("(1+0.5*cos(2*pi*x1))*cos(2*pi*x2)*(1+|xi|^2)^(-1)", n=2, order=-2)
     rep = seminorm_estimate(s, [1, 0], [0, 0], (0, 24))
-    want = _reference_seminorm(s, [1, 0], [0, 0], (0, 24))
+    want = _reference_seminorm(s, [1, 0], (0, 24))
     assert rep.sup_ratio == want[0]
     # the closed-form line and np.polyfit's lstsq round differently
     assert (rep.fitted_exponent, rep.residual) == pytest.approx(want[1:], rel=1e-12)
-
-
-def test_seminorm_x_derivative_matches_the_pointwise_reference():
-    s = to_symbol("(1+0.5*cos(2*pi*x1)+0.25*sin(2*pi*2*x1))*<xi>^(-1)", n=1, order=-1)
-    rep = seminorm_estimate(s, [1], [1], (0, 64))
-    want = _reference_seminorm(s, [1], [1], (0, 64))
-    assert (rep.sup_ratio, rep.fitted_exponent, rep.residual) == pytest.approx(want, rel=1e-12)
 
 
 def test_seminorm_two_shell_fit_matches_the_pointwise_reference():
     # the window [0, 1] holds shells 0 and 1: the line through two points
     s = to_symbol("(1+0.5*cos(2*pi*x1))*<xi>^(-1)", n=1, order=-1)
     rep = seminorm_estimate(s, [0], [0], (0, 1))
-    sup_ratio, slope, resid = _reference_seminorm(s, [0], [0], (0, 1))
+    sup_ratio, slope, resid = _reference_seminorm(s, [0], (0, 1))
     assert rep.sup_ratio == sup_ratio
     assert rep.fitted_exponent == pytest.approx(slope, rel=1e-12)
     # the largest |ln sup| is ln 1.5, at shell 0
     assert rep.residual == pytest.approx(resid, rel=0, abs=1e-12 * np.log(1.5))
+
+
+def test_seminorm_refuses_a_nonzero_beta():
+    s = to_symbol("(1+0.5*cos(2*pi*x1))*<xi>^(-1)", n=1, order=-1)
+    with pytest.raises(UsageError, match=r"^x-derivatives are not estimated: beta must be 0, got \[1\]$"):
+        seminorm_estimate(s, [0], [1], (0, 8))
 
 
 def test_seminorm_empty_window():
@@ -540,7 +430,6 @@ def test_x_dependence_flag_from_the_expression():
     # derived symbols keep their input's bandwidth
     assert finite_modify(bracket_inv(), {(0.0,): 2.0}).x_bandwidth == 0
     assert difference(bracket_inv(), [1]).x_bandwidth == 0
-    assert partial_x(bracket_inv(), [1], 8).x_bandwidth == 0
     # and every other field they do not change, non-default ones included
     angular = "1+0.5*cos(2*pi*x1)"
     s = to_symbol(
@@ -550,7 +439,6 @@ def test_x_dependence_flag_from_the_expression():
     derived = {
         "flip": flip(s),
         "difference": difference(s, [1]),
-        "partial_x": partial_x(s, [1], 8),
         "finite_modify": finite_modify(s, {(0.0,): 2.0}),
         "regularize_at_origin": regularize_at_origin(s, 1),
     }
@@ -559,7 +447,6 @@ def test_x_dependence_flag_from_the_expression():
     assert derived["flip"].side == TOROIDAL and derived["flip"].order == -1
     assert [t.degree for t in derived["flip"].classical] == [-1.0]
     assert derived["difference"].order == -1.75 and derived["difference"].classical == ()
-    assert derived["partial_x"].order == -0.75 and derived["partial_x"].classical == ()
     for name in ("finite_modify", "regularize_at_origin"):
         assert derived[name].order == -1 and derived[name].classical is s.classical
         assert derived[name].side == s.side
