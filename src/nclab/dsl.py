@@ -46,6 +46,7 @@ import numpy as np
 
 from .errors import UsageError
 from .record import Record
+from .symbols import ClassicalTerm, Symbol
 
 FUNCTIONS = {"cos": np.cos, "sin": np.sin, "exp": np.exp, "abs": np.abs}
 VAR_KINDS = ("x", "xi", "theta")
@@ -564,8 +565,6 @@ def to_symbol(
     complex-valued via the optional imaginary part main_im.  The
     x_bandwidth is the largest over main, main_im and every term.
     """
-    from . import symbols as sym  # local import keeps dsl importable standalone
-
     main_ast = _as_ast(main, n)
     im_ast = _as_ast(main_im, n) if main_im is not None else None
     for ast in (main_ast, im_ast):
@@ -583,11 +582,11 @@ def to_symbol(
         ast = _as_ast(angular_expr, n)
         if references(ast, ("xi",)):
             raise UsageError("angular parts must use theta, not xi")
-        terms.append(sym.ClassicalTerm(float(degree), _angular_fn(ast)))
+        terms.append(ClassicalTerm(float(degree), _angular_fn(ast)))
         asts.append(ast)
 
     bandwidth = max(x_bandwidth(ast) for ast in asts)
-    return sym.Symbol(func, float(order), float(rho), float(delta), side, tuple(terms), bandwidth)
+    return Symbol(func, float(order), float(rho), float(delta), side, tuple(terms), bandwidth)
 
 
 def _angular_fn(ast: SymbolExpr):

@@ -1,4 +1,7 @@
-"""Lattice index sets and grids shared by all modules.
+"""Lattice index sets, grids and the budgets shared by all modules:
+the memory refusal (check_memory), the evaluation block size
+(BLOCK_POINTS) and the quadrature rule on the sphere of directions
+(sphere_rule).
 
 Conventions, pinned once for the whole package:
 
@@ -19,10 +22,35 @@ between threads.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from .errors import UsageError
 from .record import Record
+
+# Symbol samples (first arguments times torus points) per evaluation
+# block, for the assembly, the residue and the seminorm blocks; chosen
+# by measurement on assembly: larger blocks gained little time and
+# raised peak memory (about 40 bytes per sample: the real samples,
+# their complex copy and its transform or tap product).
+BLOCK_POINTS = 2**15
+
+DEFAULT_SPHERE_ORDER = {1: 2, 2: 64, 3: 24}
+
+
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def check_memory(need: int, what: str) -> None:
+    """Refuse an allocation of need bytes larger than physical memory."""
+    have = _physical_memory()
+    if need > have:
+        raise UsageError(
+            f"{what} needs {need / 2**30:.1f} GiB, "
+            f"more than the {have / 2**30:.1f} GiB of physical memory"
+        )
 
 
 def torus_grid(n: int, q: int) -> np.ndarray:
@@ -69,7 +97,10 @@ class TruncationBox(Record):
 
     def points(self) -> np.ndarray:
         """All lattice points as an integer array of shape (size, n),
-        in enumeration order."""
+        in enumeration order; refused before anything is allocated when
+        they, their float copy and one complex value per point would
+        outgrow physical memory."""
+        check_memory(16 * (self.n + 1) * self.size, f"a box of {self.size} lattice points")
         axis = np.arange(-self.M, self.M + 1)
         grids = np.meshgrid(*([axis] * self.n), indexing="ij")
         return np.stack(grids, axis=-1).reshape(-1, self.n)
@@ -91,3 +122,55 @@ class TruncationBox(Record):
         if np.any(np.abs(p) > self.M):
             raise UsageError(f"point {p.tolist()} outside box [-{self.M},{self.M}]^{self.n}")
         return int((p + self.M) @ self.strides)
+
+
+class SphereRule(Record):
+    """Quadrature nodes/weights on the unit sphere S^(n-1) in R^n;
+    weights sum to the surface measure (2, 2*pi, 4*pi for n=1,2,3)."""
+
+    n: int
+    nodes: np.ndarray  # (K, n), unit vectors
+    weights: np.ndarray  # (K,), positive
+
+    @property
+    def order(self) -> int:
+        return len(self.weights)
+
+
+def sphere_rule(n: int, order: int | None = None) -> SphereRule:
+    """Build the quadrature rule for S^(n-1), 1 <= n <= 3.
+
+    n=1: the two points +-1, weight 1 each.  n=2: `order` equispaced
+    angles, trapezoid weights.  n=3: Gauss-Legendre in cos(polar) with
+    `order` nodes times 2*order equispaced azimuths, normalized to
+    total 4*pi.  A None order takes DEFAULT_SPHERE_ORDER.
+    """
+    if not 1 <= n <= 3:
+        raise UsageError(f"unsupported dimension {n}: sphere rules cover 1 <= n <= 3")
+    if order is None:
+        order = DEFAULT_SPHERE_ORDER[n]
+    if order < 1:
+        raise UsageError(f"sphere rule order must be >= 1, got {order}")
+    if n == 1:
+        nodes = np.array([[1.0], [-1.0]])
+        weights = np.array([1.0, 1.0])
+    elif n == 2:
+        ang = 2.0 * np.pi * np.arange(order) / order
+        nodes = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+        weights = np.full(order, 2.0 * np.pi / order)
+    else:
+        t, wt = np.polynomial.legendre.leggauss(order)
+        n_az = 2 * order
+        phi = 2.0 * np.pi * np.arange(n_az) / n_az
+        st = np.sqrt(1.0 - t**2)
+        nodes = np.stack(
+            [
+                np.outer(st, np.cos(phi)).ravel(),
+                np.outer(st, np.sin(phi)).ravel(),
+                np.outer(t, np.ones(n_az)).ravel(),
+            ],
+            axis=-1,
+        )
+        weights = np.outer(wt, np.full(n_az, 2.0 * np.pi / n_az)).ravel()
+        weights = weights * (4.0 * np.pi / weights.sum())
+    return SphereRule(n, nodes, weights)

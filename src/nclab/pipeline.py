@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import UsageError
 from .lattice import TruncationBox
-from .quantize import FOURIER_MODE, OperatorMatrix, QuadratureGrid, _check_memory, assemble_toroidal
+from .quantize import FOURIER_MODE, OperatorMatrix, QuadratureGrid, assemble_toroidal
 from .record import Record
 from .residue import CONVENTIONS_STANZA, DEFAULT_TORUS_Q, LATTICE, PAPER, SphereRule, check_trace_formula_applies, dixmier_trace_formula, residue_value
 from .spectral import SpectralSummary, matrix_sequence, trace_estimate
@@ -103,7 +103,6 @@ def build_spectrum(
         A, q = assemble_toroidal(flip(sigma), box, grid), grid.q
     else:
         # T[m, m] = conj sigma(-m); evaluate's writable result is its own copy, conjugated in place
-        _check_memory(16 * (n + 1) * box.size, f"a diagonal of {box.size} lattice points")
         # a pole is reported once, as matrix_sequence's non-finite-entry error, as on the assembled path
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             vals = evaluate(sigma.func, (-box.points()).astype(float), np.zeros(n), (box.size,))

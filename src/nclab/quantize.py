@@ -52,7 +52,7 @@ at most TAP_PRODUCT_ENTRIES entries multiplies each point's P samples
 by it: one small DFT product per point, evaluated only at the T taps
 and with no numpy.fft.  Reach 2M, and a band past that bound, run one
 batched FFT over the grid axes and read the taps.  B * P stays within
-BLOCK_POINTS (B >= 1), so a block's temporaries stay near
+lattice.BLOCK_POINTS (B >= 1), so a block's temporaries stay near
 40 * BLOCK_POINTS bytes: the real samples, their complex copy and the
 B * T < B * P coefficients (or the FFT's B * P).  Rows (columns) are
 independent and each point's product is its own, so the block size
@@ -69,7 +69,7 @@ import struct
 import numpy as np
 
 from .errors import UsageError
-from .lattice import TruncationBox, torus_grid
+from .lattice import BLOCK_POINTS, TruncationBox, check_memory, torus_grid
 from .record import Record
 from .symbols import DISCRETE, TOROIDAL, Symbol, evaluate, flip
 
@@ -77,12 +77,6 @@ LATTICE_DELTA = "lattice_delta"
 FOURIER_MODE = "fourier_mode"
 
 BINARY_MAGIC = b"NCRM"
-
-# Symbol samples (lattice points times grid points) per assembly block,
-# chosen by measurement: larger blocks gained little time and raised
-# peak memory (about 40 bytes per sample: the real samples, their
-# complex copy and its transform or tap product).
-BLOCK_POINTS = 2**15
 
 # A toroidal operator of band half-width kd is kept in band storage only
 # when BAND_RATIO * kd < S, chosen by measurement: on one BLAS thread
@@ -245,24 +239,10 @@ def _reach(sym: Symbol, box: TruncationBox) -> int:
     return int(min(sym.x_bandwidth, 2 * box.M))
 
 
-def _physical_memory() -> int:
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-
-def _check_memory(need: int, what: str) -> None:
-    """Refuse an allocation of need bytes larger than physical memory."""
-    have = _physical_memory()
-    if need > have:
-        raise UsageError(
-            f"{what} needs {need / 2**30:.1f} GiB, "
-            f"more than the {have / 2**30:.1f} GiB of physical memory"
-        )
-
-
 def check_dense(box: TruncationBox) -> None:
     """Refuse a dense S x S complex matrix larger than physical memory."""
     S = box.size
-    _check_memory(16 * S * S, f"a dense {S} x {S} complex matrix")
+    check_memory(16 * S * S, f"a dense {S} x {S} complex matrix")
 
 
 def _check_sizes(
@@ -284,7 +264,7 @@ def _check_sizes(
         check_dense(box)
     else:
         S = box.size
-        _check_memory(16 * S * (2 * kd + 1), f"a band of {S} x {2 * kd + 1} complex entries")
+        check_memory(16 * S * (2 * kd + 1), f"a band of {S} x {2 * kd + 1} complex entries")
     return grid
 
 
@@ -448,13 +428,15 @@ def verify_identity(
     x-Fourier bandwidth for band-limited symbols).
 
     D and the toroidal matrix T share one storage (flip keeps the
-    x-bandwidth), each refused by its assembler when it outgrows
-    physical memory.  B[n', k] = conj(T[-k, -n']) is read off T's
-    storage by reversed_transpose, and D - B is formed in D's array:
-    dense storage holds two S x S complex arrays at most."""
+    x-bandwidth), so the two are refused together, before T is
+    assembled, when twice D's storage outgrows physical memory.
+    B[n', k] = conj(T[-k, -n']) is read off T's storage by
+    reversed_transpose, and D - B is formed in D's array: dense storage
+    holds two S x S complex arrays at most."""
     if grid is None:
         grid = QuadratureGrid.for_box(box)
     D = assemble_discrete(sigma, box, grid)
+    check_memory(2 * D.data.nbytes, "holding the discrete and the toroidal matrix at once")
     rows, cols = D.slots()
     pts = box.points()
     mags = np.abs(D.data)

@@ -14,8 +14,9 @@ Two prefactor conventions are implemented:
   frequency by 2 pi maps one convention onto the other.
 
 Torus integration uses the tensor rectangle rule (exact for
-trigonometric polynomials of degree < Q/2); the sphere rules are exact
-for the polynomial angular parts used in the analytic test corpus.
+trigonometric polynomials of degree < Q/2); the sphere rules
+(lattice.sphere_rule) are exact for the polynomial angular parts used
+in the analytic test corpus.
 Node evaluations are summed in pinned node order for reproducibility.
 """
 
@@ -24,8 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import UsageError
-from .lattice import torus_grid
-from .quantize import BLOCK_POINTS, _check_memory
+from .lattice import BLOCK_POINTS, SphereRule, check_memory, sphere_rule, torus_grid
 from .record import Record, replace
 from .symbols import DISCRETE, TOROIDAL, Symbol, flip, homogeneous_component
 
@@ -33,59 +33,6 @@ LATTICE = "lattice"
 PAPER = "paper"
 
 DEFAULT_TORUS_Q = 128
-DEFAULT_SPHERE_ORDER = {1: 2, 2: 64, 3: 24}
-
-
-class SphereRule(Record):
-    """Quadrature nodes/weights on the unit sphere S^(n-1) in R^n;
-    weights sum to the surface measure (2, 2*pi, 4*pi for n=1,2,3)."""
-
-    n: int
-    nodes: np.ndarray  # (K, n), unit vectors
-    weights: np.ndarray  # (K,), positive
-
-    @property
-    def order(self) -> int:
-        return len(self.weights)
-
-
-def sphere_rule(n: int, order: int | None = None) -> SphereRule:
-    """Build the quadrature rule for S^(n-1), 1 <= n <= 3.
-
-    n=1: the two points +-1, weight 1 each.  n=2: `order` equispaced
-    angles, trapezoid weights.  n=3: Gauss-Legendre in cos(polar) with
-    `order` nodes times 2*order equispaced azimuths, normalized to
-    total 4*pi.  A None order takes DEFAULT_SPHERE_ORDER.
-    """
-    if not 1 <= n <= 3:
-        raise UsageError(f"unsupported dimension {n}: sphere rules cover 1 <= n <= 3")
-    if order is None:
-        order = DEFAULT_SPHERE_ORDER[n]
-    if order < 1:
-        raise UsageError(f"sphere rule order must be >= 1, got {order}")
-    if n == 1:
-        nodes = np.array([[1.0], [-1.0]])
-        weights = np.array([1.0, 1.0])
-    elif n == 2:
-        ang = 2.0 * np.pi * np.arange(order) / order
-        nodes = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-        weights = np.full(order, 2.0 * np.pi / order)
-    else:
-        t, wt = np.polynomial.legendre.leggauss(order)
-        n_az = 2 * order
-        phi = 2.0 * np.pi * np.arange(n_az) / n_az
-        st = np.sqrt(1.0 - t**2)
-        nodes = np.stack(
-            [
-                np.outer(st, np.cos(phi)).ravel(),
-                np.outer(st, np.sin(phi)).ravel(),
-                np.outer(t, np.ones(n_az)).ravel(),
-            ],
-            axis=-1,
-        )
-        weights = np.outer(wt, np.full(n_az, 2.0 * np.pi / n_az)).ravel()
-        weights = weights * (4.0 * np.pi / weights.sum())
-    return SphereRule(n, nodes, weights)
 
 
 class ResidueReport(Record):
@@ -113,7 +60,7 @@ def noncommutative_residue(
     extracted numerically (Richardson probe along rays); see
     symbols.homogeneous_component.  It is evaluated on blocks of sphere
     nodes, as theta of shape (B, 1, n) against the torus grid as x of
-    shape (1, X, n), with B * X within quantize.BLOCK_POINTS.  A symbol
+    shape (1, X, n), with B * X within lattice.BLOCK_POINTS.  A symbol
     declared x-free is evaluated at x = 0 only (X = 1): its mean over
     the torus is its value there.  The report still names torus_q.  An
     oversize torus grid is refused before it is built."""
@@ -132,7 +79,7 @@ def noncommutative_residue(
 
     q = torus_q if a.x_bandwidth != 0 else 1
     # the grid's coordinates, twice while torus_grid stacks them, and one node's values
-    _check_memory(16 * q**n * (n + 1), f"a torus grid of {q**n} points")
+    check_memory(16 * q**n * (n + 1), f"a torus grid of {q**n} points")
     xs = torus_grid(n, q)
     per_block = max(1, BLOCK_POINTS // len(xs))
     means = np.empty(rule.order, dtype=complex)

@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NonConvergenceError, UsageError
-from .lattice import TruncationBox, multi_index, torus_grid
+from .lattice import BLOCK_POINTS, TruncationBox, check_memory, multi_index, sphere_rule, torus_grid
 from .record import Record, replace
 from .spectral import affine_fit
 
@@ -60,7 +60,7 @@ class Symbol(Record):
     shape that broadcasts to the common leading shape (a scalar
     included).  Assembly calls it with first of shape (B, 1, n) and
     second of shape (1, P, n), P = Q^n or (2r+2)^n, for blocks of at
-    most quantize.BLOCK_POINTS samples.
+    most lattice.BLOCK_POINTS samples.
 
     classical declares the homogeneous expansion, valid for large
     |frequency|:
@@ -209,40 +209,33 @@ def difference(sigma: Symbol, alpha) -> Symbol:
 
 class SeminormReport(Record):
     """Observed decay of |Delta^alpha sigma| against the weight
-    (1+|n'|)^(m - rho|alpha|); beta, the x-derivative half of the
-    paper's seminorms, is always 0.  No fit (None) when fewer than two
+    (1+|n'|)^(m - rho|alpha|).  No fit (None) when fewer than two
     shells carry a nonzero sup."""
 
     alpha: tuple[int, ...]
-    beta: tuple[int, ...]
     sup_ratio: float
     fitted_exponent: float | None
     residual: float | None
 
 
-def seminorm_estimate(sigma: Symbol, alpha, beta, window: tuple[int, int]) -> SeminormReport:
+def seminorm_estimate(sigma: Symbol, alpha, window: tuple[int, int]) -> SeminormReport:
     """Scan lattice radii r_min <= |n'| <= r_max and the uniform torus
     grid of SEMINORM_X_GRID points per axis (one point, x = 0, for a
     symbol declared x-free: its values are the same at every x);
     report the sup of the weighted ratio and the least-squares decay
     exponent of the per-shell sup against log(1+r).
 
-    Only the Delta^alpha half of the seminorms is estimated: beta must
-    be 0.  Delta^alpha sigma is evaluated on blocks of window points,
-    first of shape (B, 1, n) against the X-point torus grid as x of
-    shape (1, X, n), with B * X within quantize.BLOCK_POINTS.  A grid
+    Only the Delta^alpha half of the paper's seminorms is estimated;
+    the x-derivative half (beta) is always 0.  Delta^alpha sigma is
+    evaluated on blocks of window points, first of shape (B, 1, n)
+    against the X-point torus grid as x of shape (1, X, n), with B * X
+    within lattice.BLOCK_POINTS.  An oversize window is refused by
+    TruncationBox.points before it is enumerated, and so is a grid
     whose coordinates and one point's samples would outgrow physical
-    memory is refused before it is built.
+    memory before it is built.
     """
-    from .quantize import BLOCK_POINTS, _check_memory  # local import: quantize imports this module
-
     alpha = multi_index(alpha)
-    beta = multi_index(beta)
     n = alpha.size
-    if beta.size != n:
-        raise UsageError("alpha and beta must have equal length")
-    if beta.any():
-        raise UsageError(f"x-derivatives are not estimated: beta must be 0, got {beta.tolist()}")
     r_min, r_max = int(window[0]), int(window[1])
     if r_max < r_min or r_min < 0:
         raise UsageError(f"empty window [{r_min}, {r_max}]")
@@ -253,7 +246,7 @@ def seminorm_estimate(sigma: Symbol, alpha, beta, window: tuple[int, int]) -> Se
     q = SEMINORM_X_GRID if g.x_bandwidth != 0 else 1
     # the grid's coordinates, twice while torus_grid stacks them, and
     # the complex samples of the smallest block, one window point
-    _check_memory(16 * q**n * (n + 1), f"a torus grid of {q**n} points")
+    check_memory(16 * q**n * (n + 1), f"a torus grid of {q**n} points")
     xs = torus_grid(n, q)
     per_block = max(1, BLOCK_POINTS // len(xs))
     sup_pointwise = np.empty(len(pts))
@@ -277,28 +270,11 @@ def seminorm_estimate(sigma: Symbol, alpha, beta, window: tuple[int, int]) -> Se
     else:
         fitted = resid = None
 
-    return SeminormReport(
-        tuple(int(a) for a in alpha),
-        tuple(int(b) for b in beta),
-        sup_ratio,
-        fitted,
-        resid,
-    )
-
-
-def seminorm_window(n: int, r_max: int) -> TruncationBox:
-    """The box [-r_max, r_max]^n that seminorm_estimate enumerates,
-    refused before anything is allocated when its points, as integers
-    and as floats, would not fit in physical memory."""
-    from .quantize import _check_memory  # local import: quantize imports this module
-
-    box = TruncationBox(n, r_max)
-    _check_memory(16 * (n + 1) * box.size, f"a window of {box.size} lattice points")
-    return box
+    return SeminormReport(tuple(int(a) for a in alpha), sup_ratio, fitted, resid)
 
 
 def _window_points(n: int, r_min: int, r_max: int) -> np.ndarray:
-    pts = seminorm_window(n, r_max).points()
+    pts = TruncationBox(n, r_max).points()
     norms = np.sqrt(np.sum(pts.astype(float) ** 2, axis=-1))
     mask = (norms >= r_min) & (norms <= r_max)
     if not np.any(mask):
@@ -398,10 +374,8 @@ def regularize_at_origin(sigma: Symbol, n: int) -> Symbol:
     """Patch the origin of a symbol whose homogeneous expression is
     singular at 0 with the average of its declared leading term over
     the unit sphere at x = 0, by the residue's quadrature
-    (residue.sphere_rule(n), 1 <= n <= 3).  A finite-rank change, so
+    (lattice.sphere_rule(n), 1 <= n <= 3).  A finite-rank change, so
     the Dixmier trace and the residue are unaffected."""
-    from .residue import sphere_rule  # local import: residue imports this module
-
     if not sigma.classical:
         raise UsageError("origin regularization needs a declared leading term")
     lead = sigma.classical[0]

@@ -426,12 +426,12 @@ def test_oversize_matrix_exits_1_before_allocating(tmp_path, monkeypatch, capsys
 def test_banded_connes_is_sized_by_its_band(tmp_path, monkeypatch, capsys):
     # at M = 2048 the dense matrix takes 16 * 4097^2 B = 268.6 MB and
     # the band of half-width 1 takes 16 * 4097 * 3 B = 197 kB
-    import nclab.quantize as quantize
+    import nclab.lattice as lattice
     import nclab.spectral as spectral
 
     if spectral._zhbevd() is None:
         pytest.skip("numpy ships no LAPACKE zhbevd: connes would need the dense matrix")
-    monkeypatch.setattr(quantize, "_physical_memory", lambda: 200 * 10**6)
+    monkeypatch.setattr(lattice, "_physical_memory", lambda: 200 * 10**6)
     cfg = write(tmp_path, COSINE.replace("M = 24", "M = 2048").replace("Q = 256", "Q = 16384"))
     assert main(["connes", "--config", cfg, "--out", str(tmp_path / "c"), "--quiet"]) == 0
     data = json.loads((tmp_path / "c" / "connes.json").read_text())
@@ -459,20 +459,19 @@ def test_odd_grid_size_is_fatal_with_its_line(tmp_path, capsys, command, text):
 @pytest.mark.parametrize("command", ["spectrum", "dixmier", "connes"])
 def test_oversize_diagonal_run_is_refused_before_enumeration(tmp_path, monkeypatch, capsys, command):
     # (2 * 10^9 + 1)^2 box points; enumerating any of them fails the test
-    import nclab.quantize as quantize
-    from nclab.lattice import TruncationBox
+    import nclab.lattice as lattice
 
-    def refuse(box):
+    def refuse(*axes, **kwargs):
         raise AssertionError("box enumerated")
 
-    monkeypatch.setattr(quantize, "_physical_memory", lambda: 4 * 2**30)
-    monkeypatch.setattr(TruncationBox, "points", refuse)
+    monkeypatch.setattr(lattice, "_physical_memory", lambda: 4 * 2**30)
+    monkeypatch.setattr(lattice.np, "meshgrid", refuse)
     text = MULTIPLIER.replace("n = 1", "n = 2").replace("-1", "-2").replace("M = 1500", "M = 1000000000")
     cfg = write(tmp_path, text)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "r"), "--quiet"]) == 1
     err = capsys.readouterr().err
     assert re.fullmatch(
-        r"error: a diagonal of 4000000004000000001 lattice points needs [\d.]+ GiB, "
+        r"error: a box of 4000000004000000001 lattice points needs [\d.]+ GiB, "
         r"more than the 4\.0 GiB of physical memory\n",
         err,
     )
@@ -490,19 +489,18 @@ def test_box_past_int64_indexing_exits_1(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("n, M, size", [(20, 1, 3**20), (2, 100_000, 200_001**2)])
 def test_oversize_seminorm_window_is_refused_before_enumeration(tmp_path, monkeypatch, capsys, n, M, size):
-    import nclab.quantize as quantize
-    from nclab.lattice import TruncationBox
+    import nclab.lattice as lattice
 
-    def refuse(box):
+    def refuse(*axes, **kwargs):
         raise AssertionError("box enumerated")
 
-    monkeypatch.setattr(quantize, "_physical_memory", lambda: 4 * 2**30)
-    monkeypatch.setattr(TruncationBox, "points", refuse)
+    monkeypatch.setattr(lattice, "_physical_memory", lambda: 4 * 2**30)
+    monkeypatch.setattr(lattice.np, "meshgrid", refuse)
     text = MULTIPLIER.replace("n = 1", f"n = {n}").replace("-1", f"-{n}").replace("M = 1500", f"M = {M}")
     cfg = write(tmp_path, text)
     assert main(["symbol-check", "--config", cfg, "--out", str(tmp_path / "r"), "--quiet"]) == 1
     assert re.fullmatch(
-        rf"error: a window of {size} lattice points needs [\d.]+ GiB, "
+        rf"error: a box of {size} lattice points needs [\d.]+ GiB, "
         r"more than the 4\.0 GiB of physical memory\n",
         capsys.readouterr().err,
     )
@@ -510,13 +508,13 @@ def test_oversize_seminorm_window_is_refused_before_enumeration(tmp_path, monkey
 
 def test_oversize_seminorm_torus_grid_is_refused_before_it_is_built(tmp_path, monkeypatch, capsys):
     # n = 8: a 6,561-point window, but 16^8 torus points for an x-dependent symbol
-    import nclab.quantize as quantize
+    import nclab.lattice as lattice
     import nclab.symbols as symbols
 
     def refuse(n, q):
         raise AssertionError("torus grid built")
 
-    monkeypatch.setattr(quantize, "_physical_memory", lambda: 4 * 2**30)
+    monkeypatch.setattr(lattice, "_physical_memory", lambda: 4 * 2**30)
     monkeypatch.setattr(symbols, "torus_grid", refuse)
     text = COSINE.replace("n = 1", "n = 8").replace("<xi>^(-1)", "(1+|xi|^2)^(-4)").replace("-1", "-8")
     cfg = write(tmp_path, text.replace("M = 24", "M = 1"))
@@ -531,13 +529,13 @@ def test_oversize_seminorm_torus_grid_is_refused_before_it_is_built(tmp_path, mo
 @pytest.mark.parametrize("command", ["residue", "connes"])
 def test_oversize_residue_torus_grid_is_refused_before_it_is_built(tmp_path, monkeypatch, capsys, command):
     # an x-dependent symbol at residue_q = 2^28: 2^28 torus points, 8 GiB
-    import nclab.quantize as quantize
+    import nclab.lattice as lattice
     import nclab.residue as residue
 
     def refuse(n, q):
         raise AssertionError("torus grid built")
 
-    monkeypatch.setattr(quantize, "_physical_memory", lambda: 4 * 2**30)
+    monkeypatch.setattr(lattice, "_physical_memory", lambda: 4 * 2**30)
     monkeypatch.setattr(residue, "torus_grid", refuse)
     cfg = write(tmp_path, COSINE + "residue_q = 268435456\n")
     assert main([command, "--config", cfg, "--out", str(tmp_path / "r"), "--quiet"]) == 1

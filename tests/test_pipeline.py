@@ -105,6 +105,28 @@ def test_trace_class_symbol():
     assert abs(c) < 0.02
 
 
+@pytest.mark.parametrize(
+    "n, expr, order, Ms, trend",
+    [
+        (1, "<xi>^(-0.75)", -0.75, (10**3, 10**4, 10**5), 1),  # 9.44, 16.78, 29.84
+        (1, "<xi>^(-1)", -1, (10**3, 10**4, 10**5), 0),  # 2 within 1e-5
+        (1, "<xi>^(-1.25)", -1.25, (10**3, 10**4, 10**5), -1),  # 0.427, 0.240, 0.135
+        (2, "(1+|xi|^2)^(-0.875)", -1.75, (50, 200), 1),  # 7.86, 11.10
+        (2, "(1+|xi|^2)^(-1.125)", -2.25, (50, 200), -1),  # 1.245, 0.883
+    ],
+)
+def test_trace_estimate_is_sharp_at_order_minus_n(n, expr, order, Ms, trend):
+    # the paper's boundary: above -n the fitted estimate grows with the
+    # truncation (not in L^(1,inf)), at -n it settles on the residue, and
+    # below -n it decays towards the trace-class value 0
+    sigma = to_symbol(expr, n=n, order=order)
+    estimates = np.array([build_spectrum(sigma, n, M).fit().trace_estimate for M in Ms])
+    if trend:
+        assert np.all(np.sign(np.diff(estimates)) == trend)
+    else:
+        assert np.max(np.abs(estimates - 2.0)) < 1e-5
+
+
 def test_order_is_refused_before_the_spectrum_is_built(monkeypatch):
     from nclab import pipeline
 

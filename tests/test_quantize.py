@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nclab import quantize
+from nclab import lattice, quantize
 from nclab.dsl import to_symbol
 from nclab.errors import UsageError
 from nclab.lattice import TruncationBox
@@ -511,16 +511,39 @@ def test_identity_is_sized_by_its_band(monkeypatch):
     box = TruncationBox(1, 8)
     one, band = 16 * box.size**2, 16 * box.size * 3
     want = verify_identity(cosine_bracket(), box)
-    monkeypatch.setattr(quantize, "_physical_memory", lambda: one // 2)
+    monkeypatch.setattr(lattice, "_physical_memory", lambda: one // 2)
     assert verify_identity(cosine_bracket(), box) == want
 
     def refuse(*args):
         raise AssertionError("assembly started")
 
-    monkeypatch.setattr(quantize, "_physical_memory", lambda: band - 1)
+    monkeypatch.setattr(lattice, "_physical_memory", lambda: band - 1)
     monkeypatch.setattr(quantize, "_coefficient_blocks", refuse)
     with pytest.raises(UsageError, match="a band of 17 x 3 complex entries needs"):
         verify_identity(cosine_bracket(), box)
+
+
+def test_identity_refuses_two_matrices_that_outgrow_memory(monkeypatch):
+    # one dense 13 x 13 matrix fits in 24 S^2 bytes, D and T together do not
+    box = TruncationBox(1, 6)
+    sigma = to_symbol("exp(0.3*cos(2*pi*x1))*<xi>^(-1)", n=1, order=-1)
+
+    def refuse(*args):
+        raise AssertionError("toroidal matrix assembled")
+
+    monkeypatch.setattr(lattice, "_physical_memory", lambda: 24 * box.size**2)
+    monkeypatch.setattr(quantize, "assemble_toroidal", refuse)
+    with pytest.raises(UsageError, match=r"^holding the discrete and the toroidal matrix at once needs 0\.0 GiB"):
+        verify_identity(sigma, box)
+
+
+def test_assembly_refuses_box_points_that_outgrow_memory(monkeypatch):
+    # an x-free band of half-width 0 takes 16 S bytes and fits in 24 S;
+    # the box points it is assembled over take 32 S and do not
+    box = TruncationBox(1, 500)
+    monkeypatch.setattr(lattice, "_physical_memory", lambda: 24 * box.size)
+    with pytest.raises(UsageError, match=r"^a box of 1001 lattice points needs 0\.0 GiB, more than the 0\.0 GiB"):
+        assemble_toroidal(flip(to_symbol("<xi>^(-1)", n=1, order=-1)), box)
 
 
 def test_identity_peak_memory_far_below_one_dense_matrix():
