@@ -5,10 +5,19 @@ estimate converges to the residue.
 Usage:
     python scripts/truncation_sweep.py --config configs/multiplier_1d.cfg \
         --m-values 250,500,1000,2000,4000 --out sweep.csv
+    python scripts/truncation_sweep.py --sharpness
 
 Writes one CSV row per M with the estimate, the residue, the relative
 deviation, the fit diagnostics, the solver that ran and the seconds
 the run took.
+
+--sharpness prints instead the trace estimate of build_spectrum(...).fit()
+for the multipliers <xi>^(order) at orders -n and -n +- 1/4, n = 1 and 2,
+over the half-widths of --m-values-1d and --m-values-2d: the paper's
+boundary, where the estimate grows with M above -n (the operator is not
+in L^(1,inf)), settles at -n and decays towards the trace-class value 0
+below it.  Each row ends with the relative change of the estimate from
+the first to the last M and the relative stability span at the last M.
 """
 
 from __future__ import annotations
@@ -21,18 +30,50 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from nclab.config import build_symbol, load_config
-from nclab.pipeline import run_connes_check
+from nclab.dsl import to_symbol
+from nclab.pipeline import build_spectrum, run_connes_check
 from nclab.residue import sphere_rule
+
+SHARPNESS_OFFSETS = (0.25, 0.0, -0.25)  # orders -n + 1/4, -n, -n - 1/4
+
+
+def sharpness(ms_by_n: dict[int, list[int]]) -> None:
+    """Print the trace estimate of <xi>^(order) at orders -n and
+    -n +- 1/4 over each n's half-widths, one block per n."""
+    for n, ms in ms_by_n.items():
+        print(f"n = {n}: <xi>^(order), trace estimate by M")
+        print(f"{'order':>7}" + "".join(f"{'M=' + str(M):>12}" for M in ms)
+              + f"{'rel. change':>13}{'rel. span':>11}")
+        for offset in SHARPNESS_OFFSETS:
+            order = -n + offset
+            sigma = to_symbol(f"<xi>^({order})", n=n, order=order)
+            fits = [build_spectrum(sigma, n, M).fit() for M in ms]
+            c = [fit.trace_estimate for fit in fits]
+            print(f"{order:>7.2f}" + "".join(f"{v:>12.6f}" for v in c)
+                  + f"{(c[-1] - c[0]) / abs(c[0]):>+13.2e}"
+                  + f"{fits[-1].stability_span / abs(c[-1]):>11.1e}")
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--config", required=True)
+    ap.add_argument("--config")
     ap.add_argument("--m-values", default="125,250,500,1000,2000",
                     help="comma-separated truncation half-widths")
     ap.add_argument("--out", default="sweep.csv")
+    ap.add_argument("--sharpness", action="store_true",
+                    help="print the estimate at orders -n, -n +- 1/4 for n = 1, 2 instead")
+    ap.add_argument("--m-values-1d", default="1000,10000,100000",
+                    help="half-widths of the n = 1 sharpness rows")
+    ap.add_argument("--m-values-2d", default="50,200",
+                    help="half-widths of the n = 2 sharpness rows")
     args = ap.parse_args()
 
+    if args.sharpness:
+        sharpness({1: [int(v) for v in args.m_values_1d.split(",")],
+                   2: [int(v) for v in args.m_values_2d.split(",")]})
+        return 0
+    if args.config is None:
+        ap.error("--config is required unless --sharpness is given")
     cfg = load_config(args.config)
     sigma = build_symbol(cfg)
     n = cfg.symbol.n

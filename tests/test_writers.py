@@ -1,15 +1,17 @@
 """The CSV writers against the per-row loops they replaced.
 
 The reference writers below format one row at a time from numpy
-scalars into a text-mode file; the spectrum writer formats a chunk of
-rows in one bytes `%` call into a binary file and each run of repeated
-values once.  The matrix writers take a slab of rows at a time from
+scalars into a text-mode file; the spectrum writer streams its partial
+sums and quotients a chunk of rows at a time, formats each chunk in
+one bytes `%` call into a binary file and each run of repeated values
+once.  The matrix writers take a slab of rows at a time from
 OperatorMatrix.rows(), dense or banded; the CSV writer formats only
 the span of each row between its first and last entry that is not
 +0.0 + 0.0j.  The files must stay byte-identical, and the matrix files
 must not depend on the storage or on the slab size.
 """
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -66,7 +68,7 @@ def diag_2d_spectrum():
     return np.sort(1.0 / (1.3 + k1.ravel() ** 2 + k2.ravel() ** 2))[::-1].copy()
 
 
-@pytest.mark.parametrize("length", [0, 1, 2, CHUNK - 1, CHUNK, CHUNK + 1])
+@pytest.mark.parametrize("length", [0, 1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 4 * CHUNK - 1, 4 * CHUNK, 4 * CHUNK + 1])
 def test_spectrum_csv_matches_row_loop(tmp_path, length):
     # signed values over ten decades, and a negative zero
     v = np.random.default_rng(length).standard_normal(length) * np.logspace(-5, 5, length)
@@ -103,6 +105,44 @@ def test_spectrum_csv_matches_row_loop_on_diag_2d(tmp_path):
     quotients = spectral._quotients(sums)
     per_row = np.array([sums[i - 1] / np.log(i) for i in range(2, len(v) + 1)])
     assert np.array_equal(quotients, per_row)
+
+
+def non_finite_mid_stream():
+    """Signed values with inf, nan and -0.0 past the first rows: the
+    partial sums turn inf, then nan, and carry both on."""
+    v = np.random.default_rng(29).standard_normal(40)
+    v[[3, 11, 12]] = -0.0
+    v[17] = np.inf
+    v[23] = np.nan
+    v[30] = -0.0
+    return v
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 7, "S"])
+@pytest.mark.parametrize("spectrum", [diag_2d_spectrum, non_finite_mid_stream], ids=["diag-2d", "non-finite"])
+def test_spectrum_csv_carries_the_partial_sum_across_chunks(tmp_path, monkeypatch, spectrum, chunk_rows):
+    """S_N continues from the previous chunk's last partial sum: chunks
+    of 1 row, of 7 rows (which divide neither 40,401 nor 40) and of
+    all S rows give the row loop's file."""
+    v = spectrum()
+    monkeypatch.setattr(spectral, "_CSV_CHUNK_ROWS", len(v) if chunk_rows == "S" else chunk_rows)
+    assert same_bytes(tmp_path, write_spectrum_csv, reference_spectrum_csv, v)
+
+
+def test_spectrum_csv_peak_memory_is_flat_in_the_spectrum_length(tmp_path):
+    """The writer holds one chunk of partial sums and quotients, not
+    S-length arrays: its traced peak on 200,001 values stays below
+    half the 8 S bytes of the input (about 0.2 x 8 S; four S-length
+    float arrays and more when S_N and D_N are built whole)."""
+    S = 200_001
+    v = 1.0 / (1.3 + np.sqrt(np.arange(S, dtype=float)))
+    tracemalloc.start()
+    try:
+        write_spectrum_csv(tmp_path / "spectrum.csv", v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 8 * S
 
 
 def test_spectrum_csv_takes_a_str_or_a_path(tmp_path):
@@ -239,3 +279,25 @@ def test_matrix_writers_on_band_storage(tmp_path, monkeypatch, matrix, kd, slab_
     payload = (tmp_path / "band.bin").read_bytes()
     assert payload[16:] == entries.astype("<c16").tobytes()
     assert payload == (tmp_path / "dense.bin").read_bytes()
+
+
+def test_matrix_binary_writes_contiguous_dense_storage_at_once(tmp_path, monkeypatch):
+    """C-contiguous dense storage is the payload as it lies in the file,
+    so it goes out in one write and never through the slabs; a
+    transposed view (not C-contiguous) and a band still take them."""
+    box = TruncationBox(1, 32)
+    entries = dense_matrix(box.size)
+    A = OperatorMatrix(entries, box, LATTICE_DELTA)
+    transposed = OperatorMatrix(entries.T, box, LATTICE_DELTA)
+    band = as_band(signed_zero_band(box.size), box, 1)
+    slab_reads = []
+    slabs = quantize._slabs
+    monkeypatch.setattr(quantize, "_slabs", lambda M: slab_reads.append(M) or slabs(M))
+    for name, M, payload in [
+        ("dense", A, entries),
+        ("transposed", transposed, entries.T),
+        ("band", band, band.entries),
+    ]:
+        write_matrix_binary(tmp_path / f"{name}.bin", M)
+        assert (tmp_path / f"{name}.bin").read_bytes()[16:] == np.ascontiguousarray(payload).astype("<c16").tobytes()
+    assert len(slab_reads) == 2 and slab_reads[0] is transposed and slab_reads[1] is band
