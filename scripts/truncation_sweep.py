@@ -13,10 +13,10 @@ the run took.
 
 --sharpness prints instead the trace estimate of build_spectrum(...).fit()
 for the multipliers <xi>^(order) at orders -n and -n +- 1/4, n = 1 and 2,
-over the half-widths of --m-values-1d and --m-values-2d: the paper's
-boundary, where the estimate grows with M above -n (the operator is not
-in L^(1,inf)), settles at -n and decays towards the trace-class value 0
-below it.  Each row ends with the relative change of the estimate from
+over the half-widths of SHARPNESS_M (M = 10^3, 10^4, 10^5 in 1-D and
+50, 200 in 2-D): the paper's boundary, where the estimate grows with M
+above -n (the operator is not in L^(1,inf)), settles at -n and decays
+towards the trace-class value 0 below it.  Each row ends with the relative change of the estimate from
 the first to the last M and the relative stability span at the last M.
 """
 
@@ -35,12 +35,13 @@ from nclab.pipeline import build_spectrum, run_connes_check
 from nclab.residue import sphere_rule
 
 SHARPNESS_OFFSETS = (0.25, 0.0, -0.25)  # orders -n + 1/4, -n, -n - 1/4
+SHARPNESS_M = {1: (1_000, 10_000, 100_000), 2: (50, 200)}  # half-widths by n
 
 
-def sharpness(ms_by_n: dict[int, list[int]]) -> None:
+def sharpness() -> None:
     """Print the trace estimate of <xi>^(order) at orders -n and
     -n +- 1/4 over each n's half-widths, one block per n."""
-    for n, ms in ms_by_n.items():
+    for n, ms in SHARPNESS_M.items():
         print(f"n = {n}: <xi>^(order), trace estimate by M")
         print(f"{'order':>7}" + "".join(f"{'M=' + str(M):>12}" for M in ms)
               + f"{'rel. change':>13}{'rel. span':>11}")
@@ -62,15 +63,10 @@ def main() -> int:
     ap.add_argument("--out", default="sweep.csv")
     ap.add_argument("--sharpness", action="store_true",
                     help="print the estimate at orders -n, -n +- 1/4 for n = 1, 2 instead")
-    ap.add_argument("--m-values-1d", default="1000,10000,100000",
-                    help="half-widths of the n = 1 sharpness rows")
-    ap.add_argument("--m-values-2d", default="50,200",
-                    help="half-widths of the n = 2 sharpness rows")
     args = ap.parse_args()
 
     if args.sharpness:
-        sharpness({1: [int(v) for v in args.m_values_1d.split(",")],
-                   2: [int(v) for v in args.m_values_2d.split(",")]})
+        sharpness()
         return 0
     if args.config is None:
         ap.error("--config is required unless --sharpness is given")

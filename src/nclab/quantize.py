@@ -510,14 +510,10 @@ def write_matrix_csv(path, A: OperatorMatrix) -> None:
 def write_matrix_binary(path, A: OperatorMatrix) -> None:
     """Binary layout: 16-byte header (magic 'NCRM', u32 n, u32 M, u32
     reserved=0, little endian), then row-major float64 interleaved
-    re/im pairs: one write of dense storage that already holds the
-    payload as it is laid out in the file, otherwise a slab at a time."""
+    re/im pairs, written a slab at a time."""
     header = BINARY_MAGIC + struct.pack("<III", A.box.n, A.box.M, 0)
     with open(path, "wb") as fh:
         fh.write(header)
-        if A.kd is None and A.data.flags.c_contiguous and A.data.dtype == np.dtype("<c16"):
-            fh.write(A.data.data)
-            return
         for _, slab in _slabs(A):
             fh.write(slab.astype("<c16", copy=False).data)
 

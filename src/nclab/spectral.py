@@ -46,10 +46,10 @@ import numpy as np
 from .errors import NonConvergenceError, UsageError
 from .record import Record
 
-# Rows per chunk of _dixmier_chunks, which write_spectrum_csv and
-# l1inf_norm read: one chunk's partial sums, quotients and text are
-# alive at a time, so memory stays flat in the spectrum length and the
-# input sequence is the only S-length array either of them touches.
+# Spectrum rows per chunk of write_spectrum_csv: one chunk's partial
+# sums, quotients and text are alive at a time, so memory stays flat in
+# the spectrum length and the input sequence is the only S-length array
+# the writer touches.
 _CSV_CHUNK_ROWS = 1024
 
 
@@ -145,43 +145,10 @@ def _quotients(sums: np.ndarray) -> np.ndarray:
     return sums[1:] / np.log(np.arange(2, len(sums) + 1))
 
 
-def _dixmier_chunks(v: np.ndarray):
-    """(start, S_N, D_N) for N = start + 1 .. start + B, B = _CSV_CHUNK_ROWS
-    rows at a time (the last chunk may be shorter), in order; D_1 is nan.
-
-    A chunk's S_N is np.cumsum of the chunk with the previous chunk's
-    last S_N prepended: the same sequential additions as one np.cumsum
-    over v, so the bits are the same, and D_N = S_N / ln N divides
-    element by element as dixmier_quotients does."""
-    sums = None
-    for start in range(0, len(v), _CSV_CHUNK_ROWS):
-        chunk = v[start : start + _CSV_CHUNK_ROWS]
-        sums = np.cumsum(chunk) if sums is None else np.cumsum(np.r_[sums[-1], chunk])[1:]
-        with np.errstate(divide="ignore", invalid="ignore"):  # S_1 / ln 1, replaced below
-            quotients = sums / np.log(np.arange(start + 1, start + len(chunk) + 1))
-        if start == 0:
-            quotients[0] = np.nan
-        yield start, sums, quotients
-
-
 def l1inf_norm(s) -> float:
     """Finite-truncation proxy of the Dixmier-ideal norm:
-    max over available N >= 2 of D_N (nan if any D_N is nan), from
-    the chunks of _dixmier_chunks.
-
-    Equal nonzero numbers share their bits, so a finite nonzero peak
-    of the chunk maxima is np.max(dixmier_quotients(s)) bit for bit.
-    A zero peak may be 0.0 or -0.0 and a nan peak either sign of nan,
-    and which one np.max returns depends on its SIMD lanes, so those
-    two cases take the full-array path."""
-    v = np.asarray(s, dtype=float)
-    if len(v) < 2:
-        raise UsageError("need at least 2 singular values")
-    # D_1 is no quotient; a chunk of D_1 alone gives -inf, which no peak loses to
-    peak = np.max([np.max(q[1:] if start == 0 else q, initial=-np.inf) for start, _, q in _dixmier_chunks(v)])
-    if peak == 0.0 or np.isnan(peak):
-        peak = np.max(dixmier_quotients(v))
-    return float(peak)
+    max over available N >= 2 of D_N."""
+    return float(np.max(dixmier_quotients(s)))
 
 
 def trace_estimate(
@@ -255,20 +222,29 @@ def affine_fit(x, y) -> tuple[float, float, float]:
 def write_spectrum_csv(path, s) -> None:
     """Columns N, s_N, S_N, D_N (header row, %.17g; D_1 is nan).
 
-    S_N and D_N are streamed from _dixmier_chunks, so the writer holds
-    one chunk of _CSV_CHUNK_ROWS rows besides the input: its memory is
-    flat in the spectrum length.  Each chunk of rows is written with a
-    single bytes `%` call; the arrays go through tolist(), so floats
-    format as Python floats (the same ASCII text as a per-value
-    f-string).  A sorted spectrum repeats its values, so s_N is
-    formatted once per run of adjacent values with the same bit pattern
-    (0.0 and -0.0 format apart) and the text reused for the run."""
+    S_N and D_N are made one chunk of _CSV_CHUNK_ROWS rows at a time,
+    so the writer holds one chunk besides the input: its memory is flat
+    in the spectrum length.  A chunk's S_N is np.cumsum of the chunk
+    with the previous chunk's last S_N prepended, the same sequential
+    additions as one np.cumsum over the input, so the bits are the
+    same.  Each chunk of rows is written with a single bytes `%` call;
+    the arrays go through tolist(), so floats format as Python floats
+    (the same ASCII text as a per-value f-string).  A sorted spectrum
+    repeats its values, so s_N is formatted once per run of adjacent
+    values with the same bit pattern (0.0 and -0.0 format apart) and
+    the text reused for the run."""
     v = np.asarray(s, dtype=float)
+    sums = None
     with open(path, "wb") as fh:
         fh.write(b"N,s_N,S_N,D_N\n")
-        for start, sums, quotients in _dixmier_chunks(v):
-            stop = start + len(sums)
-            chunk = v[start:stop]
+        for start in range(0, len(v), _CSV_CHUNK_ROWS):
+            chunk = v[start : start + _CSV_CHUNK_ROWS]
+            stop = start + len(chunk)
+            sums = np.cumsum(chunk) if sums is None else np.cumsum(np.r_[sums[-1], chunk])[1:]
+            with np.errstate(divide="ignore", invalid="ignore"):  # S_1 / ln 1, replaced below
+                quotients = sums / np.log(np.arange(start + 1, stop + 1))
+            if start == 0:
+                quotients[0] = np.nan
             bits = chunk.view(np.int64)
             run_start = np.r_[True, bits[1:] != bits[:-1]]
             texts = np.array([b"%.17g" % x for x in chunk[run_start].tolist()], dtype=object)

@@ -612,11 +612,10 @@ def test_truncation_sweep_uses_the_configured_sphere_rule(tmp_path):
 
 
 def test_truncation_sweep_prints_the_sharpness_table():
-    # small boxes: above -n the estimate rises with M, below it falls,
-    # and at -n it holds near the residue (2 in 1-D, pi in 2-D)
+    # above -n the estimate rises with M, below it falls, and at -n it
+    # holds near the residue (2 in 1-D, pi in 2-D)
     proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / "truncation_sweep.py"), "--sharpness",
-         "--m-values-1d", "100,1000", "--m-values-2d", "10,20"],
+        [sys.executable, str(SCRIPTS / "truncation_sweep.py"), "--sharpness"],
         check=True, capture_output=True, text=True,
     )
     lines = proc.stdout.splitlines()
@@ -626,10 +625,11 @@ def test_truncation_sweep_prints_the_sharpness_table():
     ]
     rows = [line.split() for line in lines if not line.startswith(("n = ", "  order"))]
     assert [row[0] for row in rows] == ["-0.75", "-1.00", "-1.25", "-1.75", "-2.00", "-2.25"]
-    estimates = [[float(v) for v in row[1:3]] for row in rows]
+    estimates = [[float(v) for v in row[1:-2]] for row in rows]  # one column per M
+    assert [len(row) for row in estimates] == [3, 3, 3, 2, 2, 2]
     for rising, holding, falling, residue in (estimates[0:3] + [2.0], estimates[3:6] + [np.pi]):
-        assert rising[1] > rising[0] > holding[0] > falling[0] > falling[1]
-        assert abs(holding[1] - residue) < 0.01 * residue
+        assert rising[-1] > rising[0] > holding[0] > falling[0] > falling[-1]
+        assert abs(holding[-1] - residue) < 0.01 * residue
 
 
 @pytest.mark.parametrize("text, discard", [(MULTIPLIER, 0.0), (COSINE, 0.5)], ids=["diagonal", "assembled"])

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nclab import spectral
 from nclab.errors import UsageError
 from nclab.lattice import TruncationBox
 from nclab.quantize import FOURIER_MODE, OperatorMatrix
@@ -316,27 +315,6 @@ def test_l1inf_rank_one():
 
 def test_l1inf_zero():
     assert l1inf_norm(np.zeros(10)) == 0.0
-
-
-@pytest.mark.parametrize("chunk_rows", [1, 2, 7, "S"])
-@pytest.mark.parametrize(
-    "v",
-    [
-        diag_2d_spectrum(),
-        np.random.default_rng(3).standard_normal(100),
-        np.array([2.0, 1.0, np.nan, 0.5, 3.0]),
-        np.array([np.inf, 1.0, -np.inf, 2.0]),  # inf - inf: the nan of an operation
-        np.array([-0.0] * 5 + [0.0] * 5),  # zero quotients of both signs
-        -np.abs(np.random.default_rng(4).standard_normal(30)),
-    ],
-    ids=["diag-2d", "signed", "nan", "inf-minus-inf", "signed-zeros", "negative"],
-)
-def test_l1inf_is_the_max_of_the_quotients_bit_for_bit(monkeypatch, v, chunk_rows):
-    # the chunked maximum against the full-array quotients, at every chunk size
-    monkeypatch.setattr(spectral, "_CSV_CHUNK_ROWS", len(v) if chunk_rows == "S" else chunk_rows)
-    with np.errstate(invalid="ignore"):  # inf - inf in the partial sums
-        got, want = l1inf_norm(v), np.max(dixmier_quotients(v))
-    assert np.float64(got).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

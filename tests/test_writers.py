@@ -280,24 +280,3 @@ def test_matrix_writers_on_band_storage(tmp_path, monkeypatch, matrix, kd, slab_
     assert payload[16:] == entries.astype("<c16").tobytes()
     assert payload == (tmp_path / "dense.bin").read_bytes()
 
-
-def test_matrix_binary_writes_contiguous_dense_storage_at_once(tmp_path, monkeypatch):
-    """C-contiguous dense storage is the payload as it lies in the file,
-    so it goes out in one write and never through the slabs; a
-    transposed view (not C-contiguous) and a band still take them."""
-    box = TruncationBox(1, 32)
-    entries = dense_matrix(box.size)
-    A = OperatorMatrix(entries, box, LATTICE_DELTA)
-    transposed = OperatorMatrix(entries.T, box, LATTICE_DELTA)
-    band = as_band(signed_zero_band(box.size), box, 1)
-    slab_reads = []
-    slabs = quantize._slabs
-    monkeypatch.setattr(quantize, "_slabs", lambda M: slab_reads.append(M) or slabs(M))
-    for name, M, payload in [
-        ("dense", A, entries),
-        ("transposed", transposed, entries.T),
-        ("band", band, band.entries),
-    ]:
-        write_matrix_binary(tmp_path / f"{name}.bin", M)
-        assert (tmp_path / f"{name}.bin").read_bytes()[16:] == np.ascontiguousarray(payload).astype("<c16").tobytes()
-    assert len(slab_reads) == 2 and slab_reads[0] is transposed and slab_reads[1] is band
