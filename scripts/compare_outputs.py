@@ -6,11 +6,11 @@ Usage:
     python scripts/compare_outputs.py SRC_A SRC_B
 
 SRC_A and SRC_B are nclab checkouts (each holding src/nclab).  Every
-CLI command, plus `residue --convention paper`, runs on every
-configs/*.cfg of the checkout that holds this script, on the config
-of every benchmark workload (perfbench/workloads.py) at seed
-WORKLOAD_SEED and on the BRANCH_CONFIGS, once per tree, as a fresh
-`python -m nclab.cli COMMAND [FLAGS] --config CFG --out DIR --quiet`.
+CLI command runs on every configs/*.cfg of the checkout that holds
+this script, on the config of every benchmark workload
+(perfbench/workloads.py) at seed WORKLOAD_SEED and on the
+BRANCH_CONFIGS, once per tree, as a fresh
+`python -m nclab.cli COMMAND --config CFG --out DIR --quiet`.
 Runs go one at a time, with BLAS and OpenMP pinned to one thread and
 the address space capped at ADDRESS_SPACE bytes, so an oversize run
 fails instead of exhausting the machine.  Outputs go to a temporary directory (under $TMPDIR).
@@ -104,10 +104,6 @@ BRANCH_CONFIGS = {
     "lexer_forms_1d": (1, "1.\t\u2212\t2.5e\u22121*cos(2*pi*x1)+.0e+0", 64, True),
     "ops_forms_1d": (1, "1-0.5*cos(2*pi*x1)/2^1+-0.5^2*-1", 64, True),
 }
-# (label, command, extra flags) of every run on a config
-RUNS = [(command, command, ()) for command in _COMMANDS] + [
-    ("residue-paper", "residue", ("--convention", "paper")),
-]
 # label -> command line of a front-end run, made once per tree with
 # {cfg} a shipped config and {out} a fresh directory; only the exit
 # codes are compared, since help text may be laid out differently
@@ -116,7 +112,7 @@ FRONT_END = {
     "version": ["--version"],
     "missing-config": ["residue", "--out", "{out}"],
     "unknown-flag": ["residue", "--config", "{cfg}", "--out", "{out}", "--bogus"],
-    "connes-convention": ["connes", "--config", "{cfg}", "--out", "{out}", "--convention", "paper"],
+    "residue-convention": ["residue", "--config", "{cfg}", "--out", "{out}", "--convention", "paper"],
 }
 
 
@@ -263,18 +259,18 @@ def main() -> int:
             config.write_text(text, encoding="utf-8")  # as load_config reads it
             configs.append(config)
         for config in configs:
-            for label, command, flags in RUNS:
-                outs = [Path(tmp) / side / config.stem / label for side in "ab"]
+            for command in _COMMANDS:
+                outs = [Path(tmp) / side / config.stem / command for side in "ab"]
                 for out in outs:
                     out.mkdir(parents=True)
                 (code_a, err_a, wall_a, rss_a), (code_b, err_b, wall_b, rss_b) = (
-                    run(tree, [command, *flags, "--config", str(config), "--out", str(out), "--quiet"])
+                    run(tree, [command, "--config", str(config), "--out", str(out), "--quiet"])
                     for tree, out in zip(trees, outs)
                 )
                 diff = differing_files(*outs)
                 same = code_a == code_b and not diff
                 mismatches += not same
-                line = (f"{'same' if same else 'DIFF'}  {config.name} {label}: "
+                line = (f"{'same' if same else 'DIFF'}  {config.name} {command}: "
                         f"exit {code_a}/{code_b}, {wall_a:.2f}/{wall_b:.2f} s, "
                         f"{rss_a:.1f}/{rss_b:.1f} MB peak RSS")
                 if diff:

@@ -1,6 +1,6 @@
 """Command-line frontend: config-driven, reproducible runs.
 
-    nclab COMMAND --config PATH [--out DIR] [--quiet] [--convention lattice|paper]
+    nclab COMMAND --config PATH [--out DIR] [--quiet]
 
 Commands:
 
@@ -13,10 +13,9 @@ Commands:
     connes           full comparison              -> connes.json + spectrum.csv
 
 Options follow the command in any order, as `--opt VALUE` or
-`--opt=VALUE`, and may be shortened to any unique prefix (`--conf`);
-a repeated option keeps its last value.  `--convention` is residue's
-alone.  `-h`/`--help`, alone or after a command, prints help;
-`--version` prints the version.
+`--opt=VALUE`, and may be shortened to any prefix (`--c`); a
+repeated option keeps its last value.  `-h`/`--help`, alone or after
+a command, prints help; `--version` prints the version.
 
 Exit codes: 0 success (and help), 1 config/usage error, 2 numerical
 failure, 3 I/O error.  Outputs are byte-identical for identical config
@@ -72,7 +71,7 @@ expression grammar (in `main`, `main_im` and classical terms):
 config format (strict: unknown keys are fatal):
 
     [symbol]     n, main, order          (mandatory)
-                 main_im, rho, delta, term_0, term_1, ...
+                 main_im, rho, term_0, term_1, ...
                  term_j = degree ; angular-expression   (theta1.., x1..)
     [lattice]    M                       (mandatory)
     [quadrature] Q, sphere_order, residue_q
@@ -82,14 +81,12 @@ config format (strict: unknown keys are fatal):
 
 _PROG = "nclab"
 
-# option -> (name of its value, None for a flag; the values it allows,
-# the first being the default; help); --config is required, and
-# --convention is residue's alone
+# option -> (name of its value, None for a flag; help); --config is required.
+# Each of these, --help and --version starts with its own letter: a prefix matches one.
 _OPTIONS = {
-    "--config": ("PATH", None, "path to the run config file"),
-    "--out": ("DIR", None, "output directory (default: [output] dir, else ./out)"),
-    "--quiet": (None, None, "suppress progress output"),
-    "--convention": ("lattice|paper", ("lattice", "paper"), "residue prefactor convention (default lattice)"),
+    "--config": ("PATH", "path to the run config file"),
+    "--out": ("DIR", "output directory (default: [output] dir, else ./out)"),
+    "--quiet": (None, "suppress progress output"),
 }
 
 
@@ -101,10 +98,6 @@ class _ArgvError(Exception):
         self.command = command
 
 
-def _options(command) -> list:
-    return [name for name in _OPTIONS if name != "--convention" or command == "residue"]
-
-
 def _spelled(name: str) -> str:
     """An option as usage and help show it: `--out DIR`, `--quiet`."""
     metavar = _OPTIONS[name][0]
@@ -114,7 +107,7 @@ def _spelled(name: str) -> str:
 def _usage(command) -> str:
     if command is None:
         return f"usage: {_PROG} [-h] [--version] COMMAND ..."
-    words = [_spelled(name) if name == "--config" else f"[{_spelled(name)}]" for name in _options(command)]
+    words = [_spelled(name) if name == "--config" else f"[{_spelled(name)}]" for name in _OPTIONS]
     return f"usage: {_PROG} {command} [-h] {' '.join(words)}"
 
 
@@ -122,26 +115,21 @@ def _help(command) -> str:
     if command is None:
         return f"{_usage(None)}\n\n{__doc__}\n{GRAMMAR_HELP}"
     rows = [("-h, --help", "show this help and exit")] + [
-        (_spelled(name), _OPTIONS[name][2]) for name in _options(command)
+        (_spelled(name), text) for name, (_, text) in _OPTIONS.items()
     ]
     width = max(len(flag) for flag, _ in rows) + 2
     table = "".join(f"  {flag:<{width}}{text}\n" for flag, text in rows)
     return f"{_usage(command)}\n\noptions:\n{table}\n{GRAMMAR_HELP}"
 
 
-def _match(command, word: str, names) -> str | None:
-    """The one name in `names` that `word` spells or abbreviates, or None;
+def _match(word: str, names) -> str | None:
+    """The name in `names` that `word` spells or abbreviates, or None;
     `-h` spells `--help`."""
     if word == "-h":
         word = "--help"
-    if word in names:
-        return word
     if not word.startswith("--") or word == "--":
         return None
-    hits = [name for name in names if name.startswith(word)]
-    if len(hits) > 1:
-        raise _ArgvError(command, f"ambiguous option: {word} could match {', '.join(hits)}")
-    return hits[0] if hits else None
+    return next((name for name in names if name.startswith(word)), None)
 
 
 def _read_argv(argv: list):
@@ -151,7 +139,7 @@ def _read_argv(argv: list):
         return _help(None)
     command = argv[0]
     if command.startswith("-"):
-        name = _match(None, command, ("--help", "--version"))
+        name = _match(command, ("--help", "--version"))
         if name == "--help":
             return _help(None)
         if name == "--version":
@@ -160,20 +148,18 @@ def _read_argv(argv: list):
     if command not in _COMMANDS:
         choices = ", ".join(map(repr, _COMMANDS))
         raise _ArgvError(None, f"argument COMMAND: invalid choice: {command!r} (choose from {choices})")
-    names = _options(command)
-    values = {name: choices and choices[0] for name, (_, choices, _) in _OPTIONS.items()}
+    values = dict.fromkeys(_OPTIONS)
     extras = []
     words = iter(argv[1:])
     for word in words:
         key, eq, value = word.partition("=") if word.startswith("--") else (word, "", "")
-        name = _match(command, key, [*names, "--help"])
+        name = _match(key, [*_OPTIONS, "--help"])
         if name is None:
             extras.append(word)
             continue
         if name == "--help":
             return _help(command)
-        metavar, choices, _ = _OPTIONS[name]
-        if metavar is None:
+        if _OPTIONS[name][0] is None:
             if eq:
                 raise _ArgvError(command, f"argument {name}: ignored explicit argument {value!r}")
             value = True
@@ -181,9 +167,6 @@ def _read_argv(argv: list):
             value = next(words, None)
             if value is None or (value.startswith("-") and value != "-"):
                 raise _ArgvError(command, f"argument {name}: expected one argument")
-        if choices and value not in choices:
-            allowed = ", ".join(map(repr, choices))
-            raise _ArgvError(command, f"argument {name}: invalid choice: {value!r} (choose from {allowed})")
         values[name] = value
     if values["--config"] is None:
         raise _ArgvError(command, "the following arguments are required: --config")
@@ -221,7 +204,7 @@ def _dispatch(command: str, opts: dict) -> int:
     out_dir = Path(opts["--out"] or cfg.dir or "./out")
     out_dir.mkdir(parents=True, exist_ok=True)
     say = (lambda *a, **k: None) if opts["--quiet"] else print
-    return _COMMANDS[command](cfg, sigma, opts, out_dir, say)
+    return _COMMANDS[command](cfg, sigma, out_dir, say)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -237,7 +220,7 @@ def _fmt(value: float | None, spec: str) -> str:  # a report's null prints as n/
     return "n/a" if value is None else format(value, spec)
 
 
-def _cmd_symbol_check(cfg: RunConfig, sigma: Symbol, opts: dict, out_dir: Path, say) -> int:
+def _cmd_symbol_check(cfg: RunConfig, sigma: Symbol, out_dir: Path, say) -> int:
     n, M = cfg.symbol.n, cfg.M
     r_min = 16 if M >= 64 else 0
     combos = [np.zeros(n, dtype=int)]
@@ -259,7 +242,6 @@ def _cmd_symbol_check(cfg: RunConfig, sigma: Symbol, opts: dict, out_dir: Path, 
         "n": n,
         "order": cfg.symbol.order,
         "rho": cfg.symbol.rho,
-        "delta": cfg.symbol.delta,
         "window": [r_min, M],
         "reports": [
             {
@@ -278,7 +260,7 @@ def _cmd_symbol_check(cfg: RunConfig, sigma: Symbol, opts: dict, out_dir: Path, 
     return 0
 
 
-def _cmd_quantize(cfg: RunConfig, sigma: Symbol, opts: dict, out_dir: Path, say) -> int:
+def _cmd_quantize(cfg: RunConfig, sigma: Symbol, out_dir: Path, say) -> int:
     box = TruncationBox(cfg.symbol.n, cfg.M)
     check_dense(box)  # the exported files outgrow the dense matrix, even for a band
     A = assemble_discrete(sigma, box, QuadratureGrid.for_box(box, cfg.Q))
@@ -291,7 +273,7 @@ def _cmd_quantize(cfg: RunConfig, sigma: Symbol, opts: dict, out_dir: Path, say)
     return 0
 
 
-def _cmd_spectrum(cfg: RunConfig, sigma: Symbol, opts: dict, out_dir: Path, say) -> int:
+def _cmd_spectrum(cfg: RunConfig, sigma: Symbol, out_dir: Path, say) -> int:
     run = build_spectrum(sigma, cfg.symbol.n, cfg.M, Q=cfg.Q, symmetrize=cfg.symmetrize)
     write_spectrum_csv(out_dir / "spectrum.csv", run.sequence)
     say(f"wrote {out_dir / 'spectrum.csv'} ({len(run.sequence)} values, "
@@ -299,7 +281,7 @@ def _cmd_spectrum(cfg: RunConfig, sigma: Symbol, opts: dict, out_dir: Path, say)
     return 0
 
 
-def _cmd_dixmier(cfg: RunConfig, sigma: Symbol, opts: dict, out_dir: Path, say) -> int:
+def _cmd_dixmier(cfg: RunConfig, sigma: Symbol, out_dir: Path, say) -> int:
     check_dixmier_order(sigma, cfg.symbol.n)
     run = build_spectrum(sigma, cfg.symbol.n, cfg.M, Q=cfg.Q, symmetrize=cfg.symmetrize)
     summary = run.fit()
@@ -325,20 +307,18 @@ def _cmd_dixmier(cfg: RunConfig, sigma: Symbol, opts: dict, out_dir: Path, say) 
     return 0
 
 
-def _cmd_residue(cfg: RunConfig, sigma: Symbol, opts: dict, out_dir: Path, say) -> int:
+def _cmd_residue(cfg: RunConfig, sigma: Symbol, out_dir: Path, say) -> int:
     n = cfg.symbol.n
     rule = sphere_rule(n, cfg.sphere_order)
-    rep = dixmier_trace_formula(
-        sigma, n, rule=rule, torus_q=cfg.residue_q, convention=opts["--convention"]
-    )
+    rep = dixmier_trace_formula(sigma, n, rule=rule, torus_q=cfg.residue_q)
     write_json_path = out_dir / "residue.json"
     _write_json(write_json_path, residue_report_json(rep))
-    say(f"residue ({rep.convention} convention): {rep.value}")
+    say(f"residue: {rep.value} (lattice convention), {rep.paper_value} (paper convention)")
     say(f"wrote {write_json_path}")
     return 0
 
 
-def _cmd_verify_identity(cfg: RunConfig, sigma: Symbol, opts: dict, out_dir: Path, say) -> int:
+def _cmd_verify_identity(cfg: RunConfig, sigma: Symbol, out_dir: Path, say) -> int:
     box = TruncationBox(cfg.symbol.n, cfg.M)
     rep = verify_identity(sigma, box, QuadratureGrid.for_box(box, cfg.Q))
     print(
@@ -361,7 +341,7 @@ def _cmd_verify_identity(cfg: RunConfig, sigma: Symbol, opts: dict, out_dir: Pat
     return 0
 
 
-def _cmd_connes(cfg: RunConfig, sigma: Symbol, opts: dict, out_dir: Path, say) -> int:
+def _cmd_connes(cfg: RunConfig, sigma: Symbol, out_dir: Path, say) -> int:
     n = cfg.symbol.n
     rule = sphere_rule(n, cfg.sphere_order)
     rep = run_connes_check(

@@ -33,7 +33,6 @@ class SymbolConfig(Record):
     order: float
     main_im: Optional[str] = None
     rho: float = 1.0
-    delta: float = 0.0
     terms: Sequence[tuple[float, str]] = ()
 
 
@@ -94,8 +93,7 @@ def _matrix_format(value: str) -> str:
 # section -> key -> converter; it raises _OutOfRange for a value out of its
 # range and ValueError or TypeError for any other bad value
 KEYS = {
-    "symbol": {"n": _at_least(1), "main": str, "order": _finite, "main_im": str,
-               "rho": _unit_interval, "delta": _unit_interval},
+    "symbol": {"n": _at_least(1), "main": str, "order": _finite, "main_im": str, "rho": _unit_interval},
     "lattice": {"M": _at_least(0)},
     "quadrature": {"Q": _at_least(2, even=True), "sphere_order": _at_least(1), "residue_q": _at_least(1)},
     "fit": {"symmetrize": _to_bool},
@@ -196,7 +194,6 @@ def build_symbol(cfg: RunConfig):
         n=sym.n,
         order=sym.order,
         rho=sym.rho,
-        delta=sym.delta,
         main_im=sym.main_im,
         classical_terms=sym.terms,
         side="discrete",

@@ -551,7 +551,6 @@ def to_symbol(
     n: int,
     order: float,
     rho: float = 1.0,
-    delta: float = 0.0,
     main_im=None,
     classical_terms=(),
     side: str = "discrete",
@@ -586,7 +585,7 @@ def to_symbol(
         asts.append(ast)
 
     bandwidth = max(x_bandwidth(ast) for ast in asts)
-    return Symbol(func, float(order), float(rho), float(delta), side, tuple(terms), bandwidth)
+    return Symbol(func, float(order), float(rho), side, tuple(terms), bandwidth)
 
 
 def _angular_fn(ast: SymbolExpr):

@@ -1,7 +1,7 @@
 """Lattice index sets, grids and the budgets shared by all modules:
-the memory refusal (check_memory), the evaluation block size
-(BLOCK_POINTS) and the quadrature rule on the sphere of directions
-(sphere_rule).
+the memory refusals (check_memory, check_torus_grid), the evaluation
+block size (BLOCK_POINTS) and the quadrature rule on the sphere of
+directions (sphere_rule).
 
 Conventions, pinned once for the whole package:
 
@@ -51,6 +51,12 @@ def check_memory(need: int, what: str) -> None:
             f"{what} needs {need / 2**30:.1f} GiB, "
             f"more than the {have / 2**30:.1f} GiB of physical memory"
         )
+
+
+def check_torus_grid(n: int, q: int) -> None:
+    """Refuse torus_grid(n, q) before it is built when its coordinates,
+    twice while stacked, and one point's complex samples outgrow memory."""
+    check_memory(16 * q**n * (n + 1), f"a torus grid of {q**n} points")
 
 
 def torus_grid(n: int, q: int) -> np.ndarray:

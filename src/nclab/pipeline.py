@@ -33,7 +33,7 @@ from .errors import UsageError
 from .lattice import TruncationBox
 from .quantize import FOURIER_MODE, OperatorMatrix, QuadratureGrid, assemble_toroidal
 from .record import Record
-from .residue import CONVENTIONS_STANZA, DEFAULT_TORUS_Q, LATTICE, PAPER, SphereRule, check_trace_formula_applies, dixmier_trace_formula, residue_value
+from .residue import CONVENTIONS_STANZA, DEFAULT_TORUS_Q, SphereRule, check_trace_formula_applies, dixmier_trace_formula
 from .spectral import SpectralSummary, matrix_sequence, trace_estimate
 from .symbols import DISCRETE, Symbol, evaluate, flip
 
@@ -142,9 +142,7 @@ def run_connes_check(
     check_trace_formula_applies(sigma, n)
     run = build_spectrum(sigma, n, M, Q=Q, symmetrize=symmetrize)
     summary = run.fit()
-    rep = dixmier_trace_formula(
-        sigma, n, rule=sphere_rule_, torus_q=residue_q, convention=LATTICE
-    )
+    rep = dixmier_trace_formula(sigma, n, rule=sphere_rule_, torus_q=residue_q)
     r = float(np.real(rep.value))
     deviation = abs(summary.trace_estimate - r) / (abs(r) if abs(r) > 0 else 1.0)
 
@@ -152,7 +150,7 @@ def run_connes_check(
         run=run,
         summary=summary,
         residue_lattice=r,
-        residue_paper=float(np.real(residue_value(rep.integral, n, PAPER))),
+        residue_paper=float(np.real(rep.paper_value)),
         relative_deviation=deviation,
     )
 

@@ -69,7 +69,7 @@ import struct
 import numpy as np
 
 from .errors import UsageError
-from .lattice import BLOCK_POINTS, TruncationBox, check_memory, torus_grid
+from .lattice import BLOCK_POINTS, TruncationBox, check_memory, check_torus_grid, torus_grid
 from .record import Record
 from .symbols import DISCRETE, TOROIDAL, Symbol, evaluate, flip
 
@@ -299,6 +299,7 @@ def _coefficient_blocks(sym: Symbol, box: TruncationBox, grid: QuadratureGrid, r
     if reach < 2 * M:
         grid = QuadratureGrid(n, 2 * reach + 2)
     Q = grid.q
+    check_torus_grid(n, Q)
     shape = (Q,) * n
     P = Q**n
     axis_offsets = np.arange(-reach, reach + 1)

@@ -2,16 +2,17 @@
 degree-(-n) homogeneous component over the sphere of directions times
 the torus.
 
-Two prefactor conventions are implemented:
+Every report carries the residue in both prefactor conventions:
 
-* ``lattice`` (default): prefactor 1/n, homogeneity read in
-  lattice-dual frequency units (our e^{2 pi i} transforms).  This is
-  the constant consistent with the spectral estimator: for the n=1
-  multiplier with bracket decay the residue is 2, matching the
+* ``lattice`` (``ResidueReport.value``): prefactor 1/n, homogeneity
+  read in lattice-dual frequency units (our e^{2 pi i} transforms).
+  This is the constant consistent with the spectral estimator: for the
+  n=1 multiplier with bracket decay the residue is 2, matching the
   logarithmic average of its eigenvalues.
-* ``paper``: prefactor 1/(n (2 pi)^n), the classical constant for
-  components extracted in angular-frequency units.  Rescaling the
-  frequency by 2 pi maps one convention onto the other.
+* ``paper`` (``ResidueReport.paper_value``): prefactor
+  1/(n (2 pi)^n), the classical constant for components extracted in
+  angular-frequency units.  Rescaling the frequency by 2 pi maps one
+  convention onto the other.
 
 Torus integration uses the tensor rectangle rule (exact for
 trigonometric polynomials of degree < Q/2); the sphere rules
@@ -25,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import UsageError
-from .lattice import BLOCK_POINTS, SphereRule, check_memory, sphere_rule, torus_grid
+from .lattice import BLOCK_POINTS, SphereRule, check_torus_grid, sphere_rule, torus_grid
 from .record import Record, replace
 from .symbols import DISCRETE, TOROIDAL, Symbol, flip, homogeneous_component
 
@@ -36,8 +37,10 @@ DEFAULT_TORUS_Q = 128
 
 
 class ResidueReport(Record):
+    """The residue as value (lattice) and paper_value, both from integral."""
+
     value: complex | float
-    convention: str
+    paper_value: complex | float
     n: int
     sphere_order: int
     torus_q: int
@@ -51,10 +54,10 @@ def noncommutative_residue(
     n: int,
     rule: SphereRule | None = None,
     torus_q: int = DEFAULT_TORUS_Q,
-    convention: str = LATTICE,
 ) -> ResidueReport:
-    """Residue of a toroidal-side symbol: prefactor times the integral
-    of its degree-(-n) homogeneous component over S^(n-1) x T^n.
+    """Residue of a toroidal-side symbol, in both conventions: each
+    prefactor times the integral of its degree-(-n) homogeneous
+    component over S^(n-1) x T^n.
 
     The component is the declared term when there is one, otherwise
     extracted numerically (Richardson probe along rays); see
@@ -66,8 +69,6 @@ def noncommutative_residue(
     oversize torus grid is refused before it is built."""
     if a.side != TOROIDAL:
         raise UsageError("residue expects a toroidal-side symbol (flip first)")
-    if convention not in (LATTICE, PAPER):
-        raise UsageError(f"unknown convention {convention!r}")
     if torus_q < 1:
         raise UsageError(f"torus grid size must be >= 1, got {torus_q}")
     if rule is None:
@@ -78,8 +79,7 @@ def noncommutative_residue(
     declared = a.term(-float(n)) is not None
 
     q = torus_q if a.x_bandwidth != 0 else 1
-    # the grid's coordinates, twice while torus_grid stacks them, and one node's values
-    check_memory(16 * q**n * (n + 1), f"a torus grid of {q**n} points")
+    check_torus_grid(n, q)
     xs = torus_grid(n, q)
     per_block = max(1, BLOCK_POINTS // len(xs))
     means = np.empty(rule.order, dtype=complex)
@@ -95,8 +95,8 @@ def noncommutative_residue(
         total += w * mean
 
     return ResidueReport(
-        value=residue_value(total, n, convention),
-        convention=convention,
+        value=residue_value(total, n, LATTICE),
+        paper_value=residue_value(total, n, PAPER),
         n=n,
         sphere_order=rule.order,
         torus_q=torus_q,
@@ -142,16 +142,12 @@ def dixmier_trace_formula(
     n: int,
     rule: SphereRule | None = None,
     torus_q: int = DEFAULT_TORUS_Q,
-    convention: str = LATTICE,
 ) -> ResidueReport:
     """Dixmier trace of the discrete quantization of a classical
-    order-(-n) symbol, computed as the residue of its flip.  Valid
-    only at the critical order -n (check_trace_formula_applies)."""
+    order-(-n) symbol in both conventions: the residue of its flip.
+    Valid only at the critical order -n (check_trace_formula_applies)."""
     check_trace_formula_applies(sigma, n)
-    rep = noncommutative_residue(
-        flip(sigma), n, rule=rule, torus_q=torus_q, convention=convention
-    )
-    return replace(rep, flipped=True)
+    return replace(noncommutative_residue(flip(sigma), n, rule=rule, torus_q=torus_q), flipped=True)
 
 
 CONVENTIONS_STANZA = {
@@ -161,12 +157,15 @@ CONVENTIONS_STANZA = {
 }
 
 
+def _json_number(value: complex | float):
+    return [value.real, value.imag] if isinstance(value, complex) else value
+
+
 def residue_report_json(rep: ResidueReport) -> dict:
     """Fixed-field-order dict for residue.json."""
-    value = rep.value
-    payload = {
-        "value": value if not isinstance(value, complex) else [value.real, value.imag],
-        "convention": rep.convention,
+    return {
+        "residue_lattice": _json_number(rep.value),
+        "residue_paper_convention": _json_number(rep.paper_value),
         "n": rep.n,
         "sphere_order": rep.sphere_order,
         "torus_Q": rep.torus_q,
@@ -174,4 +173,3 @@ def residue_report_json(rep: ResidueReport) -> dict:
         "flipped": rep.flipped,
         "conventions": CONVENTIONS_STANZA,
     }
-    return payload

@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NonConvergenceError, UsageError
-from .lattice import BLOCK_POINTS, TruncationBox, check_memory, multi_index, sphere_rule, torus_grid
+from .lattice import BLOCK_POINTS, TruncationBox, check_torus_grid, multi_index, sphere_rule, torus_grid
 from .record import Record, replace
 from .spectral import affine_fit
 
@@ -92,7 +92,6 @@ class Symbol(Record):
     func: Callable
     order: float
     rho: float = 1.0
-    delta: float = 0.0
     side: str = DISCRETE
     classical: tuple[ClassicalTerm, ...] = ()
     x_bandwidth: float = math.inf
@@ -103,8 +102,8 @@ class Symbol(Record):
         b = self.x_bandwidth
         if not (isinstance(b, (int, float, np.integer)) and b >= 0 and (b == math.inf or b == int(b))):
             raise UsageError(f"x_bandwidth must be 0, a positive integer or inf, got {b!r}")
-        if not (0.0 <= self.rho <= 1.0 and 0.0 <= self.delta <= 1.0):
-            raise UsageError("type parameters rho, delta must lie in [0,1]")
+        if not 0.0 <= self.rho <= 1.0:
+            raise UsageError("type parameter rho must lie in [0,1]")
         for j, t in enumerate(self.classical):
             if not abs(t.degree - (self.order - j)) <= 1e-9:  # refuses nan too
                 raise UsageError(
@@ -244,9 +243,7 @@ def seminorm_estimate(sigma: Symbol, alpha, window: tuple[int, int]) -> Seminorm
     g = difference(sigma, alpha)
     radii = np.sqrt(np.sum(pts**2, axis=-1))
     q = SEMINORM_X_GRID if g.x_bandwidth != 0 else 1
-    # the grid's coordinates, twice while torus_grid stacks them, and
-    # the complex samples of the smallest block, one window point
-    check_memory(16 * q**n * (n + 1), f"a torus grid of {q**n} points")
+    check_torus_grid(n, q)
     xs = torus_grid(n, q)
     per_block = max(1, BLOCK_POINTS // len(xs))
     sup_pointwise = np.empty(len(pts))

@@ -26,7 +26,6 @@ def test_minimal_config_defaults(tmp_path):
     assert cfg.symbol.main == "<xi>^(-1)"
     assert cfg.symbol.order == -1.0
     assert cfg.symbol.rho == 1.0
-    assert cfg.symbol.delta == 0.0
     assert cfg.M == 1000
     assert cfg.Q is None
     assert cfg.residue_q == 128
@@ -157,8 +156,9 @@ def test_every_key_is_a_field_and_fields_without_default_are_mandatory():
         (MINIMAL.replace("order = -1", "order = -1\nterm_0 = -1 ; 1\nterm_1 = inf ; 1"), 6,
          "term_1 degree must be finite, got 'inf'"),
         (MINIMAL.replace("order = -1", "order = -1\nrho = 2"), 5, r"rho must be in \[0, 1\], got '2'"),
-        (MINIMAL.replace("order = -1", "order = -1\ndelta = -0.5"), 5, r"delta must be in \[0, 1\], got '-0.5'"),
-        (MINIMAL.replace("order = -1", "order = -1\ndelta = nan"), 5, r"delta must be in \[0, 1\], got 'nan'"),
+        # [symbol] has no delta key: a delta line, in or out of [0, 1], is an unknown key
+        (MINIMAL.replace("order = -1", "order = -1\ndelta = -0.5"), 5, r"unknown key 'delta' in \[symbol\]"),
+        (MINIMAL.replace("order = -1", "order = -1\ndelta = nan"), 5, r"unknown key 'delta' in \[symbol\]"),
     ],
     ids=["n", "M", "residue_q=0", "residue_q=-3", "sphere_order", "matrix_format", "Q=7", "Q=-4", "Q=0",
          "order=nan", "order=-inf", "order=1e400", "term_0=nan", "term_1=inf", "rho=2", "delta=-0.5", "delta=nan"],

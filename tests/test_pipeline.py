@@ -14,7 +14,7 @@ from nclab.pipeline import (
     run_connes_check,
 )
 from nclab.quantize import QuadratureGrid, assemble_discrete, assemble_toroidal
-from nclab.residue import LATTICE, PAPER, dixmier_trace_formula
+from nclab.residue import LATTICE, PAPER, dixmier_trace_formula, residue_value
 from nclab.spectral import matrix_sequence
 from nclab.symbols import Symbol, evaluate, flip, regularize_at_origin
 
@@ -225,17 +225,21 @@ def test_one_residue_quadrature_serves_both_conventions(monkeypatch, n):
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(kwargs["convention"])
-        return dixmier_trace_formula(*args, **kwargs)
+        rep = dixmier_trace_formula(*args, **kwargs)
+        calls.append((sorted(kwargs), rep))
+        return rep
 
     monkeypatch.setattr(pipeline, "dixmier_trace_formula", counted)
     sigma = to_symbol(f"(1+|xi|^2)^(-{n}/2)", n=n, order=-n, classical_terms=[(-n, "1")])
     rep = run_connes_check(sigma, n, 16, residue_q=8)
-    assert calls == [LATTICE]
-    # bit-identical to a separate quadrature in each convention
-    for convention, got in ((LATTICE, rep.residue_lattice), (PAPER, rep.residue_paper)):
-        want = dixmier_trace_formula(sigma, n, torus_q=8, convention=convention).value
-        assert got == float(np.real(want))
+    # one quadrature, called with the keywords perfbench's residue counter reads
+    [(keywords, residue)] = calls
+    assert keywords == ["rule", "torus_q"]
+    # both values are its one integral times each prefactor, bit for bit
+    assert residue.value == residue_value(residue.integral, n, LATTICE)
+    assert residue.paper_value == residue_value(residue.integral, n, PAPER)
+    assert rep.residue_lattice == float(np.real(residue.value))
+    assert rep.residue_paper == float(np.real(residue.paper_value))
 
 
 @pytest.mark.parametrize("n, M", [(1, 16), (2, 4)])

@@ -8,8 +8,6 @@ from nclab import residue
 from nclab.dsl import to_symbol
 from nclab.errors import UsageError
 from nclab.residue import (
-    LATTICE,
-    PAPER,
     dixmier_trace_formula,
     noncommutative_residue,
     residue_report_json,
@@ -197,8 +195,8 @@ def test_convention_rescaling_consistency():
 
     a = Symbol(a_func, order=-1, side=TOROIDAL)
     a_resc = Symbol(lambda f, x: a_func(np.asarray(f) / (2 * np.pi), x), order=-1, side=TOROIDAL)
-    lat = noncommutative_residue(a, 1, convention=LATTICE).value
-    pap = noncommutative_residue(a_resc, 1, convention=PAPER).value
+    lat = noncommutative_residue(a, 1).value
+    pap = noncommutative_residue(a_resc, 1).paper_value
     assert pap == pytest.approx(lat, abs=1e-9)
 
 
@@ -261,8 +259,13 @@ def test_residue_json():
     rep = dixmier_trace_formula(sigma, 1)
     data = json.loads(json.dumps(residue_report_json(rep)))
     assert list(data.keys()) == [
-        "value", "convention", "n", "sphere_order", "torus_Q",
+        "residue_lattice", "residue_paper_convention", "n", "sphere_order", "torus_Q",
         "component_source", "flipped", "conventions",
     ]
-    assert data["value"] == pytest.approx(2.0)
-    assert data["convention"] == "lattice"
+    assert data["residue_lattice"] == 2.0
+    assert data["residue_paper_convention"] == pytest.approx(1 / math.pi)
+    # a complex residue is written as [re, im] in both conventions
+    phased = to_symbol("cos(0.3)*<xi>^(-1)", n=1, order=-1, main_im="sin(0.3)*<xi>^(-1)")
+    data = json.loads(json.dumps(residue_report_json(dixmier_trace_formula(phased, 1))))
+    assert data["residue_lattice"] == pytest.approx([2 * math.cos(0.3), -2 * math.sin(0.3)])
+    assert data["residue_paper_convention"] == pytest.approx([math.cos(0.3) / math.pi, -math.sin(0.3) / math.pi])

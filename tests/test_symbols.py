@@ -426,9 +426,9 @@ def test_x_dependence_flag_from_the_expression():
     # and every other field they do not change, non-default ones included
     angular = "1+0.5*cos(2*pi*x1)"
     s = to_symbol(
-        f"({angular})/|xi|", n=1, order=-1, rho=0.75, delta=0.25, classical_terms=[(-1, angular)]
+        f"({angular})/|xi|", n=1, order=-1, rho=0.75, classical_terms=[(-1, angular)]
     )
-    assert (s.rho, s.delta, s.x_bandwidth) == (0.75, 0.25, 1)
+    assert (s.rho, s.x_bandwidth) == (0.75, 1)
     derived = {
         "flip": flip(s),
         "difference": difference(s, [1]),
@@ -436,7 +436,7 @@ def test_x_dependence_flag_from_the_expression():
         "regularize_at_origin": regularize_at_origin(s, 1),
     }
     for name, d in derived.items():
-        assert (d.rho, d.delta, d.x_bandwidth) == (0.75, 0.25, 1), name
+        assert (d.rho, d.x_bandwidth) == (0.75, 1), name
     assert derived["flip"].side == TOROIDAL and derived["flip"].order == -1
     assert [t.degree for t in derived["flip"].classical] == [-1.0]
     assert derived["difference"].order == -1.75 and derived["difference"].classical == ()
