@@ -22,11 +22,14 @@ identical outputs; a failed run adds the last line of its stderr.  Every
 output file that is missing on one side or not byte-identical is
 listed.  For each differing .csv or .json pair
 one more line gives the largest difference between paired numbers,
-scaled by the largest magnitude in the pair of files and unscaled, and whether
-every other token is identical: JSON keys, strings, booleans and
+scaled by the largest magnitude in the pair of files and unscaled, and
+names every other token that differs: JSON keys, strings, booleans and
 integers (such as Q or fit_window), and CSV headers, row counts and
 integer columns (a column is numeric when any of its cells is not an
-integer literal).  Round-off moves thus read apart from real changes.
+integer literal).  JSON objects pair the keys both files hold, so an
+added or removed key is named (`added key torus_Q`) and hides no
+number; a changed token is named by its key path (`Q: 16384 -> 4`).
+Round-off moves thus read apart from real changes.
 The FRONT_END command lines (help, version and usage errors) then run
 once per tree, and only their exit codes are compared.  Exits 0 when
 every run has the same exit code and byte-identical outputs on both
@@ -162,6 +165,8 @@ def differing_files(a: Path, b: Path) -> list[str]:
 
 
 INTEGER = re.compile(r"-?\d+")
+# numeric_summary names at most this many differing non-float tokens
+SHOWN_CHANGES = 5
 
 
 def _float(token: str) -> float | None:
@@ -171,24 +176,38 @@ def _float(token: str) -> float | None:
         return None
 
 
-def _json_pairs(a, b):
-    """Yield (x, y) for paired JSON floats and None for each pair of
-    other tokens that differ."""
+def _json_pairs(a, b, path=""):
+    """Yield (x, y) for paired JSON floats and, for each other
+    difference, a text naming it by its key path: `Q: 16384 -> 4`,
+    `added key torus_Q`, `removed key value`.  Objects pair the keys
+    both hold, in a's order."""
     if isinstance(a, float) and isinstance(b, float):
         yield a, b
-    elif isinstance(a, dict) and isinstance(b, dict) and list(a) == list(b):
+    elif isinstance(a, dict) and isinstance(b, dict):
+        def at(key):
+            return f"{path}.{key}" if path else key
+
+        if [key for key in a if key in b] != [key for key in b if key in a]:
+            yield f"key order of {path or 'the top level'} differs"
         for key in a:
-            yield from _json_pairs(a[key], b[key])
+            if key in b:
+                yield from _json_pairs(a[key], b[key], at(key))
+            else:
+                yield f"removed key {at(key)}"
+        for key in b:
+            if key not in a:
+                yield f"added key {at(key)}"
     elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
-        for x, y in zip(a, b):
-            yield from _json_pairs(x, y)
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from _json_pairs(x, y, f"{path}[{i}]")
     elif type(a) is not type(b) or a != b:
-        yield None
+        yield f"{path or 'top level'}: {json.dumps(a)} -> {json.dumps(b)}"
 
 
 def _csv_pairs(a: Path, b: Path):
-    """As _json_pairs, for the cells of numeric columns; streams both
-    files, so a matrix of millions of rows stays small in memory."""
+    """As _json_pairs, for the cells of numeric columns, with other
+    differences named by line and column; streams both files, so a
+    matrix of millions of rows stays small in memory."""
     numeric = set()
     for path in (a, b):
         with open(path) as fh:
@@ -197,35 +216,38 @@ def _csv_pairs(a: Path, b: Path):
                 numeric.update(j for j, cell in enumerate(line.rstrip("\n").split(","))
                                if not INTEGER.fullmatch(cell))
     with open(a) as fa, open(b) as fb:
-        for la, lb in itertools.zip_longest(fa, fb):
+        for line, (la, lb) in enumerate(itertools.zip_longest(fa, fb), 1):
             if la is None or lb is None:
-                yield None  # row counts differ
+                yield f"row counts differ from line {line}"
                 return
             ca, cb = la.rstrip("\n").split(","), lb.rstrip("\n").split(",")
             if len(ca) != len(cb):
-                yield None
+                yield f"line {line}: {len(ca)} -> {len(cb)} cells"
             for j, (x, y) in enumerate(zip(ca, cb)):
                 fx, fy = _float(x), _float(y)
                 if j in numeric and fx is not None and fy is not None:
                     yield fx, fy
                 elif x != y:
-                    yield None
+                    yield f"line {line} column {j}: {x} -> {y}"
 
 
 def numeric_summary(a: Path, b: Path) -> str:
     """The largest paired difference over the largest magnitude, the
     largest difference itself (round-off next to values near 0 reads
-    small there, large scaled), and whether the other tokens are
-    identical, of two .csv or .json files."""
+    small there, large scaled), and the first SHOWN_CHANGES other
+    tokens that differ, of two .csv or .json files."""
     if a.suffix == ".json":
         pairs = _json_pairs(json.loads(a.read_text()), json.loads(b.read_text()))
     else:
         pairs = _csv_pairs(a, b)
     diff = scale = 0.0
-    tokens_same = True
+    shown, hidden = [], 0  # other differences, the first SHOWN_CHANGES by name
     for pair in pairs:
-        if pair is None:
-            tokens_same = False
+        if isinstance(pair, str):
+            if len(shown) < SHOWN_CHANGES:
+                shown.append(pair)
+            else:
+                hidden += 1
             continue
         x, y = pair
         if not (x == y or (math.isnan(x) and math.isnan(y))):
@@ -233,8 +255,11 @@ def numeric_summary(a: Path, b: Path) -> str:
             diff = max(diff, d if math.isfinite(d) else math.inf)
         scale = max(scale, *(abs(v) for v in pair if math.isfinite(v)), 0.0)
     scaled = diff / scale if scale else diff
+    others = "identical"
+    if shown:
+        others = "DIFFER: " + "; ".join(shown) + (f"; and {hidden} more" if hidden else "")
     return (f"largest numeric difference {scaled:.2e} of max |value| {scale:.6g} "
-            f"({diff:.2e} absolute), other tokens {'identical' if tokens_same else 'DIFFER'}")
+            f"({diff:.2e} absolute), other tokens {others}")
 
 
 def main() -> int:

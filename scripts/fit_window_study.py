@@ -34,7 +34,7 @@ def main() -> int:
 
     cfg = load_config(args.config)
     sigma = build_symbol(cfg)
-    run = build_spectrum(sigma, cfg.symbol.n, cfg.M, Q=cfg.Q, symmetrize=cfg.symmetrize)
+    run = build_spectrum(sigma, cfg.symbol.n, cfg.M, symmetrize=cfg.symmetrize)
     print(f"spectrum: {len(run.sequence)} values "
           f"({'diagonal path' if run.diagonal_path else 'assembled'}, "
           f"{'symmetrized' if run.symmetrized else 'singular values'})")

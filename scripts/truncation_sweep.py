@@ -81,7 +81,6 @@ def main() -> int:
         t0 = time.time()
         rep = run_connes_check(
             sigma, n, M,
-            Q=cfg.Q,
             symmetrize=cfg.symmetrize,
             sphere_rule_=rule,
             residue_q=cfg.residue_q,

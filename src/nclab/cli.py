@@ -38,9 +38,9 @@ from .errors import ConfigError, NonConvergenceError, UsageError
 from .lattice import TruncationBox
 from .pipeline import build_spectrum, connes_report_json, run_connes_check
 from .quantize import (
-    QuadratureGrid,
     assemble_discrete,
     check_dense,
+    sampling_grid,
     verify_identity,
     write_matrix_binary,
     write_matrix_csv,
@@ -74,7 +74,7 @@ config format (strict: unknown keys are fatal):
                  main_im, rho, term_0, term_1, ...
                  term_j = degree ; angular-expression   (theta1.., x1..)
     [lattice]    M                       (mandatory)
-    [quadrature] Q, sphere_order, residue_q
+    [quadrature] sphere_order, residue_q
     [fit]        symmetrize
     [output]     dir, matrix_format (csv|binary|both)
 """
@@ -263,7 +263,7 @@ def _cmd_symbol_check(cfg: RunConfig, sigma: Symbol, out_dir: Path, say) -> int:
 def _cmd_quantize(cfg: RunConfig, sigma: Symbol, out_dir: Path, say) -> int:
     box = TruncationBox(cfg.symbol.n, cfg.M)
     check_dense(box)  # the exported files outgrow the dense matrix, even for a band
-    A = assemble_discrete(sigma, box, QuadratureGrid.for_box(box, cfg.Q))
+    A = assemble_discrete(sigma, box, sampling_grid(sigma, box))
     if cfg.matrix_format in ("csv", "both"):
         write_matrix_csv(out_dir / "matrix.csv", A)
         say(f"wrote {out_dir / 'matrix.csv'}")
@@ -274,7 +274,7 @@ def _cmd_quantize(cfg: RunConfig, sigma: Symbol, out_dir: Path, say) -> int:
 
 
 def _cmd_spectrum(cfg: RunConfig, sigma: Symbol, out_dir: Path, say) -> int:
-    run = build_spectrum(sigma, cfg.symbol.n, cfg.M, Q=cfg.Q, symmetrize=cfg.symmetrize)
+    run = build_spectrum(sigma, cfg.symbol.n, cfg.M, symmetrize=cfg.symmetrize)
     write_spectrum_csv(out_dir / "spectrum.csv", run.sequence)
     say(f"wrote {out_dir / 'spectrum.csv'} ({len(run.sequence)} values, "
         f"{'diagonal path' if run.diagonal_path else 'assembled'})")
@@ -283,7 +283,7 @@ def _cmd_spectrum(cfg: RunConfig, sigma: Symbol, out_dir: Path, say) -> int:
 
 def _cmd_dixmier(cfg: RunConfig, sigma: Symbol, out_dir: Path, say) -> int:
     check_dixmier_order(sigma, cfg.symbol.n)
-    run = build_spectrum(sigma, cfg.symbol.n, cfg.M, Q=cfg.Q, symmetrize=cfg.symmetrize)
+    run = build_spectrum(sigma, cfg.symbol.n, cfg.M, symmetrize=cfg.symmetrize)
     summary = run.fit()
     payload = {
         "n": cfg.symbol.n,
@@ -320,7 +320,7 @@ def _cmd_residue(cfg: RunConfig, sigma: Symbol, out_dir: Path, say) -> int:
 
 def _cmd_verify_identity(cfg: RunConfig, sigma: Symbol, out_dir: Path, say) -> int:
     box = TruncationBox(cfg.symbol.n, cfg.M)
-    rep = verify_identity(sigma, box, QuadratureGrid.for_box(box, cfg.Q))
+    rep = verify_identity(sigma, box)
     print(
         f"conjugation identity at M={cfg.M}, Q={rep.grid_q}: "
         f"full deviation {rep.full_deviation:.6e}, "
@@ -348,7 +348,6 @@ def _cmd_connes(cfg: RunConfig, sigma: Symbol, out_dir: Path, say) -> int:
         sigma,
         n,
         cfg.M,
-        Q=cfg.Q,
         symmetrize=cfg.symmetrize,
         sphere_rule_=rule,
         residue_q=cfg.residue_q,

@@ -39,7 +39,6 @@ class SymbolConfig(Record):
 class RunConfig(Record):
     symbol: SymbolConfig
     M: int
-    Q: Optional[int] = None
     sphere_order: Optional[int] = None
     residue_q: int = DEFAULT_TORUS_Q
     symmetrize: bool = True
@@ -51,11 +50,11 @@ class _OutOfRange(ValueError):
     """A well-formed value outside its key's range, which the message names."""
 
 
-def _at_least(low: int, even: bool = False):
+def _at_least(low: int):
     def conv(value: str) -> int:
         v = int(value)
-        if v < low or (even and v % 2):
-            raise _OutOfRange(f"must be {'even and ' if even else ''}>= {low}")
+        if v < low:
+            raise _OutOfRange(f"must be >= {low}")
         return v
 
     return conv
@@ -95,7 +94,7 @@ def _matrix_format(value: str) -> str:
 KEYS = {
     "symbol": {"n": _at_least(1), "main": str, "order": _finite, "main_im": str, "rho": _unit_interval},
     "lattice": {"M": _at_least(0)},
-    "quadrature": {"Q": _at_least(2, even=True), "sphere_order": _at_least(1), "residue_q": _at_least(1)},
+    "quadrature": {"sphere_order": _at_least(1), "residue_q": _at_least(1)},
     "fit": {"symmetrize": _to_bool},
     "output": {"dir": str, "matrix_format": _matrix_format},
 }

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import UsageError
 from .lattice import TruncationBox
-from .quantize import FOURIER_MODE, OperatorMatrix, QuadratureGrid, assemble_toroidal
+from .quantize import FOURIER_MODE, OperatorMatrix, assemble_toroidal, sampling_grid
 from .record import Record
 from .residue import CONVENTIONS_STANZA, DEFAULT_TORUS_Q, SphereRule, check_trace_formula_applies, dixmier_trace_formula
 from .spectral import SpectralSummary, matrix_sequence, trace_estimate
@@ -53,7 +53,7 @@ class SpectrumRun(Record):
 
     n: int
     M: int
-    Q: int  # 0 when the diagonal fast path skipped assembly
+    Q: int  # grid points per axis that assembly sampled; 0 on the diagonal path
     symmetrized: bool
     solver: str  # diagonal, banded, dense or svd
     sequence: np.ndarray  # nonincreasing; signed for symmetrized runs
@@ -85,7 +85,6 @@ def build_spectrum(
     sigma: Symbol,
     n: int,
     M: int,
-    Q: Optional[int] = None,
     symmetrize: bool = True,
 ) -> SpectrumRun:
     """The sequence of T = Op(flip sigma): its diagonal, a band of
@@ -99,8 +98,9 @@ def build_spectrum(
     box = TruncationBox(n, M)
 
     if depends_on_second(sigma):
-        grid = QuadratureGrid.for_box(box, Q)
-        A, q = assemble_toroidal(flip(sigma), box, grid), grid.q
+        tau = flip(sigma)
+        grid = sampling_grid(tau, box)
+        A, q = assemble_toroidal(tau, box, grid), grid.q
     else:
         # T[m, m] = conj sigma(-m); evaluate's writable result is its own copy, conjugated in place
         # a pole is reported once, as matrix_sequence's non-finite-entry error, as on the assembled path
@@ -130,7 +130,6 @@ def run_connes_check(
     sigma: Symbol,
     n: int,
     M: int,
-    Q: Optional[int] = None,
     symmetrize: bool = True,
     sphere_rule_: Optional[SphereRule] = None,
     residue_q: int = DEFAULT_TORUS_Q,
@@ -140,7 +139,7 @@ def run_connes_check(
     compare (lattice convention on both sides); a symbol the formula does
     not cover is refused first.  Deterministic for fixed inputs."""
     check_trace_formula_applies(sigma, n)
-    run = build_spectrum(sigma, n, M, Q=Q, symmetrize=symmetrize)
+    run = build_spectrum(sigma, n, M, symmetrize=symmetrize)
     summary = run.fit()
     rep = dixmier_trace_formula(sigma, n, rule=sphere_rule_, torus_q=residue_q)
     r = float(np.real(rep.value))

@@ -24,12 +24,11 @@ reach the box; this is exact for trigonometric polynomials of degree
 A symbol of x-bandwidth b (Symbol.x_bandwidth, inf when no band is
 known) has reach r = min(b, 2M) on the box [-M, M]^n: entry [eta, m]
 vanishes unless |eta - m|_inf <= r.  Assembly reads every symbol at
-the in-box offsets of the stencil |d|_inf <= r, sampled on the
-(2r+2)^n grid when r < 2M (a band-limited symbol) and on the Q^n grid
-when r = 2M.  In exact arithmetic a Q-point rule with Q >= 4M+2 and a
-(2r+2)-point rule give the same coefficients for a trigonometric
-polynomial of degree r, and both give zero beyond r, so Q keeps its
-meaning and its reported value; the two differ by round-off only.
+the in-box offsets of the stencil |d|_inf <= r, sampled on the grid
+sampling_grid picks: (2r+2)^n when r < 2M (a band-limited symbol),
+whose rule is exact for a trigonometric polynomial of degree r, and
+otherwise Q^n, Q >= 4M+2 (default_grid_size(M) unless the caller
+passes a grid).  That grid's Q is the one the reports name.
 
 With r < 2M every nonzero entry lies within index distance
 kd = r * sum(TruncationBox.strides) of the diagonal: a tap d of the
@@ -114,12 +113,6 @@ class QuadratureGrid(Record):
     def __post_init__(self):
         if self.q < 2 or self.q % 2:
             raise UsageError(f"grid size must be even and >= 2, got {self.q}")
-
-    @classmethod
-    def for_box(cls, box: TruncationBox, q: int | None = None) -> QuadratureGrid:
-        """The assembly grid for box: q points per axis, by default
-        default_grid_size(box.M)."""
-        return cls(box.n, default_grid_size(box.M) if q is None else q)
 
     def points(self) -> np.ndarray:
         return torus_grid(self.n, self.q)
@@ -245,26 +238,23 @@ def check_dense(box: TruncationBox) -> None:
     check_memory(16 * S * S, f"a dense {S} x {S} complex matrix")
 
 
-def _check_sizes(
-    box: TruncationBox, grid: QuadratureGrid | None, kd: int | None
-) -> QuadratureGrid:
-    """Default-fill and validate the grid, and refuse storage larger
-    than physical memory before anything is allocated: the dense
-    matrix when kd is None, else its band of half-width kd."""
-    if grid is None:
-        grid = QuadratureGrid.for_box(box)
-    if grid.n != box.n:
+def sampling_grid(sym: Symbol, box: TruncationBox, grid: QuadratureGrid | None = None) -> QuadratureGrid:
+    """The grid assembly samples sym on over box: (2r + 2)^n for a band
+    (reach r < 2M), whatever grid is given; otherwise grid, by default
+    default_grid_size(M) points per axis, refused below the 4M + 2
+    points that keep offsets up to 2M distinct."""
+    if grid is not None and grid.n != box.n:
         raise UsageError("grid and box dimensions differ")
-    if grid.q < max(2, 4 * box.M + 2):
+    reach = _reach(sym, box)
+    if reach < 2 * box.M:
+        return QuadratureGrid(box.n, 2 * reach + 2)
+    if grid is None:
+        return QuadratureGrid(box.n, default_grid_size(box.M))
+    if grid.q < 4 * box.M + 2:
         raise UsageError(
             f"grid size {grid.q} undersized: offsets up to {2 * box.M} per axis "
             f"need at least {4 * box.M + 2} points to stay distinct"
         )
-    if kd is None:
-        check_dense(box)
-    else:
-        S = box.size
-        check_memory(16 * S * (2 * kd + 1), f"a band of {S} x {2 * kd + 1} complex entries")
     return grid
 
 
@@ -290,14 +280,11 @@ def _coefficient_blocks(sym: Symbol, box: TruncationBox, grid: QuadratureGrid, r
     the offset d = p_j - p_i, i = rows[k] and j = cols[k], for every
     in-box p_j in the stencil |d|_inf <= reach.  That is entry [i, j]
     of the discrete matrix and [j, i] of the toroidal one; every other
-    entry is zero.  A reach below 2M (a band) is sampled on the
-    (2 reach + 2)^n grid, reach 2M on grid.  A band whose tap matrix
-    (_stencil_taps) holds at most TAP_PRODUCT_ENTRIES entries
-    multiplies each point's samples by it; any other reach runs a
-    batched FFT per block and reads it at the taps."""
+    entry is zero.  The samples lie on grid (sampling_grid).  A band
+    whose tap matrix (_stencil_taps) holds at most TAP_PRODUCT_ENTRIES
+    entries multiplies each point's samples by it; any other reach runs
+    a batched FFT per block and reads it at the taps."""
     n, M = box.n, box.M
-    if reach < 2 * M:
-        grid = QuadratureGrid(n, 2 * reach + 2)
     Q = grid.q
     check_torus_grid(n, Q)
     shape = (Q,) * n
@@ -350,11 +337,16 @@ def _assemble(
     if sym.side != side:
         raise UsageError(f"assemble_{side} expects a {side}-side symbol")
     reach = _reach(sym, box)
-    kd = reach * int(sum(box.strides))
-    if BAND_RATIO * kd >= box.size:  # reach 2M always lands here: kd = S - 1
-        kd = None
-    grid = _check_sizes(box, grid, kd)
+    grid = sampling_grid(sym, box, grid)
     S = box.size
+    kd = reach * int(sum(box.strides))
+    if BAND_RATIO * kd >= S:  # reach 2M always lands here: kd = S - 1
+        kd = None
+    # refuse the storage before anything is allocated
+    if kd is None:
+        check_dense(box)
+    else:
+        check_memory(16 * S * (2 * kd + 1), f"a band of {S} x {2 * kd + 1} complex entries")
     out = np.zeros((S, S) if kd is None else (S, 2 * kd + 1), dtype=complex)
     for rows, cols, values in _coefficient_blocks(sym, box, grid, reach):
         if basis == FOURIER_MODE:
@@ -409,7 +401,8 @@ class IdentityReport(Record):
     matrix and the Fourier-conjugated adjoint of the toroidal one, both
     read in their common storage (band or dense): entries past a band
     are zero on both sides.  interior_deviation is None when no index
-    lies in the interior."""
+    lies in the interior; grid_q is the Q of the grid both were sampled
+    on (sampling_grid)."""
 
     full_deviation: float
     interior_deviation: float | None
@@ -434,8 +427,7 @@ def verify_identity(
     B[n', k] = conj(T[-k, -n']) is read off T's storage by
     reversed_transpose, and D - B is formed in D's array: dense storage
     holds two S x S complex arrays at most."""
-    if grid is None:
-        grid = QuadratureGrid.for_box(box)
+    grid = sampling_grid(sigma, box, grid)  # flip keeps the x-bandwidth: T's grid too
     D = assemble_discrete(sigma, box, grid)
     check_memory(2 * D.data.nbytes, "holding the discrete and the toroidal matrix at once")
     rows, cols = D.slots()

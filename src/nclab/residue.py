@@ -65,8 +65,8 @@ def noncommutative_residue(
     nodes, as theta of shape (B, 1, n) against the torus grid as x of
     shape (1, X, n), with B * X within lattice.BLOCK_POINTS.  A symbol
     declared x-free is evaluated at x = 0 only (X = 1): its mean over
-    the torus is its value there.  The report still names torus_q.  An
-    oversize torus grid is refused before it is built."""
+    the torus is its value there, and the report names that grid,
+    torus_q = 1.  An oversize torus grid is refused before it is built."""
     if a.side != TOROIDAL:
         raise UsageError("residue expects a toroidal-side symbol (flip first)")
     if torus_q < 1:
@@ -99,7 +99,7 @@ def noncommutative_residue(
         paper_value=residue_value(total, n, PAPER),
         n=n,
         sphere_order=rule.order,
-        torus_q=torus_q,
+        torus_q=q,
         component_source="declared" if declared else "extracted",
         integral=total,
     )

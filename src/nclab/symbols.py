@@ -59,8 +59,8 @@ class Symbol(Record):
     axis of each is the coordinate axis, and the result may be any
     shape that broadcasts to the common leading shape (a scalar
     included).  Assembly calls it with first of shape (B, 1, n) and
-    second of shape (1, P, n), P = Q^n or (2r+2)^n, for blocks of at
-    most lattice.BLOCK_POINTS samples.
+    second of shape (1, P, n), P = q^n on the grid quantize.sampling_grid
+    picks, for blocks of at most lattice.BLOCK_POINTS samples.
 
     classical declares the homogeneous expansion, valid for large
     |frequency|:

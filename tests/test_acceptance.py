@@ -130,7 +130,7 @@ def test_a5_conjugation_identity(tmp_path):
     out = _run_cli(
         tmp_path,
         "verify-identity",
-        COSINE_SYMBOL + "[lattice]\nM = 64\n[quadrature]\nQ = 512\n",
+        COSINE_SYMBOL + "[lattice]\nM = 64\n",
     )
     data = json.loads((out / "identity.json").read_text())
     elapsed = time.time() - t0

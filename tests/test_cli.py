@@ -33,9 +33,6 @@ term_0 = -1 ; 1+0.5*cos(2*pi*x1)
 
 [lattice]
 M = 24
-
-[quadrature]
-Q = 256
 """
 
 
@@ -221,11 +218,11 @@ def test_grammar_help_lists_exactly_the_config_keys():
 @pytest.mark.parametrize("command", ["residue", "connes"])
 @pytest.mark.parametrize("setting", ["residue_q = 0", "residue_q = -2", "sphere_order = 0"])
 def test_quadrature_sizes_below_one_exit_1_without_output(tmp_path, capsys, command, setting):
-    cfg = write(tmp_path, COSINE + setting + "\n")
+    cfg = write(tmp_path, COSINE + "[quadrature]\n" + setting + "\n")
     out = tmp_path / "r"
     assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 1
     key, value = (part.strip() for part in setting.split("="))
-    assert capsys.readouterr().err == f"error: line 12: {key} must be >= 1, got '{value}'\n"
+    assert capsys.readouterr().err == f"error: line 10: {key} must be >= 1, got '{value}'\n"
     assert not out.exists()
 
 
@@ -419,7 +416,7 @@ def test_banded_connes_is_sized_by_its_band(tmp_path, monkeypatch, capsys):
     if spectral._zhbevd() is None:
         pytest.skip("numpy ships no LAPACKE zhbevd: connes would need the dense matrix")
     monkeypatch.setattr(lattice, "_physical_memory", lambda: 200 * 10**6)
-    cfg = write(tmp_path, COSINE.replace("M = 24", "M = 2048").replace("Q = 256", "Q = 16384"))
+    cfg = write(tmp_path, COSINE.replace("M = 24", "M = 2048"))
     assert main(["connes", "--config", cfg, "--out", str(tmp_path / "c"), "--quiet"]) == 0
     data = json.loads((tmp_path / "c" / "connes.json").read_text())
     assert data["relative_deviation"] <= 1e-4
@@ -432,14 +429,14 @@ def test_banded_connes_is_sized_by_its_band(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("command", list(_COMMANDS))
 @pytest.mark.parametrize(
     "text",
-    [MULTIPLIER + "\n[quadrature]\nQ = 7\n", COSINE.replace("Q = 256", "Q = 7")],
+    [MULTIPLIER + "\n[quadrature]\nQ = 7\n", COSINE + "\n[quadrature]\nQ = 7\n"],
     ids=["diagonal", "assembled"],
 )
 def test_odd_grid_size_is_fatal_with_its_line(tmp_path, capsys, command, text):
-    # the diagonal path never reads Q, so only the config check can refuse it
+    # assembly picks its grid (quantize.sampling_grid): a Q line is an unknown key
     cfg = write(tmp_path, text)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "r"), "--quiet"]) == 1
-    assert capsys.readouterr().err == "error: line 11: Q must be even and >= 2, got '7'\n"
+    assert capsys.readouterr().err == "error: line 11: unknown key 'Q' in [quadrature]\n"
     assert not (tmp_path / "r").exists()
 
 
@@ -524,7 +521,7 @@ def test_oversize_residue_torus_grid_is_refused_before_it_is_built(tmp_path, mon
 
     monkeypatch.setattr(lattice, "_physical_memory", lambda: 4 * 2**30)
     monkeypatch.setattr(residue, "torus_grid", refuse)
-    cfg = write(tmp_path, COSINE + "residue_q = 268435456\n")
+    cfg = write(tmp_path, COSINE + "[quadrature]\nresidue_q = 268435456\n")
     assert main([command, "--config", cfg, "--out", str(tmp_path / "r"), "--quiet"]) == 1
     assert re.fullmatch(
         r"error: a torus grid of 268435456 points needs 8\.0 GiB, "
@@ -534,23 +531,23 @@ def test_oversize_residue_torus_grid_is_refused_before_it_is_built(tmp_path, mon
 
 
 def test_oversize_assembly_torus_grid_is_refused_before_it_is_built(tmp_path, monkeypatch, capsys):
-    # no known band: assembly samples the Q^n grid, 2048^2 points and
-    # 192 MiB of coordinates and samples, against 64 MiB
+    # no known band: assembly samples the default grid, 64^2 points and
+    # 192 KiB of coordinates and samples, against 64 KiB
     import nclab.lattice as lattice
     import nclab.quantize as quantize
 
     def refuse(n, q):
         raise AssertionError("torus grid built")
 
-    monkeypatch.setattr(lattice, "_physical_memory", lambda: 64 * 2**20)
+    monkeypatch.setattr(lattice, "_physical_memory", lambda: 64 * 2**10)
     monkeypatch.setattr(quantize, "torus_grid", refuse)
     text = ("[symbol]\nn = 2\nmain = exp(cos(2*pi*x1))*(1+|xi|^2)^(-1)\norder = -2\n"
-            "[lattice]\nM = 2\n[quadrature]\nQ = 2048\n")
+            "[lattice]\nM = 2\n")
     cfg = write(tmp_path, text)
     assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "r"), "--quiet"]) == 1
     assert re.fullmatch(
-        r"error: a torus grid of 4194304 points needs 0\.2 GiB, "
-        r"more than the 0\.1 GiB of physical memory\n",
+        r"error: a torus grid of 4096 points needs 0\.0 GiB, "
+        r"more than the 0\.0 GiB of physical memory\n",
         capsys.readouterr().err,
     )
 

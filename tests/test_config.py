@@ -27,7 +27,7 @@ def test_minimal_config_defaults(tmp_path):
     assert cfg.symbol.order == -1.0
     assert cfg.symbol.rho == 1.0
     assert cfg.M == 1000
-    assert cfg.Q is None
+    assert cfg.sphere_order is None
     assert cfg.residue_q == 128
     assert cfg.symmetrize is True
     sigma = build_symbol(cfg)
@@ -82,14 +82,14 @@ def test_bad_value_reports_line(tmp_path):
 
 def test_classical_terms_parsed(tmp_path):
     text = MINIMAL + "\n".join(
-        ["[quadrature]", "Q = 512", "", "[fit]", "symmetrize = true", ""]
+        ["[quadrature]", "residue_q = 64", "", "[fit]", "symmetrize = true", ""]
     )
     text = text.replace(
         "order = -1", "order = -1\nterm_0 = -1 ; 1\nterm_1 = -2 ; 0.5"
     )
     cfg = load_config(write(tmp_path, text))
     assert cfg.symbol.terms == [(-1.0, "1"), (-2.0, "0.5")]
-    assert cfg.Q == 512
+    assert cfg.residue_q == 64
     assert cfg.symmetrize is True
     sigma = build_symbol(cfg)
     assert len(sigma.classical) == 2
@@ -145,9 +145,10 @@ def test_every_key_is_a_field_and_fields_without_default_are_mandatory():
         (MINIMAL + "[quadrature]\nresidue_q = -3\n", 9, "residue_q must be >= 1, got '-3'"),
         (MINIMAL + "[quadrature]\nsphere_order = 0\n", 9, "sphere_order must be >= 1, got '0'"),
         (MINIMAL + "[output]\nmatrix_format = xml\n", 9, r"matrix_format must be csv\|binary\|both, got 'xml'"),
-        (MINIMAL + "[quadrature]\nQ = 7\n", 9, "Q must be even and >= 2, got '7'"),
-        (MINIMAL + "[quadrature]\nQ = -4\n", 9, "Q must be even and >= 2, got '-4'"),
-        (MINIMAL + "[quadrature]\nQ = 0\n", 9, "Q must be even and >= 2, got '0'"),
+        # assembly picks its grid: a Q line, of any value, is an unknown key
+        (MINIMAL + "[quadrature]\nQ = 7\n", 9, r"unknown key 'Q' in \[quadrature\]"),
+        (MINIMAL + "[quadrature]\nQ = -4\n", 9, r"unknown key 'Q' in \[quadrature\]"),
+        (MINIMAL + "[quadrature]\nQ = 0\n", 9, r"unknown key 'Q' in \[quadrature\]"),
         (MINIMAL.replace("order = -1", "order = nan"), 4, "order must be finite, got 'nan'"),
         (MINIMAL.replace("order = -1", "order = -inf"), 4, "order must be finite, got '-inf'"),
         (MINIMAL.replace("order = -1", "order = 1e400"), 4, "order must be finite, got '1e400'"),

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from nclab import spectral
 from nclab.dsl import to_symbol
@@ -63,7 +65,9 @@ def test_fast_path_rejects_x_dependence():
     # an x-dependent symbol never takes the diagonal path: it is assembled
     run = build_spectrum(cosine_bracket(), 1, 8)
     assert not run.diagonal_path
-    assert run.Q == 128  # default grid: 4*(2M+1) = 68 rounds up to 128
+    assert run.Q == 4  # reach 1: the 2r + 2 grid, not default_grid_size(8) = 128
+    # no known band: assembly samples the default grid
+    assert build_spectrum(to_symbol("exp(0.3*cos(2*pi*x1))*<xi>^(-1)", n=1, order=-1), 1, 8).Q == 128
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +191,44 @@ def test_positivity_warning_fires():
     assert rep.run.positivity_warning
 
 
+# Generated positive symbols: sigma = a(x) <xi>^(-1), optionally plus the
+# odd lower-order term 0.3 xi1 <xi>^(-3), where a is a trigonometric
+# polynomial of degree b in {1, 2} with constant 1 and coefficients of
+# total modulus 0.9, declared as term_0.  So a >= 0.1 and the residue is
+# 2 for every draw, with no quadrature in the oracle.  The fixed example
+# set's largest deviation at M = 256 is POSITIVE_FAMILY_MEASURED, from
+# a = 1 +- 0.9 cos(2 pi x1) with the lower-order term (median 3.3e-4);
+# the bound leaves a margin of 50 % over it.
+POSITIVE_FAMILY_MEASURED = 5.07e-3
+POSITIVE_FAMILY_DEV_MAX = 1.5 * POSITIVE_FAMILY_MEASURED
+
+
+@st.composite
+def positive_symbols(draw):
+    b = draw(st.sampled_from([1, 2]))
+    weights = draw(st.lists(st.floats(-1, 1, allow_subnormal=False), min_size=2 * b, max_size=2 * b))
+    assume(abs(weights[-2]) + abs(weights[-1]) > 0.05)  # degree exactly b
+    scale = 0.9 / sum(map(abs, weights))
+    a = "1" + "".join(
+        f"{scale * c:+.17g}*cos(2*pi*{k}*x1){scale * s:+.17g}*sin(2*pi*{k}*x1)"
+        for k, (c, s) in enumerate(zip(weights[0::2], weights[1::2]), 1)
+    )
+    lower = "+0.3*xi1*<xi>^(-3)" if draw(st.booleans()) else ""
+    return b, to_symbol(f"({a})*<xi>^(-1){lower}", n=1, order=-1, classical_terms=[(-1, a)])
+
+
+@given(positive_symbols())
+@settings(max_examples=40, derandomize=True, deadline=None)
+def test_identity_over_generated_positive_symbols(case):
+    b, sigma = case
+    rep = run_connes_check(sigma, 1, 256)
+    assert rep.residue_lattice == pytest.approx(2.0, abs=1e-12)
+    assert rep.run.solver == "banded"
+    assert not rep.run.positivity_warning
+    assert rep.run.Q == 2 * b + 2  # the grid assembly sampled
+    assert rep.relative_deviation <= POSITIVE_FAMILY_DEV_MAX
+
+
 def test_report_fields():
     rep = run_connes_check(bracket_inv(), 1, 2000)
     payload = connes_report_json(rep)
@@ -299,7 +341,7 @@ def _inline_solve(sigma, n, M, symmetrize):
         vals = evaluate(sigma.func, box.points().astype(float), np.zeros(n), (box.size,))
         seq = np.sort(vals.real if symmetrize else np.abs(vals))[::-1].copy()
         return seq, float(np.max(np.abs(vals - vals.conj())))
-    A = assemble_toroidal(flip(sigma), box, QuadratureGrid.for_box(box))
+    A = assemble_toroidal(flip(sigma), box)
     herm_dev = float(np.max(np.abs(A.entries - A.entries.conj().T)))
     if symmetrize:
         H = 0.5 * (A.entries + A.entries.conj().T)

@@ -21,6 +21,7 @@ from nclab.quantize import (
     conjugate_by_fourier,
     default_grid_size,
     read_matrix_binary,
+    sampling_grid,
     verify_identity,
     write_matrix_binary,
     write_matrix_csv,
@@ -110,12 +111,19 @@ def test_discrete_against_direct_summation():
 
 
 def test_undersized_or_odd_grid_rejected():
-    sigma = to_symbol("1", n=1, order=0)
+    # no known band: assembly samples the caller's grid, which needs 4M + 2 points
+    sigma = to_symbol("exp(cos(2*pi*x1))", n=1, order=0)
     box = TruncationBox(1, 16)
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="grid size 64 undersized"):
         assemble_discrete(sigma, box, QuadratureGrid(1, 64))  # < 4M+2
     with pytest.raises(UsageError):
         QuadratureGrid(1, 65)
+    # a band samples its own 2r + 2 grid: of the caller's grid only the dimension is read
+    band, box = cosine_bracket(), TruncationBox(1, 64)
+    A = assemble_discrete(band, box, QuadratureGrid(1, 4))
+    assert A.kd == 1 and np.array_equal(A.data, assemble_discrete(band, box).data)
+    with pytest.raises(UsageError, match="dimensions differ"):
+        assemble_discrete(band, box, QuadratureGrid(2, 4))
 
 
 def test_default_grid_size():
@@ -332,8 +340,9 @@ def test_band_taps_match_the_fft_on_the_band_grid(n, M, main, b):
     box = TruncationBox(n, M)
     pts = box.points()
     in_band = np.max(np.abs(pts[:, None, :] - pts[None, :, :]), axis=-1) <= b
-    band_grid = QuadratureGrid(n, q)
-    D, T = both_quantizations(sigma, box, QuadratureGrid.for_box(box))
+    band_grid = sampling_grid(sigma, box)
+    assert band_grid == QuadratureGrid(n, q)
+    D, T = both_quantizations(sigma, box, None)
     for got, want in ((D, column_loop(sigma.func, box, band_grid).T),
                       (T, column_loop(flip(sigma).func, box, band_grid))):
         assert np.max(np.abs(got - want)[in_band]) <= 1e-15 * np.max(np.abs(want))
@@ -477,13 +486,14 @@ def test_identity_deviation_equals_the_public_composition(n, M):
         n=n, order=-2,
     )
     box = TruncationBox(n, M)
-    grid = QuadratureGrid.for_box(box)
+    grid = sampling_grid(sigma, box)
     D = assemble_discrete(sigma, box, grid)
     T = assemble_toroidal(flip(sigma), box, grid)
     assert D.kd == T.kd
     assert (T.kd is not None) == (M in (17, 40))
     B = conjugate_by_fourier(adjoint(T))
-    rep = verify_identity(sigma, box, grid)
+    rep = verify_identity(sigma, box)
+    assert rep.grid_q == grid.q == 4  # reach 1
     assert rep.full_deviation == float(np.abs(D.entries - B.entries).max())
     assert rep.full_deviation < 1e-14
 

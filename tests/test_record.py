@@ -38,7 +38,7 @@ def test_positional_keyword_and_default_arguments():
     assert TruncationBox(2, 3) == TruncationBox(M=3, n=2) == TruncationBox(2, M=3)
     assert Num(value=0.5) == Num(0.5)
     cfg = RunConfig(SymbolConfig(1, "|xi|", -1.0), 4, residue_q=64)
-    assert (cfg.M, cfg.Q, cfg.residue_q, cfg.matrix_format) == (4, None, 64, "both")
+    assert (cfg.M, cfg.sphere_order, cfg.residue_q, cfg.matrix_format) == (4, None, 64, "both")
     assert (cfg.symbol.rho, cfg.symbol.terms) == (1.0, ())
 
 
